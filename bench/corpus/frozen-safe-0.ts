@@ -1,0 +1,7 @@
+# expect: safe
+system frozen-safe-0
+var x : real [0, 100]
+var y : real [0, 1]
+init x >= 0 and x <= 1 and y = 0
+trans x' = x + y and y' = y
+prop x <= 5

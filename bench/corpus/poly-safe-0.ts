@@ -1,0 +1,6 @@
+# expect: safe
+system poly-safe-0
+var x : real [0, 5]
+init x >= 0.4 and x <= 0.5
+trans x' = x + 0.2 * (1 * x - 0.25 * x^3)
+prop x <= 2.8

@@ -1,0 +1,6 @@
+# expect: safe
+system poly-safe-11
+var x : real [0, 12.5]
+init x >= 0.6000000000000001 and x <= 0.7000000000000001
+trans x' = x + 0.2 * (1 * x - 0.04 * x^3)
+prop x <= 7

@@ -1,0 +1,6 @@
+# expect: unsafe
+system poly-unsafe-0
+var x : real [0, 5]
+init x >= 0.4 and x <= 0.5
+trans x' = x + 0.2 * (1 * x - 0.25 * x^3)
+prop x <= 1.4

@@ -1,0 +1,6 @@
+# expect: unsafe
+system poly-unsafe-8
+var x : real [0, 5]
+init x >= 0.6000000000000001 and x <= 0.7000000000000001
+trans x' = x + 0.2 * (1 * x - 0.25 * x^3)
+prop x <= 1.4

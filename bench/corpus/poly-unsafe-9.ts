@@ -1,0 +1,6 @@
+# expect: unsafe
+system poly-unsafe-9
+var x : real [0, 6.25]
+init x >= 0.4 and x <= 0.5
+trans x' = x + 0.2 * (1 * x - 0.16 * x^3)
+prop x <= 1.75

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet lint lint-json lint-sarif check fuzz-short bench-json bench-diff bench-smoke reuse-smoke load-smoke clean
+.PHONY: all build test test-race vet lint lint-json lint-sarif check fuzz-short bench-json bench-diff bench-smoke bench-module-test reuse-smoke load-smoke clean
 
 all: check
 
@@ -37,19 +37,32 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
 
 # Fast perf/soundness smoke for CI: single-iteration benchmarks of the
-# two hot paths, the reduceDB invariance legs (verdicts must match with
+# hot paths (solver, watched propagation, the sin contractor, the model
+# parser), the reduceDB invariance legs (verdicts must match with
 # clause deletion off vs forced aggressive — see reduce_test.go and
 # trigger_test.go), and the query-count gate: the committed snapshots
 # pin the triggered-pushing work profile, so benchdiff fails if solver
 # queries regress more than 10% against the post-trigger snapshot or
-# any verdict changes.
+# any verdict changes.  The last pair is the trig-contractor change
+# against its parent, measured the same day on the same host: the search
+# is bit-identical, so queries move only where an instance hits its
+# budget.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SolverICP' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'PropagateWatched' -benchtime=1x -benchmem ./internal/icp/
+	$(GO) test -run '^$$' -bench 'InvSin' -benchtime=1x -benchmem ./internal/interval/
+	$(GO) test -run '^$$' -bench 'Parse' -benchtime=1x -benchmem ./internal/ts/
 	$(GO) test -run '^$$' -bench 'PropQuery' -benchtime=1x -benchmem ./internal/ic3icp/
 	$(GO) test -run 'TestReduceDBVerdictInvariance|TestTriggeredPushReduceInvariance|TestRetentionInvariance' -count=1 -v ./internal/ic3icp/
 	$(GO) run ./cmd/benchdiff -queries-tolerance 0.10 BENCH_2026-08-08.json BENCH_2026-08-08-triggered.json
 	$(GO) run ./cmd/benchdiff -queries-tolerance 0.10 BENCH_2026-08-08-triggered.json BENCH_2026-08-08-retained.json
+	$(GO) run ./cmd/benchdiff -queries-tolerance 0.10 BENCH_2026-10-16.json BENCH_2026-10-16-trig.json
+
+# The repository benchmark (bench/, see BENCHMARK.json) is a module of
+# its own, so `go test ./...` at the root skips it.  -short runs the smoke
+# of all four workloads, about 6 s.
+bench-module-test:
+	cd bench && $(GO) test -short .
 
 # Certificate-reuse smoke (DESIGN.md §13): prove a tiny corpus, mutate
 # one bound per instance, re-verify seeded from the stored certificate —
@@ -98,6 +111,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=5s ./internal/ts/
 	$(GO) test -run='^$$' -fuzz=FuzzSystem -fuzztime=5s ./internal/ts/
 	$(GO) test -run='^$$' -fuzz=FuzzSolveRetentionEquiv -fuzztime=5s ./internal/icp/
+	$(GO) test -run='^$$' -fuzz=FuzzInvTrigEquiv -fuzztime=5s ./internal/interval/
 
 check: build vet lint test test-race
 

@@ -80,12 +80,16 @@ func Check(sys *ts.System, res engine.Result, opts Options) error {
 		// Re-establish K-inductiveness with fresh solvers: a bounded re-run
 		// at the certified depth must again conclude Safe.  The step case
 		// only exists for k >= 1 (and MaxK <= 0 would mean "use default"),
-		// so shallower claims are malformed.
+		// so shallower claims are malformed.  SeedK = MaxK = K proves every
+		// base case 0..K and the step case at K — the whole claim — and
+		// skips only the shallower step cases, which the certificate does
+		// not rely on.
 		if cert.K < 1 {
 			return fmt.Errorf("certify: invalid k-induction depth %d", cert.K)
 		}
 		re := kind.Check(sys, kind.Options{
 			MaxK:   cert.K,
+			SeedK:  cert.K,
 			Solver: icp.Options{Eps: opts.Eps},
 			Budget: budget,
 		})

@@ -127,6 +127,49 @@ func TestCheckKInductionCertificate(t *testing.T) {
 	}
 }
 
+// twoInductiveSrc is safe and 2-inductive but not 1-inductive: a = 2
+// satisfies the property and steps to the violation a = 3, but no state
+// steps to a = 2.
+const twoInductiveSrc = `
+system twostep
+var a : int [0, 3]
+init a = 0
+trans a' = ite(a = 0, 1, ite(a = 1, 0, 3))
+prop a <= 2
+`
+
+func TestCheckRejectsShallowKInduction(t *testing.T) {
+	sys := mustParse(t, twoInductiveSrc)
+	res := kind.Check(sys, kind.Options{})
+	if res.Verdict != engine.Safe || res.Certificate == nil || res.Certificate.K != 2 {
+		t.Fatalf("kind: %v at depth %d (%s), certificate %+v", res.Verdict, res.Depth, res.Note, res.Certificate)
+	}
+	if err := Check(sys, res, Options{}); err != nil {
+		t.Errorf("2-induction certificate rejected: %v", err)
+	}
+	shallow := res
+	shallow.Certificate = &engine.Certificate{Kind: engine.CertKInduction, K: 1}
+	if err := Check(sys, shallow, Options{}); err == nil {
+		t.Error("1-induction claim accepted for a property that is only 2-inductive")
+	}
+}
+
+// TestCheckRejectsKInductionOnUnsafe attaches a k-induction certificate to
+// an unsafe system whose property is 6-inductive from arbitrary states:
+// the step case at K holds, so only the base cases, which the re-check
+// runs at every depth up to K, can reject it.
+func TestCheckRejectsKInductionOnUnsafe(t *testing.T) {
+	sys := mustParse(t, unsafeSrc)
+	forged := engine.Result{
+		Verdict:     engine.Safe,
+		Certificate: &engine.Certificate{Kind: engine.CertKInduction, K: 6},
+	}
+	err := Check(sys, forged, Options{})
+	if err == nil || !strings.Contains(err.Error(), "re-check: unsafe") {
+		t.Errorf("k-induction certificate on an unsafe system: err = %v", err)
+	}
+}
+
 func TestCheckUnknownPassesVacuously(t *testing.T) {
 	sys := mustParse(t, safeSrc)
 	if err := Check(sys, engine.Result{Verdict: engine.Unknown}, Options{}); err != nil {

@@ -422,10 +422,16 @@ func (v Interval) Sin() Interval {
 	if v.Width() >= 2*math.Pi {
 		return Interval{-1, 1}
 	}
+	return sinHull(v, math.Sin(v.Lo), math.Sin(v.Hi))
+}
+
+// sinHull is Sin for a non-empty v narrower than 2π, built from the
+// already computed endpoint values sLo = sin(v.Lo) and sHi = sin(v.Hi).
+func sinHull(v Interval, sLo, sHi float64) Interval {
 	// Determine whether the interval crosses a maximum (pi/2 + 2k*pi) or a
 	// minimum (-pi/2 + 2k*pi).
-	lo := math.Min(math.Sin(v.Lo), math.Sin(v.Hi))
-	hi := math.Max(math.Sin(v.Lo), math.Sin(v.Hi))
+	lo := math.Min(sLo, sHi)
+	hi := math.Max(sLo, sHi)
 	if crossesPhase(v, math.Pi/2) {
 		hi = 1
 	}
@@ -609,9 +615,7 @@ func InvSin(z, x Interval) Interval {
 		return x
 	}
 	// Contract endpoints by a few bisection steps on sin over x.
-	return shrinkByBisection(x, func(p Interval) bool {
-		return !p.Sin().Intersect(zz).IsEmpty()
-	})
+	return trigSin.contract(zz, x)
 }
 
 // InvCos projects z = cos(x) onto x given x's current domain.
@@ -626,45 +630,5 @@ func InvCos(z, x Interval) Interval {
 	if x.Width() >= math.Pi || math.IsInf(x.Lo, 0) || math.IsInf(x.Hi, 0) {
 		return x
 	}
-	return shrinkByBisection(x, func(p Interval) bool {
-		return !p.Cos().Intersect(zz).IsEmpty()
-	})
-}
-
-// shrinkByBisection trims the left and right ends of x, keeping any
-// sub-interval on which feasible() holds.  feasible must be a sound
-// over-approximate test (true whenever a solution may exist).
-func shrinkByBisection(x Interval, feasible func(Interval) bool) Interval {
-	if !feasible(x) {
-		return Empty()
-	}
-	const steps = 16
-	lo, hi := x.Lo, x.Hi
-	// shrink from the left
-	l, r := lo, hi
-	for i := 0; i < steps && r-l > 0; i++ {
-		m := l/2 + r/2
-		if feasible(Interval{l, m}) {
-			r = m
-		} else {
-			l = m
-		}
-	}
-	newLo := l
-	// shrink from the right
-	l, r = newLo, hi
-	for i := 0; i < steps && r-l > 0; i++ {
-		m := l/2 + r/2
-		if feasible(Interval{m, r}) {
-			l = m
-		} else {
-			r = m
-		}
-	}
-	newHi := r
-	res := Interval{newLo, newHi}
-	if res.IsEmpty() {
-		return Empty()
-	}
-	return res
+	return trigCos.contract(zz, x)
 }

@@ -27,7 +27,9 @@ import (
 func Parse(src string) (*System, error) {
 	s := New("unnamed")
 	sc := bufio.NewScanner(strings.NewReader(src))
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// Lines may be up to 1 MiB long; the buffer starts at the scanner's
+	// 4 KiB default and only grows for a line that needs it.
+	sc.Buffer(nil, 1024*1024)
 	lineNo := 0
 	var pending string
 	var inits, transs, props, invs []*expr.Expr

@@ -1,6 +1,8 @@
 package ts
 
 import (
+	"bufio"
+	"errors"
 	"strings"
 	"testing"
 
@@ -243,6 +245,51 @@ func TestParseErrors(t *testing.T) {
 		t.Error("incomplete system should fail validation")
 	}
 }
+
+const vehicleSrc = `# expect: safe
+system vehicle-safe-0
+var v : real [0, 40]
+init v >= 0 and v <= 1
+trans v' = v + 0.5 * (4 - 0.01 * v^2)
+prop v <= 26
+`
+
+// TestParseLongLine checks that the scanner buffer grows past its small
+// initial size for a long line.
+func TestParseLongLine(t *testing.T) {
+	src := "# " + strings.Repeat("a", 200*1024) + "\n" + vehicleSrc
+	s, err := Parse(src)
+	if err != nil {
+		t.Fatalf("200 KiB line: %v", err)
+	}
+	if s.Name != "vehicle-safe-0" {
+		t.Errorf("name = %q", s.Name)
+	}
+}
+
+// TestParseLineTooLong checks that the 1 MiB line limit still holds, with
+// the scanner's error text.
+func TestParseLineTooLong(t *testing.T) {
+	src := "# " + strings.Repeat("a", 1024*1024) + "\n" + vehicleSrc
+	_, err := Parse(src)
+	if !errors.Is(err, bufio.ErrTooLong) || err.Error() != "ts: bufio.Scanner: token too long" {
+		t.Errorf("over-long line: err = %v", err)
+	}
+}
+
+func BenchmarkParse(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := Parse(vehicleSrc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSys = s
+	}
+}
+
+// benchSys keeps the benchmarked call from being optimized away.
+var benchSys *System
 
 func TestRepeatedSections(t *testing.T) {
 	src := `

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet lint lint-json lint-sarif check fuzz-short bench-json bench-diff bench-smoke bench-module-test reuse-smoke load-smoke clean
+.PHONY: all build test test-race vet lint lint-json lint-sarif check fuzz-short bench-json bench-diff bench-smoke bench-module-test reuse-smoke clean
 
 all: check
 
@@ -72,18 +72,6 @@ bench-module-test:
 reuse-smoke:
 	$(GO) run ./cmd/benchtab -reuse -size 1 -budget 5s
 	$(GO) test -run 'TestReuse' -count=1 ./internal/service/
-
-# Overload smoke (DESIGN.md §14): drive the in-process service, pinned
-# to one worker and a short queue, through a ramp several times past
-# capacity with mixed long/short budgets and a rate-limited tenant.
-# icploadgen exits 1 on any wrong verdict, any stuck job, no observed
-# pushback (-expect-overload), or a total p99 above the bound — under
-# overload the service must reject and shed, never serve a wrong
-# verdict or let tail latency grow without bound.
-load-smoke:
-	$(GO) run ./cmd/icploadgen -workers 1 -queue 8 -suite 1 \
-		-stages 10x1s,50x2s -timeout 300ms -short-timeout 50ms -short-every 3 \
-		-tenants free,limited:2:2 -expect-overload -max-p99 15s
 
 vet:
 	$(GO) vet ./...

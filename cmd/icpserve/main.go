@@ -2,19 +2,13 @@
 //
 // Usage:
 //
-//	icpserve [-addr :8080] [-workers N] [-cache N] [-timeout 30s] [-grace 10s]
-//	         [-reuse] [-cache-dir DIR] [-reuse-dist 0.25]
-//	         [-quotas alice:5:10,batch:2:2:1] [-quota-rate R -quota-burst B]
-//	         [-shed-margin 10ms] [-brownout-after 2s]
-//	         [-breaker-threshold 5] [-breaker-cooldown 30s]
+//	icpserve [-addr :8080] [-workers N] [-queue N] [-cache N] [-timeout 30s]
+//	         [-grace 10s] [-reuse] [-cache-dir DIR] [-reuse-dist 0.25]
 //
-// The second line is the overload-control surface (DESIGN.md §14):
-// per-tenant token-bucket quotas (jobs/second with a burst allowance;
-// priority > 0 marks tenants shed first under brownout), a default
-// quota for tenants without an override, deadline-aware shedding of
-// queued jobs whose remaining budget has dropped below -shed-margin,
-// brownout escalation after sustained queue pressure, and a per-engine
-// circuit breaker.  Rejected submissions get HTTP 429 with Retry-After.
+// Overload behaviour (DESIGN.md §14): at most -queue jobs wait for a
+// worker, and a submission past that bound gets HTTP 429 with
+// Retry-After: 1.  A queued job whose remaining budget has dropped
+// below 10ms when a worker picks it up is shed rather than run.
 //
 // With -reuse (implied by -cache-dir) every certified Safe proof is
 // stored, and a resubmitted system close to a prior one starts seeded
@@ -53,13 +47,10 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -82,21 +73,9 @@ func main() {
 		reuseOn    = flag.Bool("reuse", false, "seed new jobs from prior certified proofs of near-identical systems")
 		cacheDir   = flag.String("cache-dir", "", "persist reuse certificates in this directory (implies -reuse)")
 		reuseDist  = flag.Float64("reuse-dist", 0, "structural-diff distance threshold for certificate reuse (0 = 0.25)")
-		quotaSpec  = flag.String("quotas", "", "per-tenant quotas, name:rate[:burst[:priority]] comma-separated")
-		quotaRate  = flag.Float64("quota-rate", 0, "default tenant admission rate in jobs/second (0 = unlimited)")
-		quotaBurst = flag.Int("quota-burst", 0, "default tenant burst allowance (0 = max(1, rate))")
-		shedMargin = flag.Duration("shed-margin", 10*time.Millisecond, "shed queued jobs whose remaining budget is below this (0 disables)")
-		brownout   = flag.Duration("brownout-after", 2*time.Second, "sustained-pressure window per brownout escalation step (0 disables)")
-		brkThresh  = flag.Int("breaker-threshold", 5, "consecutive engine failures that open its circuit breaker (0 disables)")
-		brkCool    = flag.Duration("breaker-cooldown", 30*time.Second, "breaker cooldown before a half-open probe")
 		verbose    = flag.Bool("v", false, "log every job state change")
 	)
 	flag.Parse()
-
-	quotas, err := parseQuotas(*quotaSpec)
-	if err != nil {
-		log.Fatalf("icpserve: %v", err)
-	}
 
 	// In Config zero means "use the default", so flag-level zeros (an
 	// explicit opt-out) map to the negative disable values.
@@ -107,18 +86,6 @@ func main() {
 	maxRetries := *retries
 	if maxRetries == 0 {
 		maxRetries = -1
-	}
-	shed := *shedMargin
-	if shed == 0 {
-		shed = -1
-	}
-	brownoutAfter := *brownout
-	if brownoutAfter == 0 {
-		brownoutAfter = -1
-	}
-	breakerThreshold := *brkThresh
-	if breakerThreshold == 0 {
-		breakerThreshold = -1
 	}
 	cfg := service.Config{
 		Workers:        *workers,
@@ -133,13 +100,6 @@ func main() {
 		Reuse:          *reuseOn || *cacheDir != "",
 		CacheDir:       *cacheDir,
 		ReuseMaxDist:   *reuseDist,
-		TenantQuota:    service.Quota{Rate: *quotaRate, Burst: *quotaBurst},
-		TenantQuotas:   quotas,
-		ShedMargin:     shed,
-		BrownoutAfter:  brownoutAfter,
-
-		BreakerThreshold: breakerThreshold,
-		BreakerCooldown:  *brkCool,
 	}
 	if *verbose {
 		cfg.Logf = log.Printf
@@ -176,43 +136,4 @@ func main() {
 		log.Printf("icpserve: grace expired, in-flight jobs cancelled")
 	}
 	log.Printf("icpserve: final metrics:\n%s", svc.Metrics())
-}
-
-// parseQuotas parses "alice:5:10,batch:2:2:1" (the cmd/icploadgen
-// -tenants syntax, minus the quota-less rotation entries) into the
-// per-tenant quota map.
-func parseQuotas(spec string) (map[string]service.Quota, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
-	quotas := make(map[string]service.Quota)
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		fields := strings.Split(part, ":")
-		if len(fields) < 2 || len(fields) > 4 || fields[0] == "" {
-			return nil, fmt.Errorf("quota %q: want name:rate[:burst[:priority]]", part)
-		}
-		var q service.Quota
-		var err error
-		if fields[1] != "" {
-			if q.Rate, err = strconv.ParseFloat(fields[1], 64); err != nil {
-				return nil, fmt.Errorf("quota %q: bad rate: %v", part, err)
-			}
-		}
-		if len(fields) > 2 && fields[2] != "" {
-			if q.Burst, err = strconv.Atoi(fields[2]); err != nil {
-				return nil, fmt.Errorf("quota %q: bad burst: %v", part, err)
-			}
-		}
-		if len(fields) > 3 && fields[3] != "" {
-			if q.Priority, err = strconv.Atoi(fields[3]); err != nil {
-				return nil, fmt.Errorf("quota %q: bad priority: %v", part, err)
-			}
-		}
-		quotas[fields[0]] = q
-	}
-	return quotas, nil
 }

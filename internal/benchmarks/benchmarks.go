@@ -24,9 +24,6 @@ type Instance struct {
 	// prove within small budgets (Unknown is acceptable, wrong is not).
 	Hard bool
 	Sys  *ts.System
-	// Source is the model text Sys was parsed from, so service-level
-	// drivers (cmd/icploadgen) can submit the instance as a request.
-	Source string
 }
 
 func parse(name string, src string) (*ts.System, error) {
@@ -77,7 +74,7 @@ prop x <= %g
 	if err != nil {
 		return Instance{}, err
 	}
-	return Instance{Name: name, Family: "poly", Expected: verdict, Sys: sys, Source: src}, nil
+	return Instance{Name: name, Family: "poly", Expected: verdict, Sys: sys}, nil
 }
 
 // Logistic builds a logistic-map instance x' = r·x·(1−x) on [0,1].
@@ -106,7 +103,7 @@ prop x <= %g
 	if err != nil {
 		return Instance{}, err
 	}
-	return Instance{Name: name, Family: "logistic", Expected: verdict, Sys: sys, Source: src}, nil
+	return Instance{Name: name, Family: "logistic", Expected: verdict, Sys: sys}, nil
 }
 
 // Vehicle builds a longitudinal-dynamics instance with quadratic drag:
@@ -136,7 +133,7 @@ prop v <= %g
 	if err != nil {
 		return Instance{}, err
 	}
-	return Instance{Name: name, Family: "vehicle", Expected: verdict, Sys: sys, Source: src}, nil
+	return Instance{Name: name, Family: "vehicle", Expected: verdict, Sys: sys}, nil
 }
 
 // Thermostat builds a two-mode heater with Newton cooling and a bilinear
@@ -166,7 +163,7 @@ prop T <= 40
 	if err != nil {
 		return Instance{}, err
 	}
-	return Instance{Name: name, Family: "thermostat", Expected: verdict, Sys: sys, Source: src}, nil
+	return Instance{Name: name, Family: "thermostat", Expected: verdict, Sys: sys}, nil
 }
 
 // Pendulum builds a damped-pendulum instance (Euler), exercising the sin
@@ -196,7 +193,7 @@ prop th <= %g
 	if err != nil {
 		return Instance{}, err
 	}
-	return Instance{Name: name, Family: "pendulum", Expected: verdict, Hard: safe, Sys: sys, Source: src}, nil
+	return Instance{Name: name, Family: "pendulum", Expected: verdict, Hard: safe, Sys: sys}, nil
 }
 
 // CounterNL builds an integer instance with saturating doubling:
@@ -221,7 +218,7 @@ prop n <= %d
 	if err != nil {
 		return Instance{}, err
 	}
-	return Instance{Name: name, Family: "counternl", Expected: verdict, Sys: sys, Source: src}, nil
+	return Instance{Name: name, Family: "counternl", Expected: verdict, Sys: sys}, nil
 }
 
 // Frozen builds a "frozen parameter" instance: a constant disturbance y
@@ -251,7 +248,7 @@ prop x <= %g
 	if err != nil {
 		return Instance{}, err
 	}
-	return Instance{Name: name, Family: "frozen", Expected: verdict, Sys: sys, Source: src}, nil
+	return Instance{Name: name, Family: "frozen", Expected: verdict, Sys: sys}, nil
 }
 
 func safeTag(safe bool) string {

@@ -87,9 +87,6 @@ type Options struct {
 	// last reduction) that triggers a database reduction.  0 means the
 	// default of 2048; tests use small values to force frequent reductions.
 	ReduceInterval int
-	// NoPhaseSave disables bound/phase saving: decisions then always
-	// split into the lower half first (the pre-watched-core behaviour).
-	NoPhaseSave bool
 	// NoPrefixRetention disables assumption-prefix trail retention:
 	// every Solve then backtracks to level 0 on entry and exit (the
 	// pre-retention behaviour).  Used by the differential fuzz target and
@@ -888,7 +885,7 @@ func (s *Solver) pickBranchTier(cands []tnf.VarID) (tnf.VarID, bool) {
 func (s *Solver) decide(v tnf.VarID) *conflict {
 	s.pushLevel()
 	s.Stats.Decisions++
-	upper := !s.opts.NoPhaseSave && s.phaseStamp[v] > s.phaseBase && s.phase[v] == sideLo
+	upper := s.phaseStamp[v] > s.phaseBase && s.phase[v] == sideLo
 	mid := interval.New(s.lo[v], s.hi[v]).Mid()
 	if s.vars[v].Integer {
 		mid = math.Floor(mid)

@@ -5,14 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 )
 
 // submitBody is the JSON body of POST /v1/jobs.
 type submitBody struct {
 	Model      string  `json:"model"`
-	Tenant     string  `json:"tenant"`
 	Engine     string  `json:"engine"`
 	TimeoutMS  int64   `json:"timeout_ms"`
 	WaitMS     int64   `json:"wait_ms"`
@@ -58,7 +56,6 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := s.Submit(Request{
 		Source:       body.Model,
-		Tenant:       body.Tenant,
 		Engine:       body.Engine,
 		Timeout:      time.Duration(body.TimeoutMS) * time.Millisecond,
 		Eps:          body.Eps,
@@ -69,11 +66,11 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		switch {
-		case errors.Is(err, ErrBusy), errors.Is(err, ErrQuota), errors.Is(err, ErrShed):
-			// Overload is a retryable client-side condition, not a server
-			// fault: 429 with a Retry-After hint (quota rejections carry
-			// the exact token-refill wait).
-			retryAfterError(w, err)
+		case errors.Is(err, ErrBusy):
+			// A full queue is a retryable client-side condition, not a
+			// server fault: 429 with a Retry-After hint.
+			w.Header().Set("Retry-After", "1")
+			httpError(w, http.StatusTooManyRequests, err)
 		case errors.Is(err, ErrClosed):
 			httpError(w, http.StatusServiceUnavailable, err)
 		default:
@@ -141,23 +138,4 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 
 func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-// retryAfterError renders an admission rejection as 429 Too Many
-// Requests with a Retry-After header (whole seconds, minimum 1, per
-// RFC 9110) and the precise wait in the JSON body.
-func retryAfterError(w http.ResponseWriter, err error) {
-	retry := RetryAfter(err)
-	if retry <= 0 {
-		retry = time.Second
-	}
-	secs := int(retry / time.Second)
-	if retry%time.Second != 0 || secs == 0 {
-		secs++
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeJSON(w, http.StatusTooManyRequests, map[string]interface{}{
-		"error":          err.Error(),
-		"retry_after_ms": retry.Milliseconds(),
-	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -161,6 +162,10 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad engine status = %d, want 400", resp.StatusCode)
 	}
+	resp, _ = postJSON(t, srv.URL+"/v1/jobs", map[string]interface{}{"model": safeModel, "tenant": "alice"})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unknown field status = %d, want 400", resp.StatusCode)
+	}
 	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
@@ -177,6 +182,33 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz status = %d", resp.StatusCode)
 	}
+}
+
+// TestHTTPOverloadMaps429 covers the HTTP mapping of a full queue: 429
+// Too Many Requests with Retry-After: 1 and the ErrBusy message.
+func TestHTTPOverloadMaps429(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	// distinct keys so they cannot coalesce; the worker is busy, depth 1
+	for i := 0; i < 4; i++ {
+		resp, body := postJSON(t, srv.URL+"/v1/jobs", map[string]interface{}{
+			"model":  strings.Replace(hardModel, "999999", fmt.Sprintf("99999%d", i), 1),
+			"engine": "ic3", "timeout_ms": 3600000,
+		})
+		if resp.StatusCode == http.StatusAccepted {
+			continue
+		}
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("submit %d: status %d, body %s", i, resp.StatusCode, body)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "1" {
+			t.Errorf("Retry-After = %q, want 1", ra)
+		}
+		if !strings.Contains(string(body), ErrBusy.Error()) {
+			t.Errorf("429 body lacks the queue-full error: %s", body)
+		}
+		return
+	}
+	t.Fatal("queue never reported 429")
 }
 
 func TestHTTPShutdownVisibleAsUnavailable(t *testing.T) {

@@ -64,19 +64,8 @@ type Metrics struct {
 	certified  int64 // guarded-by: mu; decisive results that passed independent re-checking
 	certFailed int64 // guarded-by: mu; decisive results demoted to Unknown by certification
 
-	quotaRejected   int64 // guarded-by: mu; submissions refused by a tenant's token bucket
-	shedDeadline    int64 // guarded-by: mu; dequeued jobs shed for exhausted end-to-end budget
-	shedBrownout    int64 // guarded-by: mu; submissions refused at brownout level 3
-	shedDrain       int64 // guarded-by: mu; queued jobs shed by a shutdown drain
-	brownoutLevel   int64 // guarded-by: mu; current brownout level (gauge, 0..3)
-	brownoutChanges int64 // guarded-by: mu; brownout level transitions
-	breakerTrips    int64 // guarded-by: mu; breaker closed/half-open -> open transitions
-	breakerProbes   int64 // guarded-by: mu; half-open probe jobs admitted
-	breakerShorted  int64 // guarded-by: mu; jobs routed past an open breaker's engine
-	certSkipped     int64 // guarded-by: mu; decisive results served uncertified by brownout
-
-	tenants  map[string]*tenantCounters // guarded-by: mu; per-tenant admission accounting
-	breakers *breaker                   // per-engine open-ness gauges (may be nil; set before publication)
+	shedDeadline int64 // guarded-by: mu; dequeued jobs shed for exhausted end-to-end budget
+	shedDrain    int64 // guarded-by: mu; queued jobs shed by a shutdown drain
 
 	pushAttempts   int64 // guarded-by: mu; IC3 clause-push consecution queries attempted
 	pushSkipped    int64 // guarded-by: mu; push attempts skipped as dormant (triggered pushing)
@@ -102,104 +91,19 @@ type Metrics struct {
 	latency   map[string]*histogram // guarded-by: mu; engine -> histogram
 }
 
-// tenantCounters is one tenant's admission ledger.
-type tenantCounters struct {
-	submitted     int64
-	quotaRejected int64
-	shed          int64 // brownout + deadline + drain sheds of this tenant
-}
-
 func newMetrics() *Metrics {
 	return &Metrics{
 		completed: make(map[string]int64),
 		latency:   make(map[string]*histogram),
-		tenants:   make(map[string]*tenantCounters),
 	}
 }
 
-// tenantLocked resolves a tenant's ledger; caller holds mu.  The empty
-// tenant renders as "default" so the exposition label is never empty.
-func (m *Metrics) tenantLocked(tenant string) *tenantCounters {
-	if tenant == "" {
-		tenant = "default"
-	}
-	t := m.tenants[tenant]
-	if t == nil {
-		t = &tenantCounters{}
-		m.tenants[tenant] = t
-	}
-	return t
-}
+func (m *Metrics) incShedDeadline() { m.mu.Lock(); m.shedDeadline++; m.mu.Unlock() }
+func (m *Metrics) incShedDrain()    { m.mu.Lock(); m.shedDrain++; m.mu.Unlock() }
 
-func (m *Metrics) incTenantSubmitted(tenant string) {
-	m.mu.Lock()
-	m.tenantLocked(tenant).submitted++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) incQuotaRejected(tenant string) {
-	m.mu.Lock()
-	m.quotaRejected++
-	m.tenantLocked(tenant).quotaRejected++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) incShedDeadline(tenant string) {
-	m.mu.Lock()
-	m.shedDeadline++
-	m.tenantLocked(tenant).shed++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) incShedBrownout(tenant string) {
-	m.mu.Lock()
-	m.shedBrownout++
-	m.tenantLocked(tenant).shed++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) incShedDrain(tenant string) {
-	m.mu.Lock()
-	m.shedDrain++
-	m.tenantLocked(tenant).shed++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) setBrownoutLevel(level int) {
-	m.mu.Lock()
-	m.brownoutLevel = int64(level)
-	m.brownoutChanges++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) incBreakerTrip()         { m.mu.Lock(); m.breakerTrips++; m.mu.Unlock() }
-func (m *Metrics) incBreakerProbe()        { m.mu.Lock(); m.breakerProbes++; m.mu.Unlock() }
-func (m *Metrics) incBreakerShortCircuit() { m.mu.Lock(); m.breakerShorted++; m.mu.Unlock() }
-func (m *Metrics) incCertSkippedBrownout() { m.mu.Lock(); m.certSkipped++; m.mu.Unlock() }
-
-// Overload counter accessors (for tests and logs).
-func (m *Metrics) QuotaRejected() int64 { m.mu.Lock(); defer m.mu.Unlock(); return m.quotaRejected }
-func (m *Metrics) ShedDeadline() int64  { m.mu.Lock(); defer m.mu.Unlock(); return m.shedDeadline }
-func (m *Metrics) ShedBrownout() int64  { m.mu.Lock(); defer m.mu.Unlock(); return m.shedBrownout }
-func (m *Metrics) ShedDrain() int64     { m.mu.Lock(); defer m.mu.Unlock(); return m.shedDrain }
-func (m *Metrics) Shed() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.shedDeadline + m.shedBrownout + m.shedDrain
-}
-func (m *Metrics) BrownoutLevel() int64 { m.mu.Lock(); defer m.mu.Unlock(); return m.brownoutLevel }
-func (m *Metrics) BreakerTrips() int64  { m.mu.Lock(); defer m.mu.Unlock(); return m.breakerTrips }
-func (m *Metrics) BreakerProbes() int64 { m.mu.Lock(); defer m.mu.Unlock(); return m.breakerProbes }
-func (m *Metrics) BreakerShortCircuits() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.breakerShorted
-}
-func (m *Metrics) CertSkippedBrownout() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.certSkipped
-}
+// Shed counter accessors (for tests and logs).
+func (m *Metrics) ShedDeadline() int64 { m.mu.Lock(); defer m.mu.Unlock(); return m.shedDeadline }
+func (m *Metrics) ShedDrain() int64    { m.mu.Lock(); defer m.mu.Unlock(); return m.shedDrain }
 
 func (m *Metrics) incSubmitted() { m.mu.Lock(); m.submitted++; m.mu.Unlock() }
 func (m *Metrics) incRejected()  { m.mu.Lock(); m.rejected++; m.mu.Unlock() }
@@ -383,28 +287,9 @@ func (m *Metrics) WriteText(w io.Writer) error {
 	add("icpserve_jobs_cancelled_total %d", m.cancelled)
 	add("icpserve_jobs_rejected_total %d", m.rejected)
 	add("icpserve_jobs_submitted_total %d", m.submitted)
-	add("icpserve_jobs_quota_rejected_total %d", m.quotaRejected)
-	add("icpserve_jobs_shed_total %d", m.shedDeadline+m.shedBrownout+m.shedDrain)
+	add("icpserve_jobs_shed_total %d", m.shedDeadline+m.shedDrain)
 	add(`icpserve_jobs_shed_total{reason="deadline"} %d`, m.shedDeadline)
-	add(`icpserve_jobs_shed_total{reason="brownout"} %d`, m.shedBrownout)
 	add(`icpserve_jobs_shed_total{reason="drain"} %d`, m.shedDrain)
-	add("icpserve_brownout_level %d", m.brownoutLevel)
-	add("icpserve_brownout_transitions_total %d", m.brownoutChanges)
-	add("icpserve_breaker_trips_total %d", m.breakerTrips)
-	add("icpserve_breaker_probes_total %d", m.breakerProbes)
-	add("icpserve_breaker_short_circuited_total %d", m.breakerShorted)
-	add("icpserve_results_cert_skipped_brownout_total %d", m.certSkipped)
-	if m.breakers != nil {
-		engines, open := m.breakers.snapshot()
-		for i, e := range engines {
-			add("icpserve_breaker_open{engine=%q} %d", e, open[i])
-		}
-	}
-	for name, t := range m.tenants {
-		add("icpserve_tenant_submitted_total{tenant=%q} %d", name, t.submitted)
-		add("icpserve_tenant_quota_rejected_total{tenant=%q} %d", name, t.quotaRejected)
-		add("icpserve_tenant_shed_total{tenant=%q} %d", name, t.shed)
-	}
 	add("icpserve_jobs_panics_total %d", m.panics)
 	add("icpserve_jobs_stalled_total %d", m.stalled)
 	add("icpserve_jobs_retried_total %d", m.retried)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -292,7 +293,7 @@ func TestSkipCertify(t *testing.T) {
 func TestShutdownDrainShedsQueuedUnderLoad(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	s := New(Config{Workers: 1, ShedMargin: -1})
+	s := New(Config{Workers: 1})
 	occupier, err := s.Submit(Request{Source: hardModel, Engine: "ic3", Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatalf("occupier submit: %v", err)
@@ -356,8 +357,48 @@ func TestShutdownDrainShedsQueuedUnderLoad(t *testing.T) {
 	}
 }
 
-// TestRobustnessMetricsExposition: the new counters appear in the
-// /metrics text exposition.
+// TestServiceDeadlineShed covers dequeue-time shedding: a job whose
+// budget was eaten by queueing is finalized as shed, never run.
+func TestServiceDeadlineShed(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+
+	occupier, err := s.Submit(Request{Source: hardModel, Engine: "ic3", Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatalf("occupier submit: %v", err)
+	}
+	victim, err := s.Submit(Request{Source: safeModel, Engine: "ic3", Timeout: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("victim submit: %v", err)
+	}
+
+	// let the victim's whole budget elapse in the queue, then free the
+	// worker so it dequeues the victim
+	time.Sleep(120 * time.Millisecond)
+	if err := s.Cancel(occupier.ID); err != nil {
+		t.Fatalf("cancel occupier: %v", err)
+	}
+
+	st, err := s.Wait(victim.ID, 10*time.Second)
+	if err != nil {
+		t.Fatalf("wait victim: %v", err)
+	}
+	if st.State != "shed" {
+		t.Fatalf("victim state = %s, want shed (%s)", st.State, st.Note)
+	}
+	if st.Verdict != "unknown" || !strings.Contains(st.Note, "budget spent queued") {
+		t.Errorf("verdict = %s, note = %q", st.Verdict, st.Note)
+	}
+	if got := s.Metrics().ShedDeadline(); got != 1 {
+		t.Errorf("shed_deadline = %d", got)
+	}
+	// shed is terminal: cancelling it is a conflict, like done
+	if err := s.Cancel(victim.ID); !errors.Is(err, ErrFinished) {
+		t.Errorf("cancel shed job: err = %v, want ErrFinished", err)
+	}
+}
+
+// TestRobustnessMetricsExposition: the supervision and shedding counters
+// appear in the /metrics text exposition.
 func TestRobustnessMetricsExposition(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1})
 	text := s.Metrics().String()
@@ -371,6 +412,24 @@ func TestRobustnessMetricsExposition(t *testing.T) {
 	} {
 		if !strings.Contains(text, name+" 0") {
 			t.Errorf("metric %s missing from exposition:\n%s", name, text)
+		}
+	}
+}
+
+// TestOverloadMetricsExposition: every overload counter appears in the
+// deterministic /metrics text.
+func TestOverloadMetricsExposition(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	text := s.Metrics().String()
+	for _, name := range []string{
+		"icpserve_jobs_busy_total 0",
+		"icpserve_jobs_rejected_total 0",
+		"icpserve_jobs_shed_total 0",
+		`icpserve_jobs_shed_total{reason="deadline"} 0`,
+		`icpserve_jobs_shed_total{reason="drain"} 0`,
+	} {
+		if !strings.Contains(text, name) {
+			t.Errorf("metric %q missing from exposition:\n%s", name, text)
 		}
 	}
 }

@@ -39,31 +39,19 @@ import (
 var (
 	ErrClosed   = errors.New("service: shutting down")
 	ErrBusy     = errors.New("service: job queue full")
-	ErrQuota    = errors.New("service: tenant quota exceeded")
-	ErrShed     = errors.New("service: shed under overload")
 	ErrNotFound = errors.New("service: no such job")
 	ErrFinished = errors.New("service: job already finished")
 )
 
-// RetryAfter extracts the retry hint attached to an ErrBusy/ErrQuota/
-// ErrShed rejection (0 when the error carries none).
-func RetryAfter(err error) time.Duration {
-	var r *rejectError
-	if errors.As(err, &r) {
-		return r.retryAfter
-	}
-	return 0
-}
+// shedMargin is the deadline-shedding floor: a dequeued job whose
+// remaining end-to-end budget (submit time + timeout - now) is below it
+// is finalized as StateShed instead of run — it would certainly time
+// out mid-solve.
+const shedMargin = 10 * time.Millisecond
 
-// rejectError wraps an admission rejection with its retry hint, so the
-// HTTP layer can render a Retry-After header without re-deriving it.
-type rejectError struct {
-	err        error
-	retryAfter time.Duration
-}
-
-func (e *rejectError) Error() string { return e.err.Error() }
-func (e *rejectError) Unwrap() error { return e.err }
+// degrade maps an engine to the one a retry of a panicked or stalled
+// attempt falls back to.  An engine with no entry retries on itself.
+var degrade = map[string]string{"ic3": "portfolio", "portfolio": "bmc"}
 
 // Config tunes the service.  The zero value is usable.
 type Config struct {
@@ -85,16 +73,13 @@ type Config struct {
 	// timeout: a stalled run is wedged inside one solver call, not slow.
 	StallTimeout time.Duration
 	// MaxRetries is how many times a panicked or stalled attempt is
-	// retried, degrading the engine per Degrade (0 = 1, negative = no
-	// retries).  Decisive and ordinary-Unknown results never retry.
+	// retried, degrading the engine ic3 -> portfolio -> bmc (0 = 1,
+	// negative = no retries).  Decisive and ordinary-Unknown results never
+	// retry.
 	MaxRetries int
 	// RetryBackoff is the sleep before the first retry, doubled per
 	// attempt (0 = 100ms).
 	RetryBackoff time.Duration
-	// Degrade maps an engine to the one a retry falls back to (nil =
-	// {ic3: portfolio, portfolio: bmc}).  An engine with no entry retries
-	// on itself.
-	Degrade map[string]string
 	// Reuse enables the certificate-reuse subsystem (internal/reuse):
 	// certified Safe results are stored, and new jobs whose system is
 	// structurally close to a prior proof start seeded from it (IC3 frame
@@ -110,32 +95,6 @@ type Config struct {
 	ReuseMaxDist float64
 	// ReuseStoreSize bounds the certificate store in entries (0 = 512).
 	ReuseStoreSize int
-	// TenantQuota is the default per-tenant admission quota (zero =
-	// unlimited): a token bucket of Burst tokens refilled at Rate
-	// jobs/sec, charged only by submissions that consume a worker (cache
-	// hits and coalesced followers ride free).  An empty bucket rejects
-	// with ErrQuota.
-	TenantQuota Quota
-	// TenantQuotas overrides TenantQuota per tenant name.
-	TenantQuotas map[string]Quota
-	// ShedMargin is the deadline-shedding floor: a dequeued job whose
-	// remaining end-to-end budget (submit time + timeout - now) is below
-	// it is finalized as StateShed instead of run — it would certainly
-	// time out mid-solve (0 = 10ms, negative = shedding disabled).
-	ShedMargin time.Duration
-	// BrownoutAfter is how long queue occupancy must stay >= 3/4 of
-	// QueueDepth before the brownout level escalates one step (and <= 1/4
-	// before it de-escalates); see the Brownout* levels in admission.go
-	// (0 = 2s, negative = brownout disabled).
-	BrownoutAfter time.Duration
-	// BreakerThreshold is the number of consecutive panicked/stalled
-	// attempts that open an engine's circuit breaker, routing new jobs
-	// straight to the degraded engine for BreakerCooldown before a
-	// half-open probe (0 = 5, negative = breakers disabled).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker short-circuits before
-	// probing the engine again (0 = 30s).
-	BreakerCooldown time.Duration
 	// SkipCertify disables independent re-checking of decisive results.
 	// By default every Safe verdict's certificate is re-verified with
 	// fresh solvers and every Unsafe trace is replayed before the result
@@ -172,21 +131,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 100 * time.Millisecond
 	}
-	if c.Degrade == nil {
-		c.Degrade = map[string]string{"ic3": "portfolio", "portfolio": "bmc"}
-	}
-	if c.ShedMargin == 0 {
-		c.ShedMargin = 10 * time.Millisecond
-	}
-	if c.BrownoutAfter == 0 {
-		c.BrownoutAfter = 2 * time.Second
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 30 * time.Second
-	}
 	return c
 }
 
@@ -194,11 +138,6 @@ func (c Config) withDefaults() Config {
 type Request struct {
 	// Source is the model text in the internal/ts format.
 	Source string `json:"model"`
-	// Tenant names the submitting tenant for quota accounting and
-	// brownout shedding ("" = the anonymous default tenant).  It never
-	// affects the verdict, so it is excluded from the cache key and
-	// tenants share cached and in-flight results.
-	Tenant string `json:"tenant,omitempty"`
 	// Engine selects the engine: ic3 | bmc | kind | portfolio ("" = portfolio).
 	Engine string `json:"engine"`
 	// Timeout is the per-job budget, clamped to Config.MaxTimeout
@@ -282,7 +221,7 @@ const (
 	StateCancelled
 	// StateShed is the terminal state of a job the service accepted but
 	// refused to run: its remaining end-to-end budget at dequeue time was
-	// below Config.ShedMargin (it would certainly time out mid-solve), or
+	// below shedMargin (it would certainly time out mid-solve), or
 	// it was still queued when a shutdown drain ran out of grace.
 	StateShed
 )
@@ -330,7 +269,6 @@ type job struct {
 	engineUsed string // engine of the final attempt (after degradation)
 	certified  bool   // decisive result passed independent certification
 	reused     string // reuse-match description when seeded from a prior proof
-	breaker    string // breaker short-circuit description, "" when none
 
 	submitted time.Time
 	deadline  time.Time // end-to-end deadline: submitted + request budget
@@ -347,7 +285,6 @@ type Status struct {
 	Engine    string `json:"engine"`
 	State     string `json:"state"`
 	System    string `json:"system"`
-	Tenant    string `json:"tenant,omitempty"`
 	Key       string `json:"key"`
 	CacheHit  bool   `json:"cache_hit"`
 	Coalesced bool   `json:"coalesced,omitempty"`
@@ -361,10 +298,7 @@ type Status struct {
 	// Reused describes the prior certificate this run was seeded from
 	// ("exact" or the changed parts with their distance); empty for cold
 	// runs.
-	Reused string `json:"reused,omitempty"`
-	// Breaker describes a circuit-breaker short-circuit (e.g.
-	// "ic3 -> portfolio"); empty when the job ran its requested engine.
-	Breaker   string        `json:"breaker,omitempty"`
+	Reused    string        `json:"reused,omitempty"`
 	Verdict   string        `json:"verdict,omitempty"`
 	Depth     int           `json:"depth,omitempty"`
 	Note      string        `json:"note,omitempty"`
@@ -375,12 +309,10 @@ type Status struct {
 
 // Service is the concurrent verification service.
 type Service struct {
-	cfg       Config
-	cache     *resultCache
-	metrics   *Metrics
-	store     *reuse.Store // certificate-reuse store; nil when disabled
-	admission *admission
-	breakers  *breaker
+	cfg     Config
+	cache   *resultCache
+	metrics *Metrics
+	store   *reuse.Store // certificate-reuse store; nil when disabled
 
 	mu       sync.Mutex
 	jobs     map[string]*job   // guarded-by: mu
@@ -397,16 +329,13 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:       cfg,
-		cache:     newResultCache(cfg.CacheSize),
-		metrics:   newMetrics(),
-		admission: newAdmission(cfg),
-		breakers:  newBreaker(cfg),
-		jobs:      make(map[string]*job),
-		inflight:  make(map[string][]*job),
-		queue:     make(chan *job, cfg.QueueDepth),
+		cfg:      cfg,
+		cache:    newResultCache(cfg.CacheSize),
+		metrics:  newMetrics(),
+		jobs:     make(map[string]*job),
+		inflight: make(map[string][]*job),
+		queue:    make(chan *job, cfg.QueueDepth),
 	}
-	s.metrics.breakers = s.breakers
 	if cfg.Reuse {
 		store, err := reuse.Open(cfg.CacheDir, cfg.ReuseStoreSize)
 		if err != nil {
@@ -436,11 +365,8 @@ func (s *Service) logf(format string, args ...interface{}) {
 // Submit parses, normalizes and enqueues a request.  On a cache hit the
 // returned job is already done; when an identical job is in flight the
 // submission is coalesced onto it.  Submit returns an error for invalid
-// requests (bad model or options), when the tenant's token bucket is
-// empty (ErrQuota), when the brownout controller is shedding the
-// tenant's priority class (ErrShed), when the queue is full (ErrBusy),
-// or after Shutdown began (ErrClosed).  Rejections carry a retry hint
-// readable via RetryAfter.
+// requests (bad model or options), when the queue is full (ErrBusy), or
+// after Shutdown began (ErrClosed).
 func (s *Service) Submit(req Request) (Status, error) {
 	req, err := req.normalize(s.cfg)
 	if err != nil {
@@ -463,7 +389,6 @@ func (s *Service) Submit(req Request) (Status, error) {
 	if s.closed {
 		return Status{}, ErrClosed
 	}
-	s.observePressureLocked()
 	s.idSeq++
 	now := time.Now()
 	jb := &job{
@@ -478,7 +403,6 @@ func (s *Service) Submit(req Request) (Status, error) {
 		done:      make(chan struct{}),
 	}
 	s.metrics.incSubmitted()
-	s.metrics.incTenantSubmitted(req.Tenant)
 
 	if res, ok := s.cache.Get(key); ok {
 		s.metrics.incHit()
@@ -504,38 +428,16 @@ func (s *Service) Submit(req Request) (Status, error) {
 		s.logf("job %s: coalesced onto %s", jb.id, group[0].id)
 		return s.statusLocked(jb), nil
 	}
-	// admission: only submissions about to consume a worker are charged
-	// to the tenant's bucket — cache hits and coalesced followers above
-	// cost (nearly) nothing and rode free
-	if retry, aerr := s.admission.admit(req.Tenant); aerr != nil {
-		if errors.Is(aerr, ErrShed) {
-			s.metrics.incShedBrownout(req.Tenant)
-			s.logf("job intake: tenant %q shed at brownout level %d", req.Tenant, s.admission.brownoutLevel())
-		} else {
-			s.metrics.incQuotaRejected(req.Tenant)
-		}
-		return Status{}, &rejectError{err: aerr, retryAfter: retry}
-	}
 	select {
 	case s.queue <- jb:
 	default:
 		s.metrics.incBusy()
-		return Status{}, &rejectError{err: ErrBusy, retryAfter: time.Second}
+		return Status{}, ErrBusy
 	}
 	s.inflight[jb.groupKey] = []*job{jb}
 	s.registerLocked(jb)
 	s.logf("job %s: queued (%s, %s)", jb.id, jb.sys.Name, jb.req.Engine)
 	return s.statusLocked(jb), nil
-}
-
-// observePressureLocked feeds the brownout controller one queue sample
-// and publishes level transitions; caller holds mu.
-func (s *Service) observePressureLocked() {
-	level, changed := s.admission.observeQueue(len(s.queue), cap(s.queue))
-	if changed {
-		s.metrics.setBrownoutLevel(level)
-		s.logf("brownout: level %d (queue %d/%d)", level, len(s.queue), cap(s.queue))
-	}
 }
 
 // registerLocked records the job for Job/List; caller holds mu.
@@ -576,9 +478,13 @@ func (s *Service) Wait(id string, d time.Duration) (Status, error) {
 		return Status{}, ErrNotFound
 	}
 	if d > 0 {
+		// a stopped timer, unlike time.After, is released as soon as the
+		// job finishes rather than when d expires
+		t := time.NewTimer(d)
+		defer t.Stop()
 		select {
 		case <-jb.done:
-		case <-time.After(d):
+		case <-t.C:
 		}
 	} else {
 		<-jb.done
@@ -654,7 +560,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 				close(jb.cancel)
 			}
 			s.removeFromGroupLocked(jb)
-			s.metrics.incShedDrain(jb.req.Tenant)
+			s.metrics.incShedDrain()
 			s.finalizeShedLocked(jb, "shed: service shutting down, drain grace expired")
 		case StateRunning:
 			if !jb.cancelled {
@@ -678,13 +584,12 @@ func (s *Service) worker() {
 			s.mu.Unlock()
 			continue
 		}
-		s.observePressureLocked()
 		// Deadline-aware shed: a job whose end-to-end budget has already
 		// been eaten by queueing would burn this worker on a certain
 		// timeout — refuse to run it and promote any follower (submitted
 		// later, so with more budget left).
-		if s.cfg.ShedMargin > 0 && time.Until(jb.deadline) < s.cfg.ShedMargin {
-			s.metrics.incShedDeadline(jb.req.Tenant)
+		if time.Until(jb.deadline) < shedMargin {
+			s.metrics.incShedDeadline()
 			s.removeFromGroupLocked(jb)
 			s.finalizeShedLocked(jb, fmt.Sprintf("shed: %v of the %v budget spent queued",
 				time.Since(jb.submitted).Round(time.Millisecond), jb.req.Timeout))
@@ -705,7 +610,6 @@ func (s *Service) worker() {
 		jb.engineUsed = sup.engineUsed
 		jb.certified = sup.certified
 		jb.reused = sup.reused
-		jb.breaker = sup.breaker
 		if jb.cancelled {
 			jb.state = StateCancelled
 			jb.result = res
@@ -784,7 +688,7 @@ func (s *Service) promoteLocked(key string) {
 		}
 		s.inflight[key] = group[1:]
 		if s.closed {
-			s.metrics.incShedDrain(next.req.Tenant)
+			s.metrics.incShedDrain()
 			s.finalizeShedLocked(next, "shed: service shutting down during promotion")
 		} else {
 			s.finalizeCancelLocked(next, "queue full during promotion")
@@ -820,7 +724,6 @@ func (s *Service) statusLocked(jb *job) Status {
 		Engine:    jb.req.Engine,
 		State:     jb.state.String(),
 		System:    jb.sys.Name,
-		Tenant:    jb.req.Tenant,
 		Key:       jb.key,
 		CacheHit:  jb.cacheHit,
 		Coalesced: jb.coalesced,
@@ -829,7 +732,6 @@ func (s *Service) statusLocked(jb *job) Status {
 	st.EngineUsed = jb.engineUsed
 	st.Certified = jb.certified
 	st.Reused = jb.reused
-	st.Breaker = jb.breaker
 	if jb.state.Final() {
 		st.Verdict = jb.result.Verdict.String()
 		st.Depth = jb.result.Depth

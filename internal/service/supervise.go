@@ -15,7 +15,6 @@ type supervision struct {
 	engineUsed string
 	certified  bool
 	reused     string // reuse-match description, "" for cold runs
-	breaker    string // breaker short-circuit description, "" when none
 }
 
 // runSupervised executes a job under the full robustness envelope:
@@ -27,7 +26,7 @@ type supervision struct {
 //     the budget's done channel, like a cancellation);
 //   - panicked and stalled attempts are retried up to Config.MaxRetries
 //     times with exponential backoff, degrading the engine choice per
-//     Config.Degrade (ic3 -> portfolio -> bmc by default);
+//     the degrade table (ic3 -> portfolio -> bmc);
 //   - decisive results are independently re-checked (certificate
 //     obligations for Safe, trace replay for Unsafe) and demoted to
 //     Unknown when the check fails, so a wrong answer is never cached
@@ -36,48 +35,8 @@ type supervision struct {
 // Called without mu; only reads the job fields fixed at submission.
 func (s *Service) runSupervised(jb *job) (engine.Result, supervision) {
 	sup := supervision{engineUsed: jb.req.Engine}
-
-	// Circuit breaker: when the requested engine's breaker is open, skip
-	// the doomed first attempt and route straight down the degradation
-	// chain; a half-open breaker lets exactly one probe job through.
-	probe := false
-	if ok, isProbe := s.breakers.admit(sup.engineUsed); !ok {
-		from := sup.engineUsed
-		for {
-			next, okNext := s.cfg.Degrade[sup.engineUsed]
-			if !okNext || next == "" || next == sup.engineUsed {
-				break // no engine below this one: run it open and eat the cost
-			}
-			sup.engineUsed = next
-			if ok, isProbe = s.breakers.admit(sup.engineUsed); ok {
-				break
-			}
-		}
-		if sup.engineUsed != from {
-			sup.breaker = from + " -> " + sup.engineUsed
-			s.metrics.incBreakerShortCircuit()
-			s.logf("job %s: breaker open for %s, routed to %s", jb.id, from, sup.engineUsed)
-		}
-		probe = isProbe
-	} else {
-		probe = isProbe
-	}
-	probeEngine := "" // claimed half-open slot not yet reported back
-	if probe {
-		probeEngine = sup.engineUsed
-		defer func() { s.breakers.release(probeEngine) }()
-		s.metrics.incBreakerProbe()
-		s.logf("job %s: half-open breaker probe on %s", jb.id, sup.engineUsed)
-	}
-
-	// Brownout level 1+: skip reuse seeding — the seed re-proof is
-	// optional up-front solver work, exactly what a browned-out service
-	// must not spend.
-	var hints seedHints
-	if s.admission.brownoutLevel() < BrownoutNoReuse {
-		hints = s.lookupSeed(jb)
-		sup.reused = hints.desc
-	}
+	hints := s.lookupSeed(jb)
+	sup.reused = hints.desc
 	backoff := s.cfg.RetryBackoff
 	var res engine.Result
 	for {
@@ -85,7 +44,6 @@ func (s *Service) runSupervised(jb *job) (engine.Result, supervision) {
 		res = s.runAttempt(jb, sup.engineUsed, hints)
 		panicked := engine.Panicked(res)
 		stalled := res.Stats != nil && res.Stats["stalled"] > 0
-		failed := panicked || stalled
 		switch {
 		case panicked:
 			s.metrics.incPanics()
@@ -94,25 +52,11 @@ func (s *Service) runSupervised(jb *job) (engine.Result, supervision) {
 			s.metrics.incStalled()
 			s.logf("job %s: attempt %d (%s) %s", jb.id, sup.attempts, sup.engineUsed, res.Note)
 		}
-		if !s.jobCancelled(jb) {
-			// a cancelled run aborts mid-flight and proves nothing about
-			// the engine's health, so it never feeds the breaker
-			if tr := s.breakers.record(sup.engineUsed, failed, probe); tr != "" {
-				if tr == "closed -> open" || tr == "half-open -> open" {
-					s.metrics.incBreakerTrip()
-				}
-				s.logf("breaker %s: %s", sup.engineUsed, tr)
-			}
-			if probe {
-				probeEngine = "" // outcome reported; nothing to release
-			}
-		}
-		probe = false // only the first attempt can be the probe
-		if !failed || sup.attempts > s.cfg.MaxRetries || s.jobCancelled(jb) {
+		if !(panicked || stalled) || sup.attempts > s.cfg.MaxRetries || s.jobCancelled(jb) {
 			break
 		}
 		s.metrics.incRetried()
-		if next, ok := s.cfg.Degrade[sup.engineUsed]; ok && next != "" && next != sup.engineUsed {
+		if next, ok := degrade[sup.engineUsed]; ok {
 			s.metrics.incDegraded()
 			s.logf("job %s: degrading engine %s -> %s", jb.id, sup.engineUsed, next)
 			sup.engineUsed = next
@@ -125,18 +69,7 @@ func (s *Service) runSupervised(jb *job) (engine.Result, supervision) {
 		backoff *= 2
 	}
 
-	// Brownout level 2+: fresh decisive results skip the independent
-	// re-check and are served/cached uncertified (same trust model as
-	// Config.SkipCertify, flagged in Status).  Because sup.certified
-	// stays false, storeCertificate below never runs — the reuse store
-	// only ever holds independently certified proofs.
-	skipCertify := s.cfg.SkipCertify
-	if !skipCertify && s.admission.brownoutLevel() >= BrownoutNoRecheck {
-		skipCertify = true
-		s.metrics.incCertSkippedBrownout()
-		s.logf("job %s: brownout level %d, serving %s uncertified", jb.id, s.admission.brownoutLevel(), res.Verdict)
-	}
-	if !skipCertify && res.Verdict != engine.Unknown && !s.jobCancelled(jb) {
+	if !s.cfg.SkipCertify && res.Verdict != engine.Unknown && !s.jobCancelled(jb) {
 		sup.certified = s.certifyResult(jb, &res)
 	}
 	if !s.jobCancelled(jb) {

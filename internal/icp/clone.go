@@ -61,10 +61,10 @@ func (s *Solver) Clone() *Solver {
 		phaseEpoch: s.phaseEpoch,
 
 		cons:    append([]tnf.Constraint(nil), s.cons...),
-		varCons: cloneInt32Lists(s.varCons),
+		varCons: cloneLists(s.varCons),
 
-		watchLe: cloneInt32Lists(s.watchLe),
-		watchGe: cloneInt32Lists(s.watchGe),
+		watchLe: cloneLists(s.watchLe),
+		watchGe: cloneLists(s.watchGe),
 
 		trailLim:  nil, // level 0
 		lastLoEv:  append([]int32(nil), s.lastLoEv...),
@@ -121,18 +121,18 @@ func (s *Solver) Clone() *Solver {
 	return c
 }
 
-// cloneInt32Lists deep-copies a slice of int32 slices (occurrence,
-// watch, and var-constraint lists) into one bulk backing array.  The
-// inner slices are full-slice-expression sub-slices (cap == len): the
-// solver's in-place rewrites during clause-database reduction stay
-// inside each list's own region, and any growth reallocates.
-func cloneInt32Lists(xs [][]int32) [][]int32 {
+// cloneLists deep-copies a slice of slices (the var-constraint and
+// watch lists) into one bulk backing array.  The inner slices are
+// full-slice-expression sub-slices (cap == len): the solver's in-place
+// compaction of a list stays inside that list's own region, and any
+// growth reallocates.
+func cloneLists[T any](xs [][]T) [][]T {
 	total := 0
 	for _, x := range xs {
 		total += len(x)
 	}
-	backing := make([]int32, 0, total)
-	out := make([][]int32, len(xs))
+	backing := make([]T, 0, total)
+	out := make([][]T, len(xs))
 	for i, x := range xs {
 		if len(x) == 0 {
 			continue

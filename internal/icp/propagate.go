@@ -80,58 +80,81 @@ func (s *Solver) propagate() *conflict {
 	}
 }
 
-// propagateWatch visits the clauses watching the falsifiable side of the
+// propagateWatch visits the watch entries on the falsifiable side of the
 // trail event at ei: a lo-raising event can only falsify (x <= c)
-// watches, a hi-lowering event only (x >= c) watches.  Clauses whose
-// watched literal survives the bound move cost one comparison; a fallen
-// watch tries to relocate to another non-false literal, and only when
-// none exists does the clause go through full unit/conflict handling.
+// watches, a hi-lowering event only (x >= c) watches.  An entry whose
+// guard survives the bound move costs one comparison and leaves its
+// clause untouched; only a fallen guard loads the clause, whose fallen
+// watch then tries to relocate to another non-false literal, and only
+// when none exists does the clause go through full unit/conflict
+// handling.
 func (s *Solver) propagateWatch(ei int32) *conflict {
-	e := &s.trail[ei]
-	var ws *[]int32
-	if e.side == sideLo {
-		ws = &s.watchLe[e.v]
-	} else {
-		ws = &s.watchGe[e.v]
-	}
-	// The list is compacted in place while iterating: entries whose
-	// clause moved every watch off this (var, dir) list are dropped.
-	// Relocations append only to *other* lists (a same-list replacement
-	// keeps the existing entry), so the iteration bound stays valid.
-	list := *ws
-	out := 0
-	for k := 0; k < len(list); k++ {
-		ci := list[k]
-		s.Stats.WatchVisits++
-		keepEntry, cf := s.visitWatched(ci, e.v, e.side)
-		if keepEntry {
-			list[out] = ci
-			out++
-		}
-		if cf != nil {
-			out += copy(list[out:], list[k+1:])
-			*ws = list[:out]
-			return cf
-		}
-	}
-	*ws = list[:out]
-	return nil
-}
-
-// visitWatched handles clause ci after an event on (v, side) touched its
-// watch list.  Returns whether the clause should remain on this list and
-// a conflict if the clause is fully falsified.
-func (s *Solver) visitWatched(ci int32, v tnf.VarID, side int8) (bool, *conflict) {
-	c := &s.clauses[ci]
+	v, side := s.trail[ei].v, s.trail[ei].side
 	dir := tnf.DirLe
 	if side == sideHi {
 		dir = tnf.DirGe
 	}
+	ws := s.watchList(v, dir)
+	x, open := s.fallAxis(v, side)
+	// The list is compacted in place while iterating: entries whose
+	// clause moved every watch off this (var, dir) list, or is satisfied
+	// at the root, are dropped.  Relocations never append to this list (a
+	// same-list replacement keeps the existing entry), so the iteration
+	// bound stays valid.
+	list := *ws
+	out := 0
+	for k := 0; k < len(list); k++ {
+		w := list[k]
+		if !w.fallen(x, open) {
+			if out != k { // store only once compaction has started
+				list[out] = w
+			}
+			out++
+			continue
+		}
+		w, keepEntry, cf := s.visitWatched(w, v, dir)
+		if keepEntry {
+			list[out] = w
+			out++
+		}
+		if cf != nil {
+			s.Stats.WatchVisits += int64(k + 1)
+			out += copy(list[out:], list[k+1:])
+			*ws = list[:out]
+			return cf
+		}
+		// a unit assertion may have moved v's bound further
+		x, open = s.fallAxis(v, side)
+	}
+	s.Stats.WatchVisits += int64(len(list))
+	*ws = list[:out]
+	return nil
+}
+
+// fallAxis returns the endpoint of v that events on side move, mapped
+// onto the falling axis of watcher guards: lo for lo-raising events,
+// -hi for hi-lowering ones, with its openness.
+func (s *Solver) fallAxis(v tnf.VarID, side int8) (float64, bool) {
+	if side == sideLo {
+		return s.lo[v], s.loOpen[v]
+	}
+	return -s.hi[v], s.hiOpen[v]
+}
+
+// visitWatched handles the clause of entry w after an event on v fell
+// the entry's guard on the (v, dir) watch list.  Returns the entry to
+// keep (its guard rebuilt if a watch moved), whether the entry should
+// remain on this list, and a conflict if the clause is fully falsified.
+func (s *Solver) visitWatched(w watcher, v tnf.VarID, dir tnf.Dir) (watcher, bool, *conflict) {
+	ci := w.ci
+	c := &s.clauses[ci]
 	if c.w1 < 0 {
 		// single-literal clause: re-check directly (conflict or re-assert)
-		return true, s.checkClause(ci)
+		return w, true, s.checkClause(ci)
 	}
-	for slot := 0; slot < 2; slot++ {
+	moved := false
+	var cf *conflict
+	for slot := 0; slot < 2 && cf == nil; slot++ {
 		wi := c.w0
 		oi := c.w1
 		if slot == 1 {
@@ -143,6 +166,12 @@ func (s *Solver) visitWatched(ci int32, v tnf.VarID, side int8) (bool, *conflict
 		}
 		ol := c.lits[oi]
 		if s.litTrue(ol) {
+			if s.trueAtRoot(ol) {
+				// satisfied for good: no visit of this list can do
+				// anything for the clause again, so detach it here
+				// (reduceDB deletes it later)
+				return w, false, nil
+			}
 			// blocker: the clause is satisfied; the false watch stays.
 			// Sound lazily: ol became true no later than wl fell, so any
 			// backtrack keeping wl false keeps ol true.
@@ -166,12 +195,17 @@ func (s *Solver) visitWatched(ci int32, v tnf.VarID, side int8) (bool, *conflict
 			} else {
 				c.w1 = found
 			}
+			moved = true
+			// one entry per (clause, list): a move within this list keeps
+			// the visited entry (its guard is rebuilt below), a move
+			// onto the other watch's list shares that watch's entry
 			nl := c.lits[found]
-			// append to the new list unless an entry already exists
-			// there: same list as the one being iterated (this entry
-			// stays if any watch remains here) or the other watch's list.
-			if (nl.Var != v || nl.Dir != dir) && (nl.Var != ol.Var || nl.Dir != ol.Dir) {
-				s.addWatch(nl, ci)
+			switch {
+			case nl.Var == v && nl.Dir == dir:
+			case nl.Var == ol.Var && nl.Dir == ol.Dir:
+				s.tightenGuard(nl, ci)
+			default:
+				s.addWatch(nl, guardOf(nl, ci))
 			}
 			continue
 		}
@@ -179,13 +213,18 @@ func (s *Solver) visitWatched(ci int32, v tnf.VarID, side int8) (bool, *conflict
 		// it) or fully false (conflict); checkClause handles both.  The
 		// false watch stays listed — its falsifying event is the current
 		// one, so any backtrack past it restores the watch invariant.
-		if cf := s.checkClause(ci); cf != nil {
-			return true, cf
-		}
+		cf = s.checkClause(ci)
+	}
+	if !moved {
+		// the watch that fell the guard is still on this list
+		return w, true, cf
 	}
 	l0, l1 := c.lits[c.w0], c.lits[c.w1]
 	keep := (l0.Var == v && l0.Dir == dir) || (l1.Var == v && l1.Dir == dir)
-	return keep, nil
+	if keep {
+		w = s.watchEntry(ci, v, dir)
+	}
+	return w, keep, cf
 }
 
 // checkAllClauses runs the exhaustive per-clause check over the whole

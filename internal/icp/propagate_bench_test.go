@@ -11,11 +11,14 @@ import (
 // buildPropBench returns a solver loaded with a clause soup shaped like
 // an IC3 frame after many queries: a small fraction of the clauses
 // watch the hot variable x0, while the rest merely mention it in an
-// unwatched position.  The returned event index is a level-0 bound
-// raise on x0 that falsifies every watched occurrence of MkLe(x0, 50)
-// but asserts nothing (the co-watched literal is true by domain), so
-// repeated propagation over the event is state-stable and can be timed.
-func buildPropBench(tb testing.TB, watched, mention int) (*Solver, int32) {
+// unwatched position.  Each clause's co-watched literal is made true by
+// a decision at level 1, and the returned event index is a level-1
+// raise of x0's lower bound to raise.  Above 50 the event falsifies
+// every watched occurrence of MkLe(x0, 50) but asserts nothing (the
+// clauses are satisfied, though not at the root, so their entries stay
+// put); below 50 it falls no guard.  Either way repeated propagation
+// over the event is state-stable and can be timed.
+func buildPropBench(tb testing.TB, watched, mention int, raise float64) (*Solver, int32) {
 	tb.Helper()
 	sys := tnf.NewSystem()
 	x0, err := sys.AddVar("x0", false, interval.New(0, 100))
@@ -25,10 +28,7 @@ func buildPropBench(tb testing.TB, watched, mention int) (*Solver, int32) {
 	const others = 19
 	var xs [others]tnf.VarID
 	for i := range xs {
-		// hi = 80 makes MkLe(xi, 90) true by domain: the watched clauses
-		// then take the blocker fast path and the rescan baseline an
-		// early satisfied exit, so neither benchmark loop mutates state.
-		v, err := sys.AddVar(fmt.Sprintf("x%d", i+1), false, interval.New(0, 80))
+		v, err := sys.AddVar(fmt.Sprintf("x%d", i+1), false, interval.New(0, 100))
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -48,9 +48,17 @@ func buildPropBench(tb testing.TB, watched, mention int) (*Solver, int32) {
 		// watch lists of x0 but still in any occurrence index over it
 		s.AddClause(tnf.Clause{tnf.MkLe(a, 90), tnf.MkLe(b, 90), hot})
 	}
-	cf, changed := s.setBound(x0, sideLo, 60, false, 0, reasonDecision, -1, -1, nil)
-	if cf != nil || !changed {
-		tb.Fatalf("setBound: conflict=%v changed=%v", cf, changed)
+	// hi = 80 at level 1 makes every MkLe(xi, 90) true: the watched
+	// clauses then take the blocker path and the rescan baseline an early
+	// satisfied exit, so neither benchmark loop mutates state
+	s.pushLevel()
+	for _, v := range xs {
+		if cf, ok := s.setBound(v, sideHi, 80, false, 0, reasonDecision, -1, -1, nil); cf != nil || !ok {
+			tb.Fatalf("setBound(x%d <= 80): conflict=%v applied=%v", v, cf, ok)
+		}
+	}
+	if cf, ok := s.setBound(x0, sideLo, raise, false, 0, reasonDecision, -1, -1, nil); cf != nil || !ok {
+		tb.Fatalf("setBound(x0 >= %g): conflict=%v applied=%v", raise, cf, ok)
 	}
 	return s, int32(len(s.trail) - 1)
 }
@@ -62,9 +70,24 @@ const (
 
 // BenchmarkPropagateWatched times processing one falsifying bound event
 // through the two-watched-literal lists: only the clauses actually
-// watching (x0, ≤) are visited, and each visit is a blocker check.
+// watching (x0, ≤) are visited, each guard has fallen, and each visit
+// is a blocker check on the clause.
 func BenchmarkPropagateWatched(b *testing.B) {
-	s, ei := buildPropBench(b, propBenchWatched, propBenchMention)
+	s, ei := buildPropBench(b, propBenchWatched, propBenchMention, 60)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if cf := s.propagateWatch(ei); cf != nil {
+			b.Fatal("unexpected conflict")
+		}
+	}
+}
+
+// BenchmarkPropagateGuardSkip times an event that raises x0's lower
+// bound below every watched bound on its list: each entry costs one
+// guard comparison and no clause is loaded.
+func BenchmarkPropagateGuardSkip(b *testing.B) {
+	s, ei := buildPropBench(b, propBenchWatched, propBenchMention, 40)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -78,7 +101,7 @@ func BenchmarkPropagateWatched(b *testing.B) {
 // instance and event: occurrence-list propagation re-evaluated every
 // clause containing the event's (var, dir) literal, watched or not.
 func BenchmarkPropagateOccRescan(b *testing.B) {
-	s, _ := buildPropBench(b, propBenchWatched, propBenchMention)
+	s, _ := buildPropBench(b, propBenchWatched, propBenchMention, 60)
 	// the occurrence list of (x0, ≤): every clause in this instance
 	occ := make([]int32, len(s.clauses))
 	for i := range occ {
@@ -95,27 +118,42 @@ func BenchmarkPropagateOccRescan(b *testing.B) {
 	}
 }
 
-// TestPropagateWatchedMatchesRescan pins the two benchmark bodies to
-// the same semantics on their shared fixture: neither asserts anything,
-// neither conflicts, and the watched pass visits only the watching
-// clauses while leaving the trail untouched.
+// TestPropagateWatchedMatchesRescan pins the benchmark bodies to the
+// same semantics on their shared fixture: nothing asserts, nothing
+// conflicts, the watched pass visits only the watching clauses and
+// keeps every entry (so the next pass visits them again), and the
+// guard-skip pass inspects the same entries without changing them.
 func TestPropagateWatchedMatchesRescan(t *testing.T) {
-	s, ei := buildPropBench(t, propBenchWatched, propBenchMention)
-	trailLen := len(s.trail)
-	before := s.Stats.WatchVisits
-	if cf := s.propagateWatch(ei); cf != nil {
-		t.Fatal("watched pass conflicted")
-	}
-	visits := s.Stats.WatchVisits - before
-	if visits != propBenchWatched {
-		t.Errorf("watched pass visited %d clauses, want %d", visits, propBenchWatched)
-	}
-	for ci := range s.clauses {
-		if cf := s.checkClause(int32(ci)); cf != nil {
-			t.Fatalf("rescan conflicted on clause %d", ci)
+	for _, raise := range []float64{60, 40} {
+		s, ei := buildPropBench(t, propBenchWatched, propBenchMention, raise)
+		trailLen := len(s.trail)
+		entries := append([]watcher(nil), s.watchLe[0]...)
+		for pass := 0; pass < 2; pass++ {
+			before := s.Stats.WatchVisits
+			if cf := s.propagateWatch(ei); cf != nil {
+				t.Fatalf("raise %g pass %d: watched pass conflicted", raise, pass)
+			}
+			if visits := s.Stats.WatchVisits - before; visits != propBenchWatched {
+				t.Errorf("raise %g pass %d: visited %d entries, want %d", raise, pass, visits, propBenchWatched)
+			}
 		}
-	}
-	if len(s.trail) != trailLen {
-		t.Errorf("trail grew from %d to %d events; fixture is not state-stable", trailLen, len(s.trail))
+		if len(s.watchLe[0]) != len(entries) {
+			t.Fatalf("raise %g: watchLe[x0] went from %d to %d entries", raise, len(entries), len(s.watchLe[0]))
+		}
+		for i, w := range s.watchLe[0] {
+			if w != entries[i] {
+				t.Errorf("raise %g: entry %d changed from %+v to %+v", raise, i, entries[i], w)
+			}
+		}
+		for ci := range s.clauses {
+			if cf := s.checkClause(int32(ci)); cf != nil {
+				t.Fatalf("raise %g: rescan conflicted on clause %d", raise, ci)
+			}
+		}
+		if len(s.trail) != trailLen {
+			t.Errorf("raise %g: trail grew from %d to %d events; fixture is not state-stable",
+				raise, trailLen, len(s.trail))
+		}
+		checkWatchInvariant(t, s)
 	}
 }

@@ -119,14 +119,18 @@ func (o Options) withDefaults() Options {
 
 // Stats counts solver work across all Solve calls.
 type Stats struct {
-	Decisions      int64
-	Conflicts      int64
-	Propagations   int64 // bound events
-	Contractions   int64 // successful constraint tightenings
-	Learned        int64 // learned clauses
-	Solves         int64
-	Reductions     int64 // clause database reductions
-	WatchVisits    int64 // watched-clause inspections during propagation
+	Decisions    int64
+	Conflicts    int64
+	Propagations int64 // bound events
+	Contractions int64 // successful constraint tightenings
+	Learned      int64 // learned clauses
+	Solves       int64
+	Reductions   int64 // clause database reductions
+	// WatchVisits counts watch-list entries inspected during propagation,
+	// including entries whose guard survives the event (one comparison,
+	// no clause load); entries detached from a root-satisfied clause are
+	// no longer inspected and no longer counted.
+	WatchVisits    int64
 	ClausesDeleted int64 // clauses deleted by reduceDB (learned and root-satisfied)
 	LitsMinimized  int64 // literals dropped by conflict-clause minimization
 	// PrefixKeptLevels counts assumption levels carried over from the
@@ -186,10 +190,10 @@ func (e *event) lit() tnf.Lit {
 type clause struct {
 	lits    []tnf.Lit
 	learned bool
-	// w0, w1 are the indices of the two watched literals (-1 for
-	// single-literal clauses, which need no watches: they are asserted
-	// once at seeding and their bound survives every backtrack to the
-	// level it was set at).
+	// w0, w1 are the indices of the two watched literals.  A
+	// single-literal clause watches its only literal (w1 == -1) with a
+	// guard that falls on every event of its list, so each such event
+	// re-checks it.
 	w0, w1 int32
 	// lbd is the literal block distance at learning time (distinct
 	// decision levels among the clause's literals); problem clauses
@@ -198,6 +202,40 @@ type clause struct {
 	// act is the conflict-participation activity used to rank learned
 	// clauses for deletion.
 	act float64
+}
+
+// watcher is one watch-list entry: clause ci and a guard (b, strict),
+// the earliest-falling watched literal of ci on this (var, direction)
+// list.  The guard lives on the list's falling axis: an (x <= c) watch
+// falls as lo rises past c, an (x >= c) watch as -hi rises past -c, so
+// watchGe entries store the negated bound (negation is exact) and one
+// comparison, fallen, serves both lists.  The guard may fall earlier
+// than the literals it covers — the visit then finds nothing to do —
+// but never later.
+type watcher struct {
+	ci     int32
+	strict bool
+	b      float64
+}
+
+// guardOf returns the guard of watched literal l of clause ci.
+func guardOf(l tnf.Lit, ci int32) watcher {
+	if l.Dir == tnf.DirLe {
+		return watcher{ci: ci, strict: l.Strict, b: l.B}
+	}
+	return watcher{ci: ci, strict: l.Strict, b: -l.B}
+}
+
+// fallen reports whether the guard is falsified by the endpoint x on
+// the list's falling axis (lo, or -hi for a watchGe list) with the
+// given openness.  It is litFalse of the guard literal.
+func (w watcher) fallen(x float64, open bool) bool {
+	return x > w.b || (x == w.b && (w.strict || open))
+}
+
+// fallsBy reports whether guard w falls no later than guard u.
+func (w watcher) fallsBy(u watcher) bool {
+	return w.b < u.b || (w.b == u.b && (w.strict || !u.strict))
 }
 
 // conflict describes a dead end: the trail events that jointly imply false.
@@ -225,12 +263,13 @@ type Solver struct {
 	// watching an (x <= c) literal of v — the only clauses a lo-raising
 	// event on v can falsify — and watchGe[v] the (x >= c) watchers
 	// visited when v's hi drops.  A clause appears at most once per
-	// (var, direction) list even when both its watches share one.
-	// Unlike the occurrence lists this replaces, a trail event visits
-	// only the clauses whose watch it might falsify, and each visit is
-	// a constant-time bound comparison unless the watch actually fell.
-	watchLe [][]int32
-	watchGe [][]int32
+	// (var, direction) list even when both its watches share one, and
+	// each entry carries a guard (see watcher) so a trail event touches
+	// a clause only once one of its watches on that list may have
+	// fallen.  A clause satisfied at the root may lose its entries (see
+	// visitWatched): it can never propagate again.
+	watchLe [][]watcher
+	watchGe [][]watcher
 
 	trail     []event
 	trailLim  []int32 // trail length at the start of each level
@@ -530,22 +569,67 @@ func (s *Solver) attachWatches(id int32) {
 		return
 	}
 	l0 := c.lits[c.w0]
-	s.addWatch(l0, id)
+	s.addWatch(l0, s.watchEntry(id, l0.Var, l0.Dir))
 	if c.w1 >= 0 {
 		l1 := c.lits[c.w1]
 		if l1.Var != l0.Var || l1.Dir != l0.Dir {
-			s.addWatch(l1, id)
+			s.addWatch(l1, guardOf(l1, id))
 		}
 	}
 }
 
-// addWatch appends id to the watch list scanned by events that can
-// falsify l: lo-raising events for (x <= c), hi-lowering for (x >= c).
-func (s *Solver) addWatch(l tnf.Lit, id int32) {
-	if l.Dir == tnf.DirLe {
-		s.watchLe[l.Var] = append(s.watchLe[l.Var], id)
-	} else {
-		s.watchGe[l.Var] = append(s.watchGe[l.Var], id)
+// watchEntry builds clause ci's entry for the (v, dir) list from its
+// current watches: the earliest-falling watched literal on that list.
+func (s *Solver) watchEntry(ci int32, v tnf.VarID, dir tnf.Dir) watcher {
+	c := &s.clauses[ci]
+	if c.w1 < 0 {
+		// single-literal clause: a guard every event on its list falls
+		return watcher{ci: ci, strict: true, b: math.Inf(-1)}
+	}
+	l0, l1 := c.lits[c.w0], c.lits[c.w1]
+	on0 := l0.Var == v && l0.Dir == dir
+	on1 := l1.Var == v && l1.Dir == dir
+	switch {
+	case on0 && on1:
+		g0, g1 := guardOf(l0, ci), guardOf(l1, ci)
+		if g1.fallsBy(g0) {
+			return g1
+		}
+		return g0
+	case on1:
+		return guardOf(l1, ci)
+	}
+	return guardOf(l0, ci)
+}
+
+// watchList returns the watch list scanned by events that can falsify a
+// (v, dir) literal: lo-raising events for (x <= c), hi-lowering for
+// (x >= c).
+func (s *Solver) watchList(v tnf.VarID, dir tnf.Dir) *[]watcher {
+	if dir == tnf.DirLe {
+		return &s.watchLe[v]
+	}
+	return &s.watchGe[v]
+}
+
+// addWatch appends entry w to the watch list of l.
+func (s *Solver) addWatch(l tnf.Lit, w watcher) {
+	ws := s.watchList(l.Var, l.Dir)
+	*ws = append(*ws, w)
+}
+
+// tightenGuard lowers clause ci's guard on l's list to l when l falls
+// earlier: a watch relocated onto the list of the clause's other watch
+// shares that watch's existing entry.
+func (s *Solver) tightenGuard(l tnf.Lit, ci int32) {
+	list := *s.watchList(l.Var, l.Dir)
+	for i := range list {
+		if list[i].ci == ci {
+			if g := guardOf(l, ci); g.fallsBy(list[i]) {
+				list[i] = g
+			}
+			return
+		}
 	}
 }
 
@@ -624,6 +708,17 @@ func (s *Solver) falsifyingEvent(l tnf.Lit) int32 {
 		return s.lastLoEv[l.Var]
 	}
 	return s.lastHiEv[l.Var]
+}
+
+// trueAtRoot reports whether l, currently true, was made true at level 0
+// (by the initial domain or a level-0 event, one below trailLim[0]): it
+// then stays true for good, since level 0 is never undone.
+func (s *Solver) trueAtRoot(l tnf.Lit) bool {
+	ev := s.lastLoEv[l.Var]
+	if l.Dir == tnf.DirLe {
+		ev = s.lastHiEv[l.Var]
+	}
+	return ev < 0 || len(s.trailLim) == 0 || ev < s.trailLim[0]
 }
 
 // pushLevel opens a new decision level.

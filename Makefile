@@ -54,10 +54,10 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Parse' -benchtime=1x -benchmem ./internal/ts/
 	$(GO) test -run '^$$' -bench 'PropQuery' -benchtime=1x -benchmem ./internal/ic3icp/
 	$(GO) test -run 'TestReduceDBVerdictInvariance|TestTriggeredPushReduceInvariance|TestRetentionInvariance' -count=1 -v ./internal/ic3icp/
-	$(GO) run ./cmd/benchdiff -queries-tolerance 0.10 BENCH_2026-08-08.json BENCH_2026-08-08-triggered.json
-	$(GO) run ./cmd/benchdiff -queries-tolerance 0.10 BENCH_2026-08-08-triggered.json BENCH_2026-08-08-retained.json
-	$(GO) run ./cmd/benchdiff -queries-tolerance 0.10 BENCH_2026-10-16.json BENCH_2026-10-16-trig.json
-	$(GO) run ./cmd/benchdiff -queries-tolerance 0.10 BENCH_2026-10-17.json BENCH_2026-10-17-guard.json
+	$(GO) run ./cmd/benchdiff BENCH_2026-08-08.json BENCH_2026-08-08-triggered.json
+	$(GO) run ./cmd/benchdiff BENCH_2026-08-08-triggered.json BENCH_2026-08-08-retained.json
+	$(GO) run ./cmd/benchdiff BENCH_2026-10-16.json BENCH_2026-10-16-trig.json
+	$(GO) run ./cmd/benchdiff BENCH_2026-10-17.json BENCH_2026-10-17-guard.json
 
 # The repository benchmark (bench/, see BENCHMARK.json) is a module of
 # its own, so `go test ./...` at the root skips it.  -short runs the smoke

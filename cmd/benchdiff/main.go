@@ -1,23 +1,20 @@
 // benchdiff compares two BENCH_<date>.json snapshots (see make
 // bench-json) and prints per-run and per-engine deltas: solved counts,
-// wall-clock, solved/sec, solver work profile (queries, push attempts
-// and triggered skips, solver rebuilds), and worker scaling
-// (speedup_x).  It exits 1 when the new snapshot regresses — fewer
-// instances solved, any wrong verdict appearing, a per-engine
-// solved/sec drop beyond the tolerance, a per-engine query-count
-// increase beyond the queries tolerance, or a same-config speedup_x
-// drop beyond the tolerance — so CI and PR workflows can gate on
-// `make bench-diff OLD=... NEW=...`.
+// wall-clock, solved/sec, every work counter of engine.Counters, and
+// worker scaling (speedup_x).  It exits 1 when the new snapshot
+// regresses — fewer instances solved, any wrong verdict appearing, a
+// per-engine solved/sec drop beyond the tolerance, a counter growing
+// beyond its schema Gate, or a same-config speedup_x drop beyond the
+// tolerance — so CI and PR workflows can gate on `make bench-diff`.
 //
-// Query counts are machine-independent, so the queries gate catches
-// algorithmic regressions (e.g. triggered pushing silently re-attempting
-// everything) that wall-clock jitter on a busy CI box would mask.
-// Snapshots predating the work-profile counters carry zero queries and
-// are tracked but not gated.
+// Work counters are machine-independent, so a gated counter (solver
+// queries) catches algorithmic regressions that wall-clock jitter on a
+// busy CI box would mask.  A counter that is zero in the old snapshot
+// (e.g. one written before the counter existed) is never gated.
 //
 // Usage:
 //
-//	benchdiff [-tolerance 0.10] [-queries-tolerance 0.10] OLD.json NEW.json
+//	benchdiff [-tolerance 0.10] OLD.json NEW.json
 package main
 
 import (
@@ -26,6 +23,7 @@ import (
 	"fmt"
 	"os"
 
+	"icpic3/internal/engine"
 	"icpic3/internal/harness"
 )
 
@@ -55,10 +53,10 @@ func engineMap(r harness.BenchRun) map[string]harness.BenchEngine {
 }
 
 // diffRun prints the leg-level comparison and reports regressions.
-// qtol bounds the allowed per-engine query-count growth; engines whose
-// old snapshot predates the work-profile counters (queries == 0) are
-// tracked but not gated.
-func diffRun(label string, old, new harness.BenchRun, tol, qtol float64) (regressed bool) {
+// Each work counter nonzero in either snapshot gets a line; one with a
+// schema Gate is a regression when it grows by more than that fraction
+// over a nonzero old value.
+func diffRun(label string, old, new harness.BenchRun, tol float64) (regressed bool) {
 	fmt.Printf("%s: solved %d -> %d (%+d), unknown %d -> %d, wrong %d -> %d, wall %.2fs -> %.2fs (%+.1f%%)\n",
 		label, old.Solved, new.Solved, new.Solved-old.Solved,
 		old.Unknown, new.Unknown, old.Wrong, new.Wrong,
@@ -106,29 +104,20 @@ func diffRun(label string, old, new harness.BenchRun, tol, qtol float64) (regres
 				regressed = true
 			}
 		}
-		if oe.Queries > 0 || ne.Queries > 0 {
-			fmt.Printf("  %-12s queries %d -> %d (%+.1f%%), push %d/%d skipped -> %d/%d skipped, rebuilds %d -> %d\n",
-				ne.Engine, oe.Queries, ne.Queries, pct(float64(ne.Queries), float64(oe.Queries)),
-				oe.PushAttempts, oe.PushSkipped, ne.PushAttempts, ne.PushSkipped,
-				oe.SolverRebuilds, ne.SolverRebuilds)
-		}
-		if oe.Queries > 0 && float64(ne.Queries) > float64(oe.Queries)*(1+qtol) {
-			fmt.Printf("  REGRESSION: %s query count grew more than %.0f%%\n", ne.Engine, qtol*100)
-			regressed = true
-		}
-		// Assumption-aware query-core counters: savings metrics (higher is
-		// better — their regressions surface through the queries and
-		// solved/sec gates), so they are tracked, not gated.  Snapshots
-		// predating them carry zeros and are skipped on that side.
-		if oe.TrailEventsSaved > 0 || ne.TrailEventsSaved > 0 ||
-			oe.ConsecCacheHits > 0 || ne.ConsecCacheHits > 0 ||
-			oe.TNFOpsPruned > 0 || ne.TNFOpsPruned > 0 {
-			fmt.Printf("  %-12s retained %d levels/%d events -> %d/%d, memo %d/%d hit -> %d/%d, tnf pruned %d -> %d\n",
-				ne.Engine,
-				oe.PrefixKeptLevels, oe.TrailEventsSaved, ne.PrefixKeptLevels, ne.TrailEventsSaved,
-				oe.ConsecCacheHits, oe.ConsecCacheHits+oe.ConsecCacheMiss,
-				ne.ConsecCacheHits, ne.ConsecCacheHits+ne.ConsecCacheMiss,
-				oe.TNFOpsPruned, ne.TNFOpsPruned)
+		for i, c := range engine.Counters {
+			o, n := oe.Counts[i], ne.Counts[i]
+			if o == 0 && n == 0 {
+				continue
+			}
+			delta := "old zero, not gated"
+			if o > 0 {
+				delta = fmt.Sprintf("%+.1f%%", pct(float64(n), float64(o)))
+			}
+			fmt.Printf("  %-12s %s %d -> %d (%s)\n", ne.Engine, c.Name(), o, n, delta)
+			if c.Gate > 0 && o > 0 && float64(n) > float64(o)*(1+c.Gate) {
+				fmt.Printf("  REGRESSION: %s %s grew more than %.0f%%\n", ne.Engine, c.Name(), c.Gate*100)
+				regressed = true
+			}
 		}
 	}
 	return regressed
@@ -138,13 +127,18 @@ func diffRun(label string, old, new harness.BenchRun, tol, qtol float64) (regres
 // parallel wall) across snapshots.  A drop beyond the tolerance is a
 // regression, but only when both snapshots ran at the same gomaxprocs
 // and worker count — across different machines or pool sizes the ratio
-// measures the config change, not the code.
+// measures the config change, not the code — and with more than one
+// worker and proc (otherwise the parallel leg repeats the baseline).
 func diffScaling(old, cur *harness.BenchReport, tol float64) (regressed bool) {
 	fmt.Printf("scaling: speedup %.2fx -> %.2fx (gomaxprocs %d -> %d, workers %d -> %d)\n",
 		old.SpeedupX, cur.SpeedupX, old.GoMaxProcs, cur.GoMaxProcs,
 		old.Parallel.Workers, cur.Parallel.Workers)
 	if old.GoMaxProcs != cur.GoMaxProcs || old.Parallel.Workers != cur.Parallel.Workers {
 		fmt.Println("  (run configs differ; speedup tracked but not gated)")
+		return false
+	}
+	if cur.GoMaxProcs == 1 || cur.Parallel.Workers == 1 {
+		fmt.Println("  (single worker; speedup not gated)")
 		return false
 	}
 	if old.SpeedupX > 0 && cur.SpeedupX < old.SpeedupX*(1-tol) {
@@ -164,10 +158,9 @@ func pct(b, a float64) float64 {
 
 func main() {
 	tol := flag.Float64("tolerance", 0.10, "allowed relative solved/sec drop per engine before flagging a regression")
-	qtol := flag.Float64("queries-tolerance", 0.10, "allowed relative solver-query growth per engine before flagging a regression")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-tolerance 0.10] [-queries-tolerance 0.10] OLD.json NEW.json")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-tolerance 0.10] OLD.json NEW.json")
 		os.Exit(2)
 	}
 	old, err := load(flag.Arg(0))
@@ -182,8 +175,8 @@ func main() {
 	}
 	fmt.Printf("benchdiff %s (%s) -> %s (%s), %d -> %d instances\n",
 		flag.Arg(0), old.Date, flag.Arg(1), cur.Date, old.Instances, cur.Instances)
-	regressed := diffRun("baseline", old.Baseline, cur.Baseline, *tol, *qtol)
-	if diffRun("parallel", old.Parallel, cur.Parallel, *tol, *qtol) {
+	regressed := diffRun("baseline", old.Baseline, cur.Baseline, *tol)
+	if diffRun("parallel", old.Parallel, cur.Parallel, *tol) {
 		regressed = true
 	}
 	if diffScaling(old, cur, *tol) {

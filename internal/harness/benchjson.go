@@ -6,11 +6,13 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"time"
 
 	"icpic3/internal/benchmarks"
+	"icpic3/internal/engine"
 )
 
 // RunConfigLine renders the execution environment of a text report —
@@ -35,24 +37,39 @@ type BenchEngine struct {
 	EngineSec    float64 `json:"engine_sec"`     // summed per-run engine time
 	SolvedPerSec float64 `json:"solved_per_sec"` // solved / engine_sec
 
-	// Work-profile counters (ic3-icp reports them; others stay 0), so
-	// benchdiff can gate on consecution query count instead of only on
-	// wall-clock: total solver queries, clause-push consecution
-	// attempts, attempts skipped by the push triggers, and incremental
-	// frame-solver rebuilds.
-	Queries        int64 `json:"queries"`
-	PushAttempts   int64 `json:"push_attempts"`
-	PushSkipped    int64 `json:"push_skipped_triggered"`
-	SolverRebuilds int64 `json:"solver_rebuilds"`
+	// Counts are written as one flat key per nonzero counter (its Name);
+	// a counter absent from an older snapshot reads as zero.
+	Counts engine.Counts `json:"-"`
+}
 
-	// Assumption-aware query-core counters (PR 10); absent (zero) in
-	// snapshots written before them, which benchdiff treats as
-	// not-comparable rather than as a regression.
-	PrefixKeptLevels int64 `json:"prefix_kept_levels,omitempty"`
-	TrailEventsSaved int64 `json:"trail_events_saved,omitempty"`
-	ConsecCacheHits  int64 `json:"consec_cache_hits,omitempty"`
-	ConsecCacheMiss  int64 `json:"consec_cache_misses,omitempty"`
-	TNFOpsPruned     int64 `json:"tnf_ops_pruned,omitempty"`
+// benchEngineFields is BenchEngine without its JSON methods.
+type benchEngineFields BenchEngine
+
+// MarshalJSON writes the fixed fields, then the nonzero counters in
+// schema order, each spliced in before the closing brace.
+func (e BenchEngine) MarshalJSON() ([]byte, error) {
+	b, err := json.Marshal(benchEngineFields(e))
+	for i, c := range engine.Counters {
+		if err == nil && e.Counts[i] != 0 {
+			b = fmt.Appendf(b[:len(b)-1], ",%q:%d}", c.Name(), e.Counts[i])
+		}
+	}
+	return b, err
+}
+
+// UnmarshalJSON reads the fixed fields and every counter key present.
+func (e *BenchEngine) UnmarshalJSON(b []byte) error {
+	var raw map[string]json.RawMessage
+	err := json.Unmarshal(b, &raw)
+	if err == nil {
+		err = json.Unmarshal(b, (*benchEngineFields)(e))
+	}
+	for i, c := range engine.Counters {
+		if v, ok := raw[c.Name()]; ok && err == nil {
+			err = json.Unmarshal(v, &e.Counts[i])
+		}
+	}
+	return err
 }
 
 // BenchRun is one full-suite execution at a fixed worker count.
@@ -100,21 +117,13 @@ func benchRun(suite []benchmarks.Instance, perRun time.Duration, workers int) (B
 	for _, s := range Summarize(records, names) {
 		solved := s.SolvedSafe + s.SolvedUnsaf
 		be := BenchEngine{
-			Engine:         s.Engine,
-			SolvedSafe:     s.SolvedSafe,
-			SolvedUnsaf:    s.SolvedUnsaf,
-			Unknown:        s.Unknown,
-			Wrong:          s.Wrong,
-			EngineSec:      s.TotalTime.Seconds(),
-			Queries:          s.Queries,
-			PushAttempts:     s.PushAttempts,
-			PushSkipped:      s.PushSkipped,
-			SolverRebuilds:   s.SolverRebuilds,
-			PrefixKeptLevels: s.PrefixKeptLevels,
-			TrailEventsSaved: s.TrailEventsSaved,
-			ConsecCacheHits:  s.ConsecCacheHits,
-			ConsecCacheMiss:  s.ConsecCacheMiss,
-			TNFOpsPruned:     s.TNFOpsPruned,
+			Engine:      s.Engine,
+			SolvedSafe:  s.SolvedSafe,
+			SolvedUnsaf: s.SolvedUnsaf,
+			Unknown:     s.Unknown,
+			Wrong:       s.Wrong,
+			EngineSec:   s.TotalTime.Seconds(),
+			Counts:      s.Counts,
 		}
 		if be.EngineSec > 0 {
 			be.SolvedPerSec = float64(solved) / be.EngineSec

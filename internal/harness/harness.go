@@ -140,24 +140,7 @@ type EngineSummary struct {
 	Unknown     int
 	Wrong       int
 	TotalTime   time.Duration
-	// Work-profile counters summed from Result.Stats (zero for engines
-	// that do not report them): solver queries, consecution push
-	// attempts, push attempts skipped by triggering, and incremental
-	// solver rebuilds.  They make query-count regressions diffable
-	// across BENCH snapshots, not just wall-clock ones.
-	Queries        int64
-	PushAttempts   int64
-	PushSkipped    int64
-	SolverRebuilds int64
-	// Assumption-aware query-core counters (PR 10): trail levels kept by
-	// prefix retention with the propagation events that spared, UNSAT
-	// consecution answers served from the memo vs sent to a solver, and
-	// TNF ops removed by compile-time simplification.
-	PrefixKeptLevels int64
-	TrailEventsSaved int64
-	ConsecCacheHits  int64
-	ConsecCacheMiss  int64
-	TNFOpsPruned     int64
+	Counts      engine.Counts // work counters summed from Result.Stats
 }
 
 // Summarize aggregates run records per engine.
@@ -172,17 +155,7 @@ func Summarize(records []RunRecord, names []string) []EngineSummary {
 			continue
 		}
 		s.TotalTime += r.Result.Runtime
-		if st := r.Result.Stats; st != nil {
-			s.Queries += st["queries"]
-			s.PushAttempts += st["pushAttempts"]
-			s.PushSkipped += st["pushSkippedTriggered"]
-			s.SolverRebuilds += st["solverRebuilds"]
-			s.PrefixKeptLevels += st["prefixKeptLevels"]
-			s.TrailEventsSaved += st["trailEventsSaved"]
-			s.ConsecCacheHits += st["consecCacheHits"]
-			s.ConsecCacheMiss += st["consecCacheMisses"]
-			s.TNFOpsPruned += st["tnfOpsPruned"]
-		}
+		s.Counts.Add(r.Result.Stats)
 		switch {
 		case r.Wrong():
 			s.Wrong++
@@ -204,15 +177,19 @@ func Summarize(records []RunRecord, names []string) []EngineSummary {
 // Table2 renders the engine comparison.
 func Table2(w io.Writer, records []RunRecord, names []string) {
 	fmt.Fprintln(w, "Table II: solved instances per engine")
-	fmt.Fprintf(w, "%-10s %6s %8s %8s %6s %12s %9s %9s %8s %10s %9s %9s\n",
-		"engine", "safe", "unsafe", "unknown", "wrong", "total time",
-		"queries", "pushskip", "rebuilds", "trailsaved", "memohits", "tnfpruned")
+	fmt.Fprintf(w, "%-10s %6s %8s %8s %6s %12s", "engine", "safe", "unsafe", "unknown", "wrong", "total time")
+	for _, c := range engine.Counters {
+		fmt.Fprintf(w, " %s", c.Name())
+	}
+	fmt.Fprintln(w)
 	for _, s := range Summarize(records, names) {
-		fmt.Fprintf(w, "%-10s %6d %8d %8d %6d %12s %9d %9d %8d %10d %9d %9d\n",
+		fmt.Fprintf(w, "%-10s %6d %8d %8d %6d %12s",
 			s.Engine, s.SolvedSafe, s.SolvedUnsaf, s.Unknown, s.Wrong,
-			s.TotalTime.Round(time.Millisecond),
-			s.Queries, s.PushSkipped, s.SolverRebuilds,
-			s.TrailEventsSaved, s.ConsecCacheHits, s.TNFOpsPruned)
+			s.TotalTime.Round(time.Millisecond))
+		for i, c := range engine.Counters {
+			fmt.Fprintf(w, " %*d", len(c.Name()), s.Counts[i])
+		}
+		fmt.Fprintln(w)
 	}
 }
 

@@ -53,6 +53,11 @@ func TestRunSuiteAndTable2(t *testing.T) {
 	if !strings.Contains(buf.String(), "ic3-icp") {
 		t.Errorf("Table2 output:\n%s", buf.String())
 	}
+	for _, c := range engine.Counters {
+		if !strings.Contains(buf.String(), " "+c.Name()) {
+			t.Errorf("Table2 has no %s column:\n%s", c.Name(), buf.String())
+		}
+	}
 }
 
 func TestAblationAndTable3(t *testing.T) {

@@ -342,15 +342,11 @@ func CheckFull(sys *ts.System, opts Options) (engine.Result, *Info) {
 
 	ch := &checker{sys: sys, opts: opts, budget: budget, stats: map[string]int64{},
 		coreHits: map[coreKey]int64{}, memo: newConsecMemo()}
-	// work-profile counters asserted by the determinism suites and
-	// surfaced through /metrics and benchtab: present even when zero
-	ch.stats["pushAttempts"] = 0
-	ch.stats["pushSkippedTriggered"] = 0
-	ch.stats["solverRebuilds"] = 0
-	ch.stats["ctgBlocked"] = 0
-	ch.stats["consecCacheHits"] = 0
-	ch.stats["consecCacheMisses"] = 0
-	ch.stats["tnfOpsPruned"] = 0
+	// every reported work counter (engine.Counters) is present in the
+	// stats even when zero
+	for _, c := range engine.Counters {
+		ch.stats[c.Key] = 0
+	}
 	if err := ch.build(); err != nil {
 		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}, info
 	}

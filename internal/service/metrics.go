@@ -67,16 +67,7 @@ type Metrics struct {
 	shedDeadline int64 // guarded-by: mu; dequeued jobs shed for exhausted end-to-end budget
 	shedDrain    int64 // guarded-by: mu; queued jobs shed by a shutdown drain
 
-	pushAttempts   int64 // guarded-by: mu; IC3 clause-push consecution queries attempted
-	pushSkipped    int64 // guarded-by: mu; push attempts skipped as dormant (triggered pushing)
-	solverRebuilds int64 // guarded-by: mu; frame-solver slack rebuilds (activation-var GC)
-	ctgBlocked     int64 // guarded-by: mu; counterexamples-to-generalization blocked
-
-	prefixKept   int64 // guarded-by: mu; assumption-prefix levels retained across Solve calls
-	trailSaved   int64 // guarded-by: mu; trail events not redone thanks to prefix retention
-	consecHits   int64 // guarded-by: mu; consecution queries served from the UNSAT memo
-	consecMisses int64 // guarded-by: mu; consecution queries that went to a solver
-	tnfPruned    int64 // guarded-by: mu; TNF ops removed by compile-time simplification
+	counts engine.Counts // guarded-by: mu; summed engine work counters (engine.Counters)
 
 	reuseLookups   int64   // guarded-by: mu; certificate-store lookups (reuse-capable jobs)
 	reuseHits      int64   // guarded-by: mu; lookups that produced usable seed hints
@@ -135,57 +126,33 @@ func (m *Metrics) recordReuse(seeded bool, res engine.Result) {
 	m.mu.Unlock()
 }
 
-// recordWorkProfile accumulates a finished engine run's internal work
-// counters (triggered-pushing effectiveness and solver lifecycle churn)
-// so operators can see, fleet-wide, how much consecution work the
-// trigger bookkeeping is saving and how often frame solvers rebuild.
+// recordWorkProfile accumulates a finished engine run's work counters
+// (engine.Counters) so operators can see, fleet-wide, where consecution
+// work goes.
 func (m *Metrics) recordWorkProfile(res engine.Result) {
-	if res.Stats == nil {
-		return
-	}
 	m.mu.Lock()
-	m.pushAttempts += res.Stats["pushAttempts"]
-	m.pushSkipped += res.Stats["pushSkippedTriggered"]
-	m.solverRebuilds += res.Stats["solverRebuilds"]
-	m.ctgBlocked += res.Stats["ctgBlocked"]
-	m.prefixKept += res.Stats["prefixKeptLevels"]
-	m.trailSaved += res.Stats["trailEventsSaved"]
-	m.consecHits += res.Stats["consecCacheHits"]
-	m.consecMisses += res.Stats["consecCacheMisses"]
-	m.tnfPruned += res.Stats["tnfOpsPruned"]
+	m.counts.Add(res.Stats)
 	m.mu.Unlock()
 }
 
-// Work-profile counter accessors (for tests and logs).
-func (m *Metrics) PushAttempts() int64 { m.mu.Lock(); defer m.mu.Unlock(); return m.pushAttempts }
-func (m *Metrics) PushSkipped() int64  { m.mu.Lock(); defer m.mu.Unlock(); return m.pushSkipped }
-func (m *Metrics) SolverRebuilds() int64 {
+// Counter returns the summed value of the engine.Counters row with the
+// given Stats key; it panics on a key the schema does not declare.
+func (m *Metrics) Counter(key string) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.solverRebuilds
+	return m.counts[engine.CounterIndex(key)]
 }
-func (m *Metrics) CTGBlocked() int64 { m.mu.Lock(); defer m.mu.Unlock(); return m.ctgBlocked }
-func (m *Metrics) PrefixKeptLevels() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.prefixKept
-}
-func (m *Metrics) TrailEventsSaved() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.trailSaved
-}
-func (m *Metrics) ConsecCacheHits() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.consecHits
-}
-func (m *Metrics) ConsecCacheMisses() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.consecMisses
-}
-func (m *Metrics) TNFOpsPruned() int64 { m.mu.Lock(); defer m.mu.Unlock(); return m.tnfPruned }
+
+// Named work-counter accessors, kept for the benchmark (bench/serve.go).
+func (m *Metrics) PushAttempts() int64      { return m.Counter("pushAttempts") }
+func (m *Metrics) PushSkipped() int64       { return m.Counter("pushSkippedTriggered") }
+func (m *Metrics) SolverRebuilds() int64    { return m.Counter("solverRebuilds") }
+func (m *Metrics) CTGBlocked() int64        { return m.Counter("ctgBlocked") }
+func (m *Metrics) PrefixKeptLevels() int64  { return m.Counter("prefixKeptLevels") }
+func (m *Metrics) TrailEventsSaved() int64  { return m.Counter("trailEventsSaved") }
+func (m *Metrics) ConsecCacheHits() int64   { return m.Counter("consecCacheHits") }
+func (m *Metrics) ConsecCacheMisses() int64 { return m.Counter("consecCacheMisses") }
+func (m *Metrics) TNFOpsPruned() int64      { return m.Counter("tnfOpsPruned") }
 
 func (m *Metrics) incPanics()     { m.mu.Lock(); m.panics++; m.mu.Unlock() }
 func (m *Metrics) incStalled()    { m.mu.Lock(); m.stalled++; m.mu.Unlock() }
@@ -296,15 +263,9 @@ func (m *Metrics) WriteText(w io.Writer) error {
 	add("icpserve_jobs_degraded_total %d", m.degraded)
 	add("icpserve_results_certified_total %d", m.certified)
 	add("icpserve_results_cert_failed_total %d", m.certFailed)
-	add("icpserve_engine_push_attempts_total %d", m.pushAttempts)
-	add("icpserve_engine_push_skipped_triggered_total %d", m.pushSkipped)
-	add("icpserve_engine_solver_rebuilds_total %d", m.solverRebuilds)
-	add("icpserve_engine_ctg_blocked_total %d", m.ctgBlocked)
-	add("icpserve_engine_prefix_kept_levels_total %d", m.prefixKept)
-	add("icpserve_engine_trail_events_saved_total %d", m.trailSaved)
-	add("icpserve_engine_consec_cache_hits_total %d", m.consecHits)
-	add("icpserve_engine_consec_cache_misses_total %d", m.consecMisses)
-	add("icpserve_engine_tnf_ops_pruned_total %d", m.tnfPruned)
+	for i, c := range engine.Counters {
+		add("icpserve_engine_%s_total %d", c.Name(), m.counts[i])
+	}
 	add("icpserve_reuse_lookups_total %d", m.reuseLookups)
 	add("icpserve_reuse_hits_total %d", m.reuseHits)
 	add("icpserve_reuse_clauses_seeded_total %d", m.clausesSeeded)

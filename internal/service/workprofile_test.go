@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"icpic3/internal/engine"
 )
 
 // frozenModel (the benchmark suite's frozen-parameter family) needs
@@ -19,9 +21,9 @@ trans x' = x + y and y' = y
 prop x <= 5
 `
 
-// TestWorkProfileMetrics asserts that a finished ic3 run's internal
-// work counters (triggered-pushing effectiveness, solver lifecycle)
-// flow through to the service metrics and the /metrics exposition.
+// TestWorkProfileMetrics asserts that every row of engine.Counters is
+// a key the ic3 run's Result.Stats carries, and that its summed value
+// reaches /metrics on exactly one icpserve_engine_<name>_total line.
 func TestWorkProfileMetrics(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1})
 
@@ -33,20 +35,48 @@ func TestWorkProfileMetrics(t *testing.T) {
 	if err != nil || st.Verdict != "safe" {
 		t.Fatalf("result = %+v, %v", st, err)
 	}
+	s.mu.Lock()
+	stats := s.jobs[job.ID].result.Stats
+	s.mu.Unlock()
 
 	m := s.Metrics()
 	if m.PushAttempts() == 0 {
 		t.Error("no push attempts recorded from a safe ic3 run")
 	}
-	text := m.String()
-	for _, want := range []string{
-		fmt.Sprintf("icpserve_engine_push_attempts_total %d", m.PushAttempts()),
-		fmt.Sprintf("icpserve_engine_push_skipped_triggered_total %d", m.PushSkipped()),
-		fmt.Sprintf("icpserve_engine_solver_rebuilds_total %d", m.SolverRebuilds()),
-		fmt.Sprintf("icpserve_engine_ctg_blocked_total %d", m.CTGBlocked()),
+	// the named accessors kept for the benchmark (bench/serve.go)
+	for key, get := range map[string]func() int64{
+		"pushAttempts":         m.PushAttempts,
+		"pushSkippedTriggered": m.PushSkipped,
+		"solverRebuilds":       m.SolverRebuilds,
+		"ctgBlocked":           m.CTGBlocked,
+		"prefixKeptLevels":     m.PrefixKeptLevels,
+		"trailEventsSaved":     m.TrailEventsSaved,
+		"consecCacheHits":      m.ConsecCacheHits,
+		"consecCacheMisses":    m.ConsecCacheMisses,
+		"tnfOpsPruned":         m.TNFOpsPruned,
 	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing %q:\n%s", want, text)
+		if get() != m.Counter(key) {
+			t.Errorf("accessor for %q = %d, Counter = %d", key, get(), m.Counter(key))
+		}
+	}
+	lines := strings.Split(m.String(), "\n")
+	for _, c := range engine.Counters {
+		if _, ok := stats[c.Key]; !ok {
+			t.Errorf("ic3 Result.Stats has no %q key", c.Key)
+		}
+		name := "icpserve_engine_" + c.Name() + "_total "
+		want := fmt.Sprintf("%s%d", name, m.Counter(c.Key))
+		found, named := 0, 0
+		for _, l := range lines {
+			if strings.HasPrefix(l, name) {
+				named++
+				if l == want {
+					found++
+				}
+			}
+		}
+		if named != 1 || found != 1 {
+			t.Errorf("want exactly one %q line, got %d lines named %q (%d matching)", want, named, name, found)
 		}
 	}
 }

@@ -46,11 +46,10 @@ func BenchmarkTable1SuiteStats(b *testing.B) {
 // over the full suite.
 func BenchmarkTable2EngineComparison(b *testing.B) {
 	suite := benchSuite()
-	engines := harness.Engines()
 	names := harness.EngineNames()
 	var solved, wrong int64
 	for i := 0; i < b.N; i++ {
-		records := harness.RunSuite(suite, engines, names, benchBudget)
+		records := harness.RunSuite(suite, names, benchBudget)
 		for _, s := range harness.Summarize(records, names) {
 			solved += int64(s.SolvedSafe + s.SolvedUnsaf)
 			wrong += int64(s.Wrong)
@@ -100,10 +99,9 @@ func BenchmarkTable4BooleanIC3(b *testing.B) {
 // BenchmarkFig1Cactus regenerates the cactus-plot series (Fig. 1).
 func BenchmarkFig1Cactus(b *testing.B) {
 	suite := benchSuite()
-	engines := harness.Engines()
 	names := harness.EngineNames()
 	for i := 0; i < b.N; i++ {
-		records := harness.RunSuite(suite, engines, names, benchBudget)
+		records := harness.RunSuite(suite, names, benchBudget)
 		series := harness.CactusSeries(records, names)
 		if len(series) != len(names) {
 			b.Fatal("missing series")
@@ -114,10 +112,9 @@ func BenchmarkFig1Cactus(b *testing.B) {
 // BenchmarkFig2Scatter regenerates the IC3-vs-BMC scatter points (Fig. 2).
 func BenchmarkFig2Scatter(b *testing.B) {
 	suite := benchSuite()
-	engines := harness.Engines()
 	names := []string{"ic3-icp", "bmc-icp"}
 	for i := 0; i < b.N; i++ {
-		records := harness.RunSuite(suite, engines, names, benchBudget)
+		records := harness.RunSuite(suite, names, benchBudget)
 		pts := harness.ScatterSeries(records, "ic3-icp", "bmc-icp", benchBudget.Seconds())
 		if len(pts) != len(suite) {
 			b.Fatalf("scatter points = %d", len(pts))

@@ -110,7 +110,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	engines := harness.Engines()
 	names := harness.EngineNames()
 
 	if (*table != 0 || *fig != 0) && !*csvOut {
@@ -120,7 +119,7 @@ func main() {
 	case *table == 1:
 		harness.Table1(w, suite)
 	case *table == 2:
-		records := harness.RunSuiteWorkers(suite, engines, names, *budget, *workers)
+		records := harness.RunSuiteWorkers(suite, names, *budget, *workers)
 		if *csvOut {
 			if err := harness.WriteSummaryCSV(w, records, names); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -137,9 +136,9 @@ func main() {
 	case *table == 4:
 		harness.Table4(w, harness.RunCircuits(benchmarks.Circuits(), 128))
 	case *fig == 1:
-		harness.Fig1(w, harness.RunSuiteWorkers(suite, engines, names, *budget, *workers), names)
+		harness.Fig1(w, harness.RunSuiteWorkers(suite, names, *budget, *workers), names)
 	case *fig == 2:
-		records := harness.RunSuiteWorkers(suite, engines, names, *budget, *workers)
+		records := harness.RunSuiteWorkers(suite, names, *budget, *workers)
 		if *csvOut {
 			if err := harness.WriteScatterCSV(w, records, "ic3-icp", "bmc-icp", budget.Seconds()); err != nil {
 				fmt.Fprintln(os.Stderr, err)

@@ -13,7 +13,9 @@
 //	prop x <= 8
 //
 // Engines: ic3 (default, proves and refutes), bmc (refutes only),
-// kind (k-induction), all (runs every engine and reports each verdict).
+// kind (k-induction), portfolio (races the three, first decisive verdict
+// wins), all (runs ic3, bmc and kind in turn and reports each verdict).
+// The names come from the one engine table in internal/runner.
 //
 // Exit codes (scriptable):
 //
@@ -30,144 +32,125 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
-	"icpic3/internal/bmc"
 	"icpic3/internal/certify"
 	"icpic3/internal/engine"
 	"icpic3/internal/ic3icp"
-	"icpic3/internal/icp"
-	"icpic3/internal/kind"
-	"icpic3/internal/portfolio"
+	"icpic3/internal/runner"
 	"icpic3/internal/ts"
 )
 
 func main() {
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// realMain runs the command on args and returns the exit code.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("icpverify", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		engineName = flag.String("engine", "ic3", "engine: ic3 | bmc | kind | portfolio | all")
-		timeout    = flag.Duration("timeout", 60*time.Second, "per-engine wall-clock budget")
-		eps        = flag.Float64("eps", 1e-5, "minimum splitting width of the ICP solver")
-		depth      = flag.Int("depth", 128, "maximum BMC unrolling depth")
-		maxK       = flag.Int("k", 24, "maximum k-induction depth")
-		gen        = flag.String("gen", "core+widen", "IC3 generalization: none | core | core+widen")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for IC3's parallel clause pushing (1 = sequential)")
-		showTrace  = flag.Bool("trace", true, "print counterexample traces")
-		showInv    = flag.Bool("invariant", false, "print the inductive invariant (ic3, safe)")
-		witnessOut = flag.String("witness", "", "write a JSON witness to this file")
-		doCertify  = flag.Bool("certify", false, "independently re-check decisive verdicts (Safe certificates, Unsafe traces)")
+		engineName = fs.String("engine", "ic3", "engine: "+strings.Join(runner.Names(), " | ")+" | all")
+		timeout    = fs.Duration("timeout", 60*time.Second, "per-engine wall-clock budget")
+		eps        = fs.Float64("eps", 1e-5, "minimum splitting width of the ICP solver")
+		depth      = fs.Int("depth", 128, "maximum BMC unrolling depth")
+		maxK       = fs.Int("k", 24, "maximum k-induction depth")
+		gen        = fs.String("gen", "core+widen", "IC3 generalization: none | core | core+widen")
+		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "goroutines for IC3's parallel clause pushing (1 = sequential)")
+		showTrace  = fs.Bool("trace", true, "print counterexample traces")
+		showInv    = fs.Bool("invariant", false, "print the inductive invariant (ic3, safe)")
+		witnessOut = fs.String("witness", "", "write a JSON witness to this file")
+		doCertify  = fs.Bool("certify", false, "independently re-check decisive verdicts (Safe certificates, Unsafe traces)")
 	)
 	// ContinueOnError so flag errors exit 3 (usage), not the flag
 	// package's default 2, which would collide with "unknown verdict".
-	flag.CommandLine.Init("icpverify", flag.ContinueOnError)
-	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
+			return 0
 		}
-		os.Exit(3)
+		return 3
 	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: icpverify [flags] model.ts")
-		flag.PrintDefaults()
-		os.Exit(3)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: icpverify [flags] model.ts")
+		fs.PrintDefaults()
+		return 3
+	}
+	fail := func(format string, args ...interface{}) int {
+		fmt.Fprintf(stderr, "icpverify: "+format+"\n", args...)
+		return 3
 	}
 
-	src, err := os.ReadFile(flag.Arg(0))
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fail("read: %v", err)
+		return fail("read: %v", err)
 	}
 	sys, err := ts.Parse(string(src))
 	if err != nil {
-		fail("parse: %v", err)
+		return fail("parse: %v", err)
 	}
-
-	genMode, err := parseGen(*gen)
-	if err != nil {
-		fail("%v", err)
+	if _, err := runner.ParseGen(*gen); err != nil {
+		return fail("%v", err)
 	}
-
-	var lastInvariant []string
-	engines := map[string]func() engine.Result{
-		"ic3": func() engine.Result {
-			res, info := ic3icp.CheckFull(sys, ic3icp.Options{
-				Solver:     icp.Options{Eps: *eps},
-				Generalize: genMode, GeneralizeSet: true,
-				Workers: *workers,
-				Budget:  engine.Budget{Timeout: *timeout},
-			})
-			lastInvariant = nil
-			for _, c := range info.Invariant {
-				lastInvariant = append(lastInvariant, c.String())
-			}
-			if *showInv && res.Verdict == engine.Safe {
-				fmt.Println("inductive invariant (negated blocked cubes, conjoined with prop):")
-				for _, c := range info.Invariant {
-					fmt.Printf("  !(%s)\n", c)
-				}
-			}
-			return res
-		},
-		"bmc": func() engine.Result {
-			return bmc.Check(sys, bmc.Options{
-				MaxDepth: *depth,
-				Solver:   icp.Options{Eps: *eps},
-				Budget:   engine.Budget{Timeout: *timeout},
-			})
-		},
-		"kind": func() engine.Result {
-			return kind.Check(sys, kind.Options{
-				MaxK:   *maxK,
-				Solver: icp.Options{Eps: *eps},
-				Budget: engine.Budget{Timeout: *timeout},
-			})
-		},
-		"portfolio": func() engine.Result {
-			return portfolio.Check(sys, portfolio.Options{
-				IC3:        ic3icp.Options{Solver: icp.Options{Eps: *eps}, Generalize: genMode, GeneralizeSet: true, Workers: *workers},
-				BMC:        bmc.Options{MaxDepth: *depth, Solver: icp.Options{Eps: *eps}},
-				KInduction: kind.Options{MaxK: *maxK, Solver: icp.Options{Eps: *eps}},
-				Budget:     engine.Budget{Timeout: *timeout},
-			})
-		},
-	}
-
-	names := []string{*engineName}
+	var rows []runner.Engine
 	if *engineName == "all" {
-		names = []string{"ic3", "bmc", "kind"}
+		rows = runner.Members()
+	} else {
+		e, err := runner.Lookup(*engineName)
+		if err != nil {
+			return fail("%v", err)
+		}
+		rows = []runner.Engine{e}
+	}
+
+	budget := engine.Budget{Timeout: *timeout}
+	logf := func(format string, args ...interface{}) {
+		fmt.Fprintf(stderr, format+"\n", args...)
 	}
 	sawSafe, sawUnsafe := false, false
-	for _, n := range names {
-		run, ok := engines[n]
-		if !ok {
-			fail("unknown engine %q", n)
-		}
+	for _, e := range rows {
+		n := e.Name
 		// Guard converts an engine panic into an Unknown verdict (exit 2)
 		// with the panic in the note, instead of a crash (exit 3-ish).
-		res := engine.Guard(n, func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}, run)
-		if *doCertify && res.Verdict != engine.Unknown {
-			err := certify.Check(sys, res, certify.Options{
-				Eps:    *eps,
-				Budget: engine.Budget{Timeout: *timeout},
+		res := engine.Guard(n, logf, func() engine.Result {
+			return runner.Check(sys, runner.Spec{
+				Engine: n, Eps: *eps, MaxDepth: *depth, MaxK: *maxK,
+				Generalize: *gen, Workers: *workers, Budget: budget,
 			})
-			if err != nil {
-				fmt.Printf("[%s] CERTIFICATION FAILED, demoting %s to unknown: %v\n", n, res.Verdict, err)
-				res.Verdict = engine.Unknown
-				res.Note = fmt.Sprintf("certification failed: %v", err)
+		})
+		if *doCertify && res.Verdict != engine.Unknown {
+			verdict := res.Verdict
+			if err := runner.Certify(sys, &res, certify.Options{Eps: *eps, Budget: budget}, logf); err != nil {
+				fmt.Fprintf(stdout, "[%s] CERTIFICATION FAILED, demoting %s to unknown: %v\n", n, verdict, err)
 			} else {
-				fmt.Printf("[%s] %s verdict independently certified\n", n, res.Verdict)
+				fmt.Fprintf(stdout, "[%s] %s verdict independently certified\n", n, verdict)
 			}
 		}
-		fmt.Printf("[%s] %s: %s (depth %d, %v)\n", n, sys.Name, res.Verdict, res.Depth,
+		// A Safe IC3 proof carries its invariant as a box certificate.
+		var invariant []string
+		if res.Verdict == engine.Safe {
+			cubes, _ := ic3icp.InvariantOf(res.Certificate)
+			for _, c := range cubes {
+				invariant = append(invariant, c.String())
+			}
+			if *showInv && cubes != nil {
+				fmt.Fprintln(stdout, "inductive invariant (negated blocked cubes, conjoined with prop):")
+				for _, c := range invariant {
+					fmt.Fprintf(stdout, "  !(%s)\n", c)
+				}
+			}
+		}
+		fmt.Fprintf(stdout, "[%s] %s: %s (depth %d, %v)\n", n, sys.Name, res.Verdict, res.Depth,
 			res.Runtime.Round(time.Millisecond))
 		if res.Note != "" {
-			fmt.Printf("[%s] note: %s\n", n, res.Note)
+			fmt.Fprintf(stdout, "[%s] note: %s\n", n, res.Note)
 		}
 		if res.Verdict == engine.Unsafe && *showTrace {
-			printTrace(sys, res.Trace)
+			printTrace(stdout, sys, res.Trace)
 		}
 		switch res.Verdict {
 		case engine.Safe:
@@ -176,56 +159,45 @@ func main() {
 			sawUnsafe = true
 		}
 		if *witnessOut != "" {
-			w := engine.NewWitness(sys.Name, res, lastInvariant)
-			f, err := os.Create(*witnessOut)
-			if err != nil {
-				fail("witness: %v", err)
+			if err := writeWitness(*witnessOut, engine.NewWitness(sys.Name, res, invariant)); err != nil {
+				return fail("witness: %v", err)
 			}
-			if err := w.WriteJSON(f); err != nil {
-				fail("witness: %v", err)
-			}
-			f.Close()
-			fmt.Printf("[%s] witness written to %s\n", n, *witnessOut)
+			fmt.Fprintf(stdout, "[%s] witness written to %s\n", n, *witnessOut)
 		}
 	}
 	switch {
 	case sawUnsafe:
-		os.Exit(1)
+		return 1
 	case sawSafe:
-		os.Exit(0)
+		return 0
 	default:
-		os.Exit(2)
+		return 2
 	}
 }
 
-func parseGen(s string) (ic3icp.GenMode, error) {
-	switch s {
-	case "none":
-		return ic3icp.GenNone, nil
-	case "core":
-		return ic3icp.GenCore, nil
-	case "core+widen", "widen":
-		return ic3icp.GenCoreWiden, nil
+func writeWitness(path string, w engine.Witness) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return 0, fmt.Errorf("unknown generalization mode %q", s)
+	if err := w.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-func printTrace(sys *ts.System, trace []ts.State) {
+func printTrace(w io.Writer, sys *ts.System, trace []ts.State) {
 	vars := make([]string, 0, len(sys.Vars))
 	for _, v := range sys.Vars {
 		vars = append(vars, v.Name)
 	}
 	sort.Strings(vars)
 	for i, st := range trace {
-		fmt.Printf("  step %2d:", i)
+		fmt.Fprintf(w, "  step %2d:", i)
 		for _, v := range vars {
-			fmt.Printf(" %s=%g", v, st[v])
+			fmt.Fprintf(w, " %s=%g", v, st[v])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-}
-
-func fail(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "icpverify: "+format+"\n", args...)
-	os.Exit(3)
 }

@@ -31,7 +31,7 @@ import (
 	"icpic3/internal/ic3icp"
 	"icpic3/internal/icp"
 	"icpic3/internal/kind"
-	"icpic3/internal/portfolio"
+	"icpic3/internal/runner"
 	"icpic3/internal/ts"
 )
 
@@ -140,13 +140,16 @@ func CheckKInduction(sys *System, opts KInductionOptions) Result {
 	return kind.Check(sys, opts)
 }
 
-// PortfolioOptions configures the parallel engine portfolio.
-type PortfolioOptions = portfolio.Options
+// PortfolioOptions configures the parallel engine portfolio: one set of
+// options (ε, BMC depth, k-induction bound, IC3 generalization, budget)
+// shared by every member engine; a zero field means the engine default.
+type PortfolioOptions = runner.Spec
 
 // CheckPortfolio runs IC3, BMC and k-induction concurrently, returning the
-// first decisive verdict and cancelling the rest.
+// first decisive verdict and cancelling the rest.  opts.Engine is ignored.
 func CheckPortfolio(sys *System, opts PortfolioOptions) Result {
-	return portfolio.Check(sys, opts)
+	opts.Engine = "portfolio"
+	return runner.Check(sys, opts)
 }
 
 // Circuit is a sequential and-inverter graph for the Boolean engines.

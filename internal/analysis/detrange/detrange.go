@@ -22,7 +22,7 @@ var Scope = []string{
 	"internal/icp",
 	"internal/ic3icp",
 	"internal/ic3bool",
-	"internal/portfolio",
+	"internal/runner",
 }
 
 var Analyzer = &analysis.Analyzer{

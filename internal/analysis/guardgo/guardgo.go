@@ -1,9 +1,9 @@
 // Package guardgo flags `go` statements in the supervised packages
 // whose goroutine does not run under engine.Guard (result-shaped work)
 // or engine.GuardGo (infrastructure goroutines).  The supervision
-// contract of the service, the portfolio, and the harness is that a
-// panic costs one verdict, never the process; a bare goroutine is the
-// one place where a recover() higher up cannot help, so every spawn
+// contract of the service, the runner's portfolio, and the harness is
+// that a panic costs one verdict, never the process; a bare goroutine is
+// the one place where a recover() higher up cannot help, so every spawn
 // must install its own guard.  The check follows same-package calls
 // (go s.worker() is fine when worker's body reaches engine.Guard), so
 // only a genuinely unguarded spawn — or one delegating straight into
@@ -19,7 +19,7 @@ import (
 // Scope lists the packages whose goroutines must be panic-isolated.
 var Scope = []string{
 	"internal/service",
-	"internal/portfolio",
+	"internal/runner",
 	"internal/harness",
 }
 

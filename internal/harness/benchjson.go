@@ -108,9 +108,9 @@ func (r *BenchReport) Records() (baseline, parallel []RunRecord) {
 
 // benchRun executes the suite once and aggregates.
 func benchRun(suite []benchmarks.Instance, perRun time.Duration, workers int) (BenchRun, []RunRecord) {
-	engines, names := Engines(), EngineNames()
+	names := EngineNames()
 	t0 := time.Now()
-	records := RunSuiteWorkers(suite, engines, names, perRun, workers)
+	records := RunSuiteWorkers(suite, names, perRun, workers)
 	wall := time.Since(t0)
 
 	run := BenchRun{Workers: workers, WallSec: wall.Seconds()}

@@ -11,36 +11,29 @@ import (
 	"time"
 
 	"icpic3/internal/benchmarks"
-	"icpic3/internal/bmc"
 	"icpic3/internal/engine"
 	"icpic3/internal/expr"
 	"icpic3/internal/ic3bool"
 	"icpic3/internal/ic3icp"
-	"icpic3/internal/kind"
+	"icpic3/internal/runner"
 	"icpic3/internal/tnf"
 	"icpic3/internal/ts"
 )
 
-// EngineFunc runs one verification engine under a budget.
-type EngineFunc func(sys *ts.System, budget engine.Budget) engine.Result
+// suiteSpec configures the evaluation lineup: engine defaults, except
+// the BMC and k-induction bounds.  RunSuiteWorkers fills in the engine
+// and the per-run budget.
+var suiteSpec = runner.Spec{MaxDepth: 128, MaxK: 24}
 
-// Engines returns the standard engine lineup of the evaluation.
-func Engines() map[string]EngineFunc {
-	return map[string]EngineFunc{
-		"ic3-icp": func(sys *ts.System, b engine.Budget) engine.Result {
-			return ic3icp.Check(sys, ic3icp.Options{Budget: b})
-		},
-		"bmc-icp": func(sys *ts.System, b engine.Budget) engine.Result {
-			return bmc.Check(sys, bmc.Options{MaxDepth: 128, Budget: b})
-		},
-		"kind-icp": func(sys *ts.System, b engine.Budget) engine.Result {
-			return kind.Check(sys, kind.Options{MaxK: 24, Budget: b})
-		},
+// EngineNames returns the evaluation lineup in report order: the report
+// labels of the runner's single engines.
+func EngineNames() []string {
+	var names []string
+	for _, e := range runner.Members() {
+		names = append(names, e.Label)
 	}
+	return names
 }
-
-// EngineNames returns the engine names in report order.
-func EngineNames() []string { return []string{"ic3-icp", "bmc-icp", "kind-icp"} }
 
 // RunRecord is the outcome of one engine on one instance.
 type RunRecord struct {
@@ -62,14 +55,12 @@ func (r RunRecord) Wrong() bool {
 	return r.Result.Verdict != engine.Unknown && r.Result.Verdict != r.Expected
 }
 
-// RunSuite executes every engine on every instance with a per-run
+// RunSuite executes every named engine on every instance with a per-run
 // budget, fanning the grid across GOMAXPROCS workers (see
 // RunSuiteWorkers for an explicit count).  Record order is always the
 // sequential instance-major order.
-func RunSuite(instances []benchmarks.Instance, engines map[string]EngineFunc,
-	names []string, perRun time.Duration) []RunRecord {
-
-	return RunSuiteWorkers(instances, engines, names, perRun, 0)
+func RunSuite(instances []benchmarks.Instance, names []string, perRun time.Duration) []RunRecord {
+	return RunSuiteWorkers(instances, names, perRun, 0)
 }
 
 // --- Table I: suite statistics ------------------------------------------
@@ -431,7 +422,6 @@ func ReportWorkers(w io.Writer, suiteSize int, perRun time.Duration, workers int
 	if err != nil {
 		return err
 	}
-	engines := Engines()
 	names := EngineNames()
 
 	fmt.Fprintln(w, RunConfigLine(workers))
@@ -440,7 +430,7 @@ func ReportWorkers(w io.Writer, suiteSize int, perRun time.Duration, workers int
 	Table1(w, suite)
 	fmt.Fprintln(w)
 
-	records := RunSuiteWorkers(suite, engines, names, perRun, workers)
+	records := RunSuiteWorkers(suite, names, perRun, workers)
 	Table2(w, records, names)
 	fmt.Fprintln(w)
 

@@ -32,7 +32,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestRunSuiteAndTable2(t *testing.T) {
-	records := RunSuite(smallSuite(), Engines(), EngineNames(), 20*time.Second)
+	records := RunSuite(smallSuite(), EngineNames(), 20*time.Second)
 	if len(records) != 4*3 {
 		t.Fatalf("records = %d", len(records))
 	}
@@ -94,7 +94,7 @@ func TestCircuitsAndTable4(t *testing.T) {
 }
 
 func TestFigures(t *testing.T) {
-	records := RunSuite(smallSuite(), Engines(), EngineNames(), 20*time.Second)
+	records := RunSuite(smallSuite(), EngineNames(), 20*time.Second)
 
 	series := CactusSeries(records, EngineNames())
 	if len(series) != 3 {
@@ -138,7 +138,7 @@ func TestFigures(t *testing.T) {
 }
 
 func TestCSVWriters(t *testing.T) {
-	records := RunSuite(smallSuite()[:2], Engines(), []string{"bmc-icp"}, 20*time.Second)
+	records := RunSuite(smallSuite()[:2], []string{"bmc-icp"}, 20*time.Second)
 	var buf bytes.Buffer
 	if err := WriteRecordsCSV(&buf, records); err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestCSVWriters(t *testing.T) {
 	}
 
 	buf.Reset()
-	all := RunSuite(smallSuite()[:2], Engines(), []string{"ic3-icp", "bmc-icp"}, 20*time.Second)
+	all := RunSuite(smallSuite()[:2], []string{"ic3-icp", "bmc-icp"}, 20*time.Second)
 	if err := WriteScatterCSV(&buf, all, "ic3-icp", "bmc-icp", 10); err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,7 @@ import (
 
 	"icpic3/internal/benchmarks"
 	"icpic3/internal/engine"
-	"icpic3/internal/ic3icp"
-	"icpic3/internal/icp"
+	"icpic3/internal/runner"
 )
 
 // forEachParallel runs f(0..n-1) on a bounded worker pool.  workers <= 0
@@ -60,14 +59,14 @@ func forEachParallel(n, workers int, f func(int)) {
 // cell, and the records come back in instance-major order regardless of
 // workers.  Engine-internal parallelism stays off here — the grid is
 // the better parallelism axis and nesting would oversubscribe.
-func RunSuiteWorkers(instances []benchmarks.Instance, engines map[string]EngineFunc,
-	names []string, perRun time.Duration, workers int) []RunRecord {
-
+func RunSuiteWorkers(instances []benchmarks.Instance, names []string, perRun time.Duration, workers int) []RunRecord {
 	out := make([]RunRecord, len(instances)*len(names))
 	forEachParallel(len(out), workers, func(i int) {
 		in := instances[i/len(names)]
 		en := names[i%len(names)]
-		res := engines[en](in.Sys, engine.Budget{Timeout: perRun})
+		spec := suiteSpec
+		spec.Engine, spec.Budget = en, engine.Budget{Timeout: perRun}
+		res := runner.Check(in.Sys, spec)
 		out[i] = RunRecord{
 			Instance: in.Name, Family: in.Family, Engine: en,
 			Expected: in.Expected, Result: res,
@@ -84,8 +83,8 @@ func RunAblationWorkers(instances []benchmarks.Instance, perRun time.Duration, w
 	forEachParallel(len(flat), workers, func(i int) {
 		mode := modes[i/len(instances)]
 		in := instances[i%len(instances)]
-		res := ic3icp.Check(in.Sys, ic3icp.Options{
-			Generalize: mode, GeneralizeSet: true,
+		res := runner.Check(in.Sys, runner.Spec{
+			Engine: "ic3", Generalize: mode.String(),
 			Budget: engine.Budget{Timeout: perRun},
 		})
 		flat[i] = RunRecord{
@@ -108,9 +107,8 @@ func EpsSweepWorkers(instances []benchmarks.Instance, epss []float64, perRun tim
 	forEachParallel(len(flat), workers, func(i int) {
 		eps := epss[i/len(instances)]
 		in := instances[i%len(instances)]
-		flat[i] = ic3icp.Check(in.Sys, ic3icp.Options{
-			Solver: icp.Options{Eps: eps},
-			Budget: engine.Budget{Timeout: perRun},
+		flat[i] = runner.Check(in.Sys, runner.Spec{
+			Engine: "ic3", Eps: eps, Budget: engine.Budget{Timeout: perRun},
 		})
 	})
 	out := make([]EpsPoint, 0, len(epss))
@@ -135,7 +133,7 @@ func FrameGrowthWorkers(instances []benchmarks.Instance, perRun time.Duration, w
 	out := make([]FramePoint, len(instances))
 	forEachParallel(len(out), workers, func(i int) {
 		in := instances[i]
-		res := ic3icp.Check(in.Sys, ic3icp.Options{Budget: engine.Budget{Timeout: perRun}})
+		res := runner.Check(in.Sys, runner.Spec{Engine: "ic3", Budget: engine.Budget{Timeout: perRun}})
 		out[i] = FramePoint{
 			Instance: in.Name,
 			Frames:   res.Depth,

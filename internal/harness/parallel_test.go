@@ -38,8 +38,8 @@ func keysOf(records []RunRecord) []recordKey {
 // certificate shapes are identical for 1 and 8 workers.
 func TestRunSuiteWorkersDeterminism(t *testing.T) {
 	suite := smallSuite()
-	seq := keysOf(RunSuiteWorkers(suite, Engines(), EngineNames(), 20*time.Second, 1))
-	par := keysOf(RunSuiteWorkers(suite, Engines(), EngineNames(), 20*time.Second, 8))
+	seq := keysOf(RunSuiteWorkers(suite, EngineNames(), 20*time.Second, 1))
+	par := keysOf(RunSuiteWorkers(suite, EngineNames(), 20*time.Second, 8))
 	if len(seq) != len(par) {
 		t.Fatalf("record counts differ: %d vs %d", len(seq), len(par))
 	}
@@ -53,7 +53,7 @@ func TestRunSuiteWorkersDeterminism(t *testing.T) {
 // TestRunSuiteWorkersRace drives the parallel suite runner with shared
 // instances; its value is under `go test -race`.
 func TestRunSuiteWorkersRace(t *testing.T) {
-	records := RunSuiteWorkers(smallSuite(), Engines(), EngineNames(), 20*time.Second, 4)
+	records := RunSuiteWorkers(smallSuite(), EngineNames(), 20*time.Second, 4)
 	for _, r := range records {
 		if r.Wrong() {
 			t.Errorf("WRONG VERDICT: %s on %s: got %v want %v",

@@ -17,6 +17,7 @@ import (
 	"icpic3/internal/expr"
 	"icpic3/internal/ic3icp"
 	"icpic3/internal/reuse"
+	"icpic3/internal/runner"
 	"icpic3/internal/ts"
 )
 
@@ -107,7 +108,7 @@ func ReuseBench(instances []benchmarks.Instance, perRun time.Duration) (*ReuseRe
 		if in.Expected != engine.Safe || in.Hard {
 			continue
 		}
-		res := ic3icp.Check(in.Sys, ic3icp.Options{Budget: engine.Budget{Timeout: perRun}})
+		res := runner.Check(in.Sys, runner.Spec{Engine: "ic3", Budget: engine.Budget{Timeout: perRun}})
 		if res.Verdict == engine.Safe && res.Certificate != nil {
 			if err := store.Put(in.Sys, "ic3", res.Depth, res.Certificate); err != nil {
 				return nil, err
@@ -135,9 +136,9 @@ func ReuseBench(instances []benchmarks.Instance, perRun time.Duration) (*ReuseRe
 				seeds = inv
 			}
 		}
-		cold := ic3icp.Check(w.mutated, ic3icp.Options{Budget: engine.Budget{Timeout: perRun}})
-		seeded := ic3icp.Check(w.mutated, ic3icp.Options{
-			SeedClauses: seeds, Budget: engine.Budget{Timeout: perRun},
+		cold := runner.Check(w.mutated, runner.Spec{Engine: "ic3", Budget: engine.Budget{Timeout: perRun}})
+		seeded := runner.Check(w.mutated, runner.Spec{
+			Engine: "ic3", SeedClauses: seeds, Budget: engine.Budget{Timeout: perRun},
 		})
 		pt.ColdVerdict, pt.SeededVerdict = cold.Verdict, seeded.Verdict
 		pt.ColdSec, pt.SeededSec = cold.Runtime.Seconds(), seeded.Runtime.Seconds()

@@ -91,7 +91,7 @@ type Options struct {
 	// Workers is the number of goroutines the forward clause-pushing
 	// phase fans its per-clause consecution queries across (<= 1 =
 	// sequential).  Every worker runs on its own solver snapshot (see
-	// icp.Pool), so verdicts and certificates do not depend on the
+	// icp.Solver.Clone), so verdicts and certificates do not depend on the
 	// worker count.
 	Workers int
 	// DebugTrace prints blocking activity to stdout (development aid).

@@ -1,10 +1,6 @@
 package icp
 
-import (
-	"sync"
-
-	"icpic3/internal/tnf"
-)
+import "icpic3/internal/tnf"
 
 // Clone returns a deep snapshot of the solver, safe to use from another
 // goroutine.  The snapshot invariant:
@@ -142,92 +138,4 @@ func cloneLists[T any](xs [][]T) [][]T {
 		out[i] = backing[a:len(backing):len(backing)]
 	}
 	return out
-}
-
-// Pool hands out per-goroutine solver clones over a shared tnf.System.
-//
-// The pool keeps one private base snapshot; Get clones it (or reuses a
-// previously returned clone) and lazily re-Syncs it against the shared
-// system, so content compiled into the system after the pool was built
-// is still picked up.  The system must only grow between parallel
-// phases: callers must not append to it while any Get/Put/Broadcast is
-// in flight (Sync reads the system's slices without locking).
-//
-// Typical use — fan independent queries out over W workers:
-//
-//	pool := icp.PoolOf(main, sys) // or icp.NewPool(sys, opts)
-//	for w := 0; w < W; w++ {
-//	    go func() {
-//	        s := pool.Get()
-//	        defer pool.Put(s)
-//	        ... s.Solve(...) ...
-//	    }()
-//	}
-type Pool struct {
-	mu   sync.Mutex
-	sys  *tnf.System
-	base *Solver
-	free []*Solver
-	all  []*Solver // every solver ever handed out, for Broadcast
-}
-
-// NewPool builds a pool whose base solver is freshly compiled from sys.
-func NewPool(sys *tnf.System, opts Options) *Pool {
-	return &Pool{sys: sys, base: New(sys, opts)}
-}
-
-// PoolOf builds a pool whose base is a snapshot of an existing solver,
-// carrying all of its state — including clauses and variables added
-// directly with AddClause/AddBoolVar that sys has never seen (e.g. IC3
-// frame clauses).  base must be at decision level 0; the pool takes a
-// private clone, so the caller is free to keep using base afterwards.
-func PoolOf(base *Solver, sys *tnf.System) *Pool {
-	return &Pool{sys: sys, base: base.Clone()}
-}
-
-// Get returns a solver for exclusive use by the calling goroutine,
-// re-synced against the shared system.  Return it with Put.
-func (p *Pool) Get() *Solver {
-	p.mu.Lock()
-	var s *Solver
-	if n := len(p.free); n > 0 {
-		s = p.free[n-1]
-		p.free = p.free[:n-1]
-	} else {
-		s = p.base.Clone()
-		p.all = append(p.all, s)
-	}
-	p.mu.Unlock()
-	s.Sync(p.sys)
-	return s
-}
-
-// Put returns a solver obtained from Get for reuse.
-func (p *Pool) Put(s *Solver) {
-	p.mu.Lock()
-	p.free = append(p.free, s)
-	p.mu.Unlock()
-}
-
-// Broadcast installs a clause on the base and every solver the pool has
-// handed out, so clones stay consistent across phases without being
-// re-cloned.  All solvers must be idle (returned with Put): Broadcast is
-// a barrier-time operation, not a concurrent one.
-func (p *Pool) Broadcast(c tnf.Clause) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.free) != len(p.all) {
-		panic("icp: Pool.Broadcast with solvers still checked out")
-	}
-	p.base.AddClause(c)
-	for _, s := range p.all {
-		s.AddClause(c)
-	}
-}
-
-// Size reports how many solvers the pool has materialized (for tests).
-func (p *Pool) Size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.all)
 }

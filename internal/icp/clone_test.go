@@ -1,8 +1,6 @@
 package icp
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"icpic3/internal/expr"
@@ -91,8 +89,9 @@ func TestCloneIsolation(t *testing.T) {
 // pile of root-satisfied retire-style clauses, the kind IC3 queries
 // leave behind).  The clone owns copies of the clause slice and watch
 // lists, so deletions and watch rebuilds in the original must not
-// change a single answer on the snapshot — this is what lets icp.Pool
-// shards keep serving queries while the main solver reduces.
+// change a single answer on the snapshot — this is what lets the IC3
+// parallel-pushing shards keep serving queries while the main solver
+// reduces.
 func TestCloneSurvivesReduceDB(t *testing.T) {
 	sys := tnf.NewSystem()
 	for _, n := range []string{"x", "y"} {
@@ -224,66 +223,6 @@ func TestCloneWithRetention(t *testing.T) {
 			t.Errorf("assumptions %v: original %v, clone %v, want %v",
 				q.as, rs.Status, rc.Status, q.want)
 		}
-	}
-}
-
-func TestPoolConcurrentSolves(t *testing.T) {
-	s, sys := cloneFixture(t)
-	pool := PoolOf(s, sys)
-	x, _ := sys.Lookup("x")
-
-	const workers = 8
-	const rounds = 16
-	var wg sync.WaitGroup
-	errc := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				sol := pool.Get()
-				r := sol.Solve([]tnf.Lit{tnf.MkGe(x, 3)})
-				if r.Status != StatusUnsat {
-					errc <- fmt.Errorf("worker %d round %d: status %v", w, i, r.Status)
-				}
-				r = sol.Solve(nil)
-				if r.Status != StatusSat {
-					errc <- fmt.Errorf("worker %d round %d: sat status %v", w, i, r.Status)
-				}
-				pool.Put(sol)
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
-	}
-	if pool.Size() > workers {
-		t.Errorf("pool materialized %d solvers for %d workers", pool.Size(), workers)
-	}
-}
-
-func TestPoolBroadcast(t *testing.T) {
-	s, sys := cloneFixture(t)
-	pool := PoolOf(s, sys)
-	x, _ := sys.Lookup("x")
-
-	a, b := pool.Get(), pool.Get()
-	pool.Put(a)
-	pool.Put(b)
-	pool.Broadcast(tnf.Clause{tnf.MkGe(x, 100)}) // unsatisfiable pin
-
-	for i := 0; i < 3; i++ { // reused clones and a fresh one
-		sol := pool.Get()
-		if r := sol.Solve(nil); r.Status != StatusUnsat {
-			t.Fatalf("solver %d after broadcast = %v", i, r.Status)
-		}
-		defer pool.Put(sol)
-	}
-	// the source solver is unaffected (PoolOf snapshots)
-	if r := s.Solve(nil); r.Status != StatusSat {
-		t.Fatalf("source solver = %v", r.Status)
 	}
 }
 

@@ -1,4 +1,4 @@
-package portfolio
+package runner
 
 import (
 	"strings"
@@ -26,7 +26,7 @@ init x >= 0 and x <= 6
 trans x' = x / 2
 prop x <= 8
 `)
-	res := Check(sys, Options{Budget: engine.Budget{Timeout: 30 * time.Second}})
+	res := Check(sys, Spec{Engine: "portfolio", Budget: engine.Budget{Timeout: 30 * time.Second}})
 	if res.Verdict != engine.Safe {
 		t.Fatalf("verdict = %v (%s)", res.Verdict, res.Note)
 	}
@@ -43,7 +43,7 @@ init x <= 0
 trans x' = x + 1
 prop x <= 5
 `)
-	res := Check(sys, Options{Budget: engine.Budget{Timeout: 30 * time.Second}})
+	res := Check(sys, Spec{Engine: "portfolio", Budget: engine.Budget{Timeout: 30 * time.Second}})
 	if res.Verdict != engine.Unsafe {
 		t.Fatalf("verdict = %v (%s)", res.Verdict, res.Note)
 	}
@@ -63,7 +63,7 @@ init x >= 0 and x <= 1 and y = 0
 trans x' = x + y and y' = y
 prop x <= 5
 `)
-	res := Check(sys, Options{Budget: engine.Budget{Timeout: 30 * time.Second}})
+	res := Check(sys, Spec{Engine: "portfolio", Budget: engine.Budget{Timeout: 30 * time.Second}})
 	if res.Verdict != engine.Safe {
 		t.Fatalf("verdict = %v (%s)", res.Verdict, res.Note)
 	}
@@ -82,7 +82,7 @@ init x >= 0 and x <= 1 and y >= 0 and y <= 1
 trans x' = x + y * y / 1000 and y' = y + x * x / 1000
 prop x + y <= 999999
 `)
-	res := Check(sys, Options{Budget: engine.Budget{Timeout: 300 * time.Millisecond}})
+	res := Check(sys, Spec{Engine: "portfolio", Budget: engine.Budget{Timeout: 300 * time.Millisecond}})
 	if res.Verdict != engine.Unknown {
 		t.Fatalf("verdict = %v", res.Verdict)
 	}
@@ -94,7 +94,7 @@ prop x + y <= 999999
 func TestPortfolioInvalidSystem(t *testing.T) {
 	sys := ts.New("broken")
 	sys.AddReal("x", 0, 1)
-	res := Check(sys, Options{})
+	res := Check(sys, Spec{Engine: "portfolio"})
 	if res.Verdict != engine.Unknown || res.Note == "" {
 		t.Fatalf("res = %+v", res)
 	}

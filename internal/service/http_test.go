@@ -184,6 +184,39 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPGeneralizeSpellings runs the generalize field through the one
+// parser icpverify's -gen also uses: every spelling is accepted, the
+// widen alias and the default share core+widen's cache key, and an
+// unknown mode is a 400.
+func TestHTTPGeneralizeSpellings(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 1})
+	keys := map[string]string{}
+	for _, gen := range []string{"", "none", "core", "core+widen", "widen"} {
+		resp, body := postJSON(t, srv.URL+"/v1/jobs", map[string]interface{}{
+			"model": safeModel, "engine": "ic3", "generalize": gen,
+			"timeout_ms": 30000, "wait_ms": 30000,
+		})
+		var st Status
+		json.Unmarshal(body, &st)
+		if resp.StatusCode != http.StatusOK || st.Verdict != "safe" {
+			t.Fatalf("generalize %q: status %d, body %s", gen, resp.StatusCode, body)
+		}
+		keys[gen] = st.Key
+	}
+	if keys[""] != keys["core+widen"] || keys["widen"] != keys["core+widen"] {
+		t.Errorf("default/alias keys differ from core+widen: %v", keys)
+	}
+	if keys["none"] == keys["core"] || keys["core"] == keys["core+widen"] {
+		t.Errorf("distinct modes share a key: %v", keys)
+	}
+	resp, body := postJSON(t, srv.URL+"/v1/jobs", map[string]interface{}{
+		"model": safeModel, "engine": "ic3", "generalize": "core+shrink",
+	})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "generalization mode") {
+		t.Errorf("unknown mode: status %d, body %s", resp.StatusCode, body)
+	}
+}
+
 // TestHTTPOverloadMaps429 covers the HTTP mapping of a full queue: 429
 // Too Many Requests with Retry-After: 1 and the ErrBusy message.
 func TestHTTPOverloadMaps429(t *testing.T) {

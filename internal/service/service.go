@@ -1,8 +1,8 @@
 // Package service is the long-running verification service behind the
-// icpserve binary.  It wraps the batch engines (ic3icp, bmc, kind,
-// portfolio) in a job queue with a fixed worker pool, a fill-once LRU
-// result cache keyed by the canonical hash of (normalized system,
-// engine, options), cooperative cancellation threaded through
+// icpserve binary.  It wraps the engine table of internal/runner (ic3,
+// bmc, kind, portfolio) in a job queue with a fixed worker pool, a
+// fill-once LRU result cache keyed by the canonical hash of (normalized
+// system, engine, options), cooperative cancellation threaded through
 // engine.Budget, and a metrics layer.
 //
 // Lifecycle of a submission:
@@ -25,13 +25,9 @@ import (
 	"sync"
 	"time"
 
-	"icpic3/internal/bmc"
 	"icpic3/internal/engine"
-	"icpic3/internal/ic3icp"
-	"icpic3/internal/icp"
-	"icpic3/internal/kind"
-	"icpic3/internal/portfolio"
 	"icpic3/internal/reuse"
+	"icpic3/internal/runner"
 	"icpic3/internal/ts"
 )
 
@@ -138,7 +134,8 @@ func (c Config) withDefaults() Config {
 type Request struct {
 	// Source is the model text in the internal/ts format.
 	Source string `json:"model"`
-	// Engine selects the engine: ic3 | bmc | kind | portfolio ("" = portfolio).
+	// Engine selects a row of the runner engine table by flag name or
+	// report label: ic3 | bmc | kind | portfolio ("" = portfolio).
 	Engine string `json:"engine"`
 	// Timeout is the per-job budget, clamped to Config.MaxTimeout
 	// (0 = Config.DefaultTimeout).
@@ -149,8 +146,8 @@ type Request struct {
 	MaxDepth int `json:"max_depth,omitempty"`
 	// MaxK bounds k-induction depth (0 = 24).
 	MaxK int `json:"max_k,omitempty"`
-	// Generalize is the IC3 generalization mode: none | core | core+widen
-	// ("" = core+widen).
+	// Generalize is the IC3 generalization mode: none | core | core+widen,
+	// or the alias widen ("" = core+widen; see runner.ParseGen).
 	Generalize string `json:"generalize,omitempty"`
 	// QueryWorkers is the goroutine count for IC3's parallel clause
 	// pushing within this job (0 = 1, i.e. sequential; clamped to 64).
@@ -161,20 +158,19 @@ type Request struct {
 // normalize applies the request defaults so that equivalent requests
 // produce identical cache keys, and validates the enumerations.
 func (r Request) normalize(cfg Config) (Request, error) {
-	switch r.Engine {
-	case "":
+	if r.Engine == "" {
 		r.Engine = "portfolio"
-	case "ic3", "bmc", "kind", "portfolio":
-	default:
-		return r, fmt.Errorf("unknown engine %q (want ic3 | bmc | kind | portfolio)", r.Engine)
 	}
-	switch r.Generalize {
-	case "":
-		r.Generalize = "core+widen"
-	case "none", "core", "core+widen":
-	default:
-		return r, fmt.Errorf("unknown generalization mode %q (want none | core | core+widen)", r.Generalize)
+	e, err := runner.Lookup(r.Engine)
+	if err != nil {
+		return r, err
 	}
+	r.Engine = e.Name
+	gen, err := runner.ParseGen(r.Generalize)
+	if err != nil {
+		return r, err
+	}
+	r.Generalize = gen.String()
 	if r.Eps <= 0 {
 		r.Eps = 1e-5
 	}
@@ -746,45 +742,4 @@ func (s *Service) statusLocked(jb *job) Status {
 		st.RuntimeMS = st.Runtime.Milliseconds()
 	}
 	return st
-}
-
-// runEngine dispatches a normalized request to the chosen engine; prog
-// (may be nil) receives the engine's progress heartbeat for the
-// watchdog; hints (zero = cold) carry prior-certificate seeds.
-func runEngine(sys *ts.System, req Request, budget engine.Budget, prog *engine.Progress, hints seedHints) engine.Result {
-	solver := icp.Options{Eps: req.Eps}
-	gen, genSet := genMode(req.Generalize)
-	switch req.Engine {
-	case "ic3":
-		return ic3icp.Check(sys, ic3icp.Options{
-			Solver: solver, Generalize: gen, GeneralizeSet: genSet,
-			Workers: req.QueryWorkers, SeedClauses: hints.invariant,
-			Budget: budget, Progress: prog,
-		})
-	case "bmc":
-		return bmc.Check(sys, bmc.Options{MaxDepth: req.MaxDepth, Solver: solver, Budget: budget, Progress: prog})
-	case "kind":
-		return kind.Check(sys, kind.Options{MaxK: req.MaxK, Solver: solver, SeedK: hints.k, Budget: budget, Progress: prog})
-	default: // portfolio
-		return portfolio.Check(sys, portfolio.Options{
-			IC3: ic3icp.Options{
-				Solver: solver, Generalize: gen, GeneralizeSet: genSet,
-				Workers: req.QueryWorkers, SeedClauses: hints.invariant,
-			},
-			BMC:        bmc.Options{MaxDepth: req.MaxDepth, Solver: solver},
-			KInduction: kind.Options{MaxK: req.MaxK, Solver: solver, SeedK: hints.k},
-			Budget:     budget,
-			Progress:   prog,
-		})
-	}
-}
-
-func genMode(s string) (ic3icp.GenMode, bool) {
-	switch s {
-	case "none":
-		return ic3icp.GenNone, true
-	case "core":
-		return ic3icp.GenCore, true
-	}
-	return ic3icp.GenCoreWiden, true
 }

@@ -7,6 +7,7 @@ import (
 
 	"icpic3/internal/certify"
 	"icpic3/internal/engine"
+	"icpic3/internal/runner"
 )
 
 // supervision is the per-job outcome record of runSupervised.
@@ -86,7 +87,6 @@ func (s *Service) runSupervised(jb *job) (engine.Result, supervision) {
 // stalled attempt comes back as Unknown with Stats["stalled"] = 1.
 func (s *Service) runAttempt(jb *job, engineName string, hints seedHints) engine.Result {
 	req := jb.req
-	req.Engine = engineName
 	prog := &engine.Progress{}
 
 	// The watchdog owns the stalled channel: closing it expires the
@@ -147,7 +147,12 @@ func (s *Service) runAttempt(jb *job, engineName string, hints seedHints) engine
 	budget := engine.Budget{Timeout: timeout}.WithDone(abort).Start()
 	res := engine.Guard(jb.id, s.cfg.Logf, func() engine.Result {
 		engine.FireFault(jb.sys.Name, budget)
-		return runEngine(jb.sys, req, budget, prog, hints)
+		return runner.Check(jb.sys, runner.Spec{
+			Engine: engineName, Eps: req.Eps, MaxDepth: req.MaxDepth, MaxK: req.MaxK,
+			Generalize: req.Generalize, Workers: req.QueryWorkers,
+			Budget: budget, Progress: prog,
+			SeedClauses: hints.invariant, SeedK: hints.k,
+		})
 	})
 	close(watchStop)
 	<-watchDone
@@ -199,35 +204,23 @@ func (s *Service) watchProgress(prog *engine.Progress, cancel, stop <-chan struc
 	}
 }
 
-// certifyResult independently re-checks a decisive result, demoting it
-// to Unknown on failure.  Returns whether the check passed.  The check
-// itself runs under Guard with its own budget, so a buggy or slow
-// checker degrades to "uncertified" rather than wedging the worker.
+// certifyResult independently re-checks a decisive result through
+// runner.Certify, demoting it to Unknown on failure, and records the
+// outcome.  Returns whether the check passed.  The check has its own
+// budget, so a slow checker degrades to "uncertified" rather than
+// wedging the worker.
 func (s *Service) certifyResult(jb *job, res *engine.Result) bool {
-	engine.CorruptResult(jb.sys.Name, res) // test fault injection point
-
-	certBudget := engine.Budget{Timeout: jb.req.Timeout}.WithDone(jb.cancel)
-	var cerr error
-	gres := engine.Guard(jb.id+" certify", s.cfg.Logf, func() engine.Result {
-		cerr = certify.Check(jb.sys, *res, certify.Options{Eps: jb.req.Eps, Budget: certBudget})
-		return engine.Result{}
-	})
-	if engine.Panicked(gres) {
-		cerr = fmt.Errorf("certifier %s", gres.Note)
-	}
-	if cerr == nil {
+	verdict := res.Verdict
+	err := runner.Certify(jb.sys, res, certify.Options{
+		Eps:    jb.req.Eps,
+		Budget: engine.Budget{Timeout: jb.req.Timeout}.WithDone(jb.cancel),
+	}, s.cfg.Logf)
+	if err == nil {
 		s.metrics.incCertified()
 		return true
 	}
 	s.metrics.incCertFailed()
-	s.logf("job %s: CERTIFICATION FAILED, demoting %s to unknown: %v", jb.id, res.Verdict, cerr)
-	*res = engine.Result{
-		Verdict: engine.Unknown,
-		Depth:   res.Depth,
-		Runtime: res.Runtime,
-		Stats:   res.Stats,
-		Note:    fmt.Sprintf("CERTIFICATION FAILED: %s verdict withdrawn: %v", res.Verdict, cerr),
-	}
+	s.logf("job %s: CERTIFICATION FAILED, demoting %s to unknown: %v", jb.id, verdict, err)
 	return false
 }
 

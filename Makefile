@@ -37,19 +37,21 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
 
 # Fast perf/soundness smoke for CI: single-iteration benchmarks of the
-# hot paths (solver, watched propagation and its guard-skip path, the
-# sin contractor, the model parser), the reduceDB invariance legs
+# hot paths (solver, watched propagation and its guard-skip path, idle
+# and productive revise, the sin contractor, the model parser), the
+# reduceDB invariance legs
 # (verdicts must match with clause deletion off vs forced aggressive —
 # see reduce_test.go and trigger_test.go), and the query-count gate: the
 # committed snapshots pin the triggered-pushing work profile, so
 # benchdiff fails if solver queries regress more than 10% against the
-# post-trigger snapshot or any verdict changes.  The last two pairs are
-# the trig-contractor and guarded-watch changes against their parents,
-# each measured the same day on the same host: the search is
-# bit-identical, so queries move only where an instance hits its budget.
+# post-trigger snapshot or any verdict changes.  The last three pairs
+# are the trig-contractor, guarded-watch and lazy-revise changes against
+# their parents, each measured the same day on the same host: the search
+# is bit-identical, so queries move only where an instance hits its
+# budget.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SolverICP' -benchtime=1x -benchmem .
-	$(GO) test -run '^$$' -bench 'PropagateWatched|PropagateGuardSkip' -benchtime=1x -benchmem ./internal/icp/
+	$(GO) test -run '^$$' -bench 'PropagateWatched|PropagateGuardSkip|Revise' -benchtime=1x -benchmem ./internal/icp/
 	$(GO) test -run '^$$' -bench 'InvSin' -benchtime=1x -benchmem ./internal/interval/
 	$(GO) test -run '^$$' -bench 'Parse' -benchtime=1x -benchmem ./internal/ts/
 	$(GO) test -run '^$$' -bench 'PropQuery' -benchtime=1x -benchmem ./internal/ic3icp/
@@ -58,6 +60,7 @@ bench-smoke:
 	$(GO) run ./cmd/benchdiff BENCH_2026-08-08-triggered.json BENCH_2026-08-08-retained.json
 	$(GO) run ./cmd/benchdiff BENCH_2026-10-16.json BENCH_2026-10-16-trig.json
 	$(GO) run ./cmd/benchdiff BENCH_2026-10-17.json BENCH_2026-10-17-guard.json
+	$(GO) run ./cmd/benchdiff BENCH_2026-10-17-prerevise.json BENCH_2026-10-17-revise.json
 
 # The repository benchmark (bench/, see BENCHMARK.json) is a module of
 # its own, so `go test ./...` at the root skips it.  -short runs the smoke

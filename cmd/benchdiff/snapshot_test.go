@@ -20,6 +20,7 @@ var committedPairs = [][2]string{
 	{"BENCH_2026-08-08-triggered.json", "BENCH_2026-08-08-retained.json"},
 	{"BENCH_2026-10-16.json", "BENCH_2026-10-16-trig.json"},
 	{"BENCH_2026-10-17.json", "BENCH_2026-10-17-guard.json"},
+	{"BENCH_2026-10-17-prerevise.json", "BENCH_2026-10-17-revise.json"},
 }
 
 // rawEngines is a snapshot's per-engine objects as plain JSON keys.

@@ -28,6 +28,7 @@ var Counters = [...]Counter{
 	{"consecCacheMisses", "consecution queries that went to a solver", 0},
 	{"tnfOpsPruned", "TNF ops removed by compile-time simplification", 0},
 	{"watchVisits", "watch-list entries inspected during propagation", 0},
+	{"revisions", "HC4-revise calls on constraints taken off the contraction queue", 0},
 }
 
 // Counts holds one value per row of Counters; its length follows the table.

@@ -329,11 +329,19 @@ func Check(sys *ts.System, opts Options) engine.Result {
 
 // CheckFull is Check returning IC3-specific detail.
 func CheckFull(sys *ts.System, opts Options) (engine.Result, *Info) {
+	res, info, _ := checkFull(sys, opts)
+	return res, info
+}
+
+// checkFull is CheckFull also returning the finished checker (nil if the
+// system did not validate), whose statsBase holds the run's solver
+// totals.
+func checkFull(sys *ts.System, opts Options) (engine.Result, *Info, *checker) {
 	opts = opts.withDefaults()
 	budget := opts.Budget.Start()
 	info := &Info{}
 	if err := sys.Validate(); err != nil {
-		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}, info
+		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}, info, nil
 	}
 	userStop := opts.Solver.Stop
 	opts.Solver.Stop = func() bool {
@@ -348,7 +356,7 @@ func CheckFull(sys *ts.System, opts Options) (engine.Result, *Info) {
 		ch.stats[c.Key] = 0
 	}
 	if err := ch.build(); err != nil {
-		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}, info
+		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}, info, ch
 	}
 	res := ch.run(info)
 	res.Runtime = budget.Elapsed()
@@ -356,18 +364,19 @@ func CheckFull(sys *ts.System, opts Options) (engine.Result, *Info) {
 	// (statsBase carries what earlier solver rebuilds absorbed)
 	ch.absorbMainStats()
 	for _, ps := range ch.pushSolvers {
-		ch.absorbRetentionStats(&ps.Stats)
+		ch.absorbSolverStats(&ps.Stats)
 	}
 	ch.stats["watchVisits"] = ch.statsBase.WatchVisits
 	ch.stats["clausesDeleted"] = ch.statsBase.ClausesDeleted
 	ch.stats["litsMinimized"] = ch.statsBase.LitsMinimized
 	ch.stats["prefixKeptLevels"] = ch.statsBase.PrefixKeptLevels
 	ch.stats["trailEventsSaved"] = ch.statsBase.TrailEventsSaved
+	ch.stats["revisions"] = ch.statsBase.Revisions
 	res.Stats = ch.stats
 	if res.Verdict == engine.Safe {
 		res.Certificate = CertificateOf(info.Invariant)
 	}
-	return res, info
+	return res, info, ch
 }
 
 // CertificateOf packages an invariant clause set as an engine-neutral

@@ -129,18 +129,28 @@ func (ch *checker) absorbMainStats() {
 	ch.statsBase.LitsMinimized += st.LitsMinimized
 	ch.statsBase.SubsumedFrameClauses += st.SubsumedFrameClauses
 	st.WatchVisits, st.ClausesDeleted, st.LitsMinimized, st.SubsumedFrameClauses = 0, 0, 0, 0
-	ch.absorbRetentionStats(st)
+	ch.absorbSolverStats(st)
 }
 
-// absorbRetentionStats folds one solver's trail-retention counters into
-// the run-level base.  Unlike the main-only counters above, these are
-// also collected from the shard consecution solvers (at their rebuild
-// points and once at end of run): the shards answer most consecution
-// queries, so main-only numbers would wildly under-report retention.
-func (ch *checker) absorbRetentionStats(st *icp.Stats) {
-	ch.statsBase.PrefixKeptLevels += st.PrefixKeptLevels
-	ch.statsBase.TrailEventsSaved += st.TrailEventsSaved
-	st.PrefixKeptLevels, st.TrailEventsSaved = 0, 0
+// absorbSolverStats folds one solver's trail-retention and search
+// counters into the run-level base.  Unlike the main-only counters
+// above, these are also collected from the shard consecution solvers (at
+// their rebuild points and once at end of run): the shards answer most
+// consecution queries, so main-only numbers would wildly under-report
+// retention and contraction work.  Of the search counters only
+// Revisions is reported; the rest fingerprint the search for the
+// work-profile golden test.
+func (ch *checker) absorbSolverStats(st *icp.Stats) {
+	b := &ch.statsBase
+	b.PrefixKeptLevels += st.PrefixKeptLevels
+	b.TrailEventsSaved += st.TrailEventsSaved
+	b.Revisions += st.Revisions
+	b.Propagations += st.Propagations
+	b.Contractions += st.Contractions
+	b.Conflicts += st.Conflicts
+	b.Decisions += st.Decisions
+	st.PrefixKeptLevels, st.TrailEventsSaved, st.Revisions = 0, 0, 0
+	st.Propagations, st.Contractions, st.Conflicts, st.Decisions = 0, 0, 0, 0
 }
 
 // ensurePushSolvers builds the persistent consecution shards on first
@@ -157,7 +167,7 @@ func (ch *checker) ensurePushSolvers() {
 		if ch.pushSolvers[s] == nil {
 			ch.buildPushSolver(s)
 		} else if ch.pushRetired[s] >= pushRebuildSlack {
-			ch.absorbRetentionStats(&ch.pushSolvers[s].Stats)
+			ch.absorbSolverStats(&ch.pushSolvers[s].Stats)
 			ch.buildPushSolver(s)
 			ch.stats["solverRebuilds"]++
 		}

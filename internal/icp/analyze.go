@@ -1,6 +1,8 @@
 package icp
 
 import (
+	"slices"
+
 	"icpic3/internal/tnf"
 )
 
@@ -19,13 +21,7 @@ import (
 // per-conflict map: bumping seenEpoch invalidates every stale stamp at
 // once, so analysis allocates only when the trail outgrows the buffers.
 func (s *Solver) analyze(cf *conflict, clevel int32) (tnf.Clause, tnf.Lit, int32, int32, bool) {
-	if n := len(s.trail); len(s.seenStamp) < n {
-		grow := n - len(s.seenStamp)
-		s.seenStamp = append(s.seenStamp, make([]int64, grow)...)
-		s.redStamp = append(s.redStamp, make([]int64, grow)...)
-		s.redVal = append(s.redVal, make([]bool, grow)...)
-	}
-	s.seenEpoch++
+	s.newMarkEpoch()
 	counter := 0
 	lower := s.lowerBuf[:0]
 
@@ -212,29 +208,40 @@ func (s *Solver) litRedundant(a int32, depth int) bool {
 	return true
 }
 
+// newMarkEpoch sizes the epoch-stamped mark arrays to the trail and
+// starts a fresh epoch, invalidating every earlier mark at once.
+func (s *Solver) newMarkEpoch() {
+	if n := len(s.trail); len(s.seenStamp) < n {
+		grow := n - len(s.seenStamp)
+		s.seenStamp = append(s.seenStamp, make([]int64, grow)...)
+		s.redStamp = append(s.redStamp, make([]int64, grow)...)
+		s.redVal = append(s.redVal, make([]bool, grow)...)
+	}
+	s.seenEpoch++
+}
+
 // finalCore computes a subset of the current assumptions sufficient for
 // the conflict, by tracing antecedents back to assumption decisions.
+// Visited events are marked with the analyze epoch stamps and the
+// work stack is reused, so the trace allocates only the core itself.
 func (s *Solver) finalCore(ante []int32) []tnf.Lit {
-	seen := make(map[int32]bool)
-	stack := append([]int32{}, ante...)
-	coreSet := make(map[tnf.Lit]bool)
+	s.newMarkEpoch()
+	stack := append(s.coreStack[:0], ante...)
 	var core []tnf.Lit
 	for len(stack) > 0 {
 		a := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if a < 0 || seen[a] {
+		if a < 0 || s.seenStamp[a] == s.seenEpoch {
 			continue
 		}
-		seen[a] = true
+		s.seenStamp[a] = s.seenEpoch
 		e := &s.trail[a]
 		if e.level == 0 {
 			continue // formula-implied
 		}
 		if e.kind == reasonDecision {
 			if int(e.level) >= 1 && int(e.level) <= s.nAssump {
-				l := s.assumptions[e.level-1]
-				if !coreSet[l] {
-					coreSet[l] = true
+				if l := s.assumptions[e.level-1]; !slices.Contains(core, l) {
 					core = append(core, l)
 				}
 			}
@@ -242,5 +249,6 @@ func (s *Solver) finalCore(ante []int32) []tnf.Lit {
 		}
 		stack = append(stack, e.ante...)
 	}
+	s.coreStack = stack
 	return core
 }

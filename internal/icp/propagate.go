@@ -287,71 +287,62 @@ func (s *Solver) dom(v tnf.VarID) interval.Interval {
 
 // revise runs HC4-revise on constraint ci: forward evaluation onto Z and
 // backward projections onto the arguments, applying any tightenings.
+//
+// Only about half of all calls move a bound, so the antecedent snapshot
+// every recorded event and conflict of the call cites (the latest events
+// of the involved variables) is built lazily, right before the first
+// setBound or conflict that can use it (anteSnap).  It is still the
+// state at entry: only those setBound calls record events, so none
+// precedes the build.
 func (s *Solver) revise(ci int32) *conflict {
+	s.Stats.Revisions++
 	c := s.cons[ci]
-	// snapshot antecedents: latest events of all involved variables.
-	// The buffer is solver-owned scratch — setBound copies it when an
-	// event is actually recorded — so the frequent no-progress revise
-	// calls allocate nothing.
-	var vbuf [3]tnf.VarID
-	vars := append(vbuf[:0], c.Z, c.X)
-	switch c.Op {
-	case tnf.ConAdd, tnf.ConMul, tnf.ConMin, tnf.ConMax:
-		vars = append(vars, c.Y)
-	}
-	ante := s.anteScratch[:0]
-	for _, v := range vars {
-		if e := s.lastLoEv[v]; e >= 0 {
-			ante = append(ante, e)
-		}
-		if e := s.lastHiEv[v]; e >= 0 {
-			ante = append(ante, e)
-		}
-	}
-	s.anteScratch = ante
-
-	z, x := s.dom(c.Z), s.dom(c.X)
-	var y interval.Interval
-	binary := false
-	switch c.Op {
-	case tnf.ConAdd, tnf.ConMul, tnf.ConMin, tnf.ConMax:
-		y = s.dom(c.Y)
-		binary = true
-	}
+	a := anteSnap{vars: [3]tnf.VarID{c.Z, c.X, c.Y}, n: 2}
 
 	// Linear operations propagate endpoint openness exactly (see
 	// openbounds.go); everything else uses closed outward-rounded interval
 	// arithmetic, which is sound but strictness-lossy.
 	switch c.Op {
 	case tnf.ConAdd: // z = x + y
+		a.n = 3
 		zl, zh := s.loEpt(int32(c.Z)), s.hiEpt(int32(c.Z))
 		xl, xh := s.loEpt(int32(c.X)), s.hiEpt(int32(c.X))
 		yl, yh := s.loEpt(int32(c.Y)), s.hiEpt(int32(c.Y))
-		if cf := s.applyContractionE(c.Z, sumLo(xl, yl), sumHi(xh, yh), ci, ante); cf != nil {
+		if cf := s.applyContractionE(c.Z, sumLo(xl, yl), sumHi(xh, yh), ci, &a); cf != nil {
 			return cf
 		}
-		if cf := s.applyContractionE(c.X, subLo(zl, yh), subHi(zh, yl), ci, ante); cf != nil {
+		if cf := s.applyContractionE(c.X, subLo(zl, yh), subHi(zh, yl), ci, &a); cf != nil {
 			return cf
 		}
-		return s.applyContractionE(c.Y, subLo(zl, xh), subHi(zh, xl), ci, ante)
+		return s.applyContractionE(c.Y, subLo(zl, xh), subHi(zh, xl), ci, &a)
 	case tnf.ConNeg: // z = -x
 		zl, zh := s.loEpt(int32(c.Z)), s.hiEpt(int32(c.Z))
 		xl, xh := s.loEpt(int32(c.X)), s.hiEpt(int32(c.X))
-		if cf := s.applyContractionE(c.Z, negOf(xh), negOf(xl), ci, ante); cf != nil {
+		if cf := s.applyContractionE(c.Z, negOf(xh), negOf(xl), ci, &a); cf != nil {
 			return cf
 		}
-		return s.applyContractionE(c.X, negOf(zh), negOf(zl), ci, ante)
+		return s.applyContractionE(c.X, negOf(zh), negOf(zl), ci, &a)
 	case tnf.ConMul: // z = x * y (forward openness; backward closed)
+		a.n = 3
+		z, x, y := s.dom(c.Z), s.dom(c.X), s.dom(c.Y)
 		xl, xh := s.loEpt(int32(c.X)), s.hiEpt(int32(c.X))
 		yl, yh := s.loEpt(int32(c.Y)), s.hiEpt(int32(c.Y))
 		zlo, zhi := mulCorners(xl, xh, yl, yh)
-		if cf := s.applyContractionE(c.Z, zlo, zhi, ci, ante); cf != nil {
+		if cf := s.applyContractionE(c.Z, zlo, zhi, ci, &a); cf != nil {
 			return cf
 		}
-		if cf := s.applyContraction(c.X, interval.InvMulX(z, y), ci, ante); cf != nil {
+		if cf := s.applyContraction(c.X, interval.InvMulX(z, y), ci, &a); cf != nil {
 			return cf
 		}
-		return s.applyContraction(c.Y, interval.InvMulX(z, x), ci, ante)
+		return s.applyContraction(c.Y, interval.InvMulX(z, x), ci, &a)
+	}
+
+	z, x := s.dom(c.Z), s.dom(c.X)
+	var y interval.Interval
+	binary := c.Op == tnf.ConMin || c.Op == tnf.ConMax
+	if binary {
+		a.n = 3
+		y = s.dom(c.Y)
 	}
 
 	var nz, nx, ny interval.Interval
@@ -394,18 +385,48 @@ func (s *Solver) revise(ci int32) *conflict {
 		nx = interval.InvTanh(z)
 	}
 
-	if cf := s.applyContraction(c.Z, nz, ci, ante); cf != nil {
+	if cf := s.applyContraction(c.Z, nz, ci, &a); cf != nil {
 		return cf
 	}
-	if cf := s.applyContraction(c.X, nx, ci, ante); cf != nil {
+	if cf := s.applyContraction(c.X, nx, ci, &a); cf != nil {
 		return cf
 	}
 	if binary {
-		if cf := s.applyContraction(c.Y, ny, ci, ante); cf != nil {
+		if cf := s.applyContraction(c.Y, ny, ci, &a); cf != nil {
 			return cf
 		}
 	}
 	return nil
+}
+
+// anteSnap is revise's antecedent snapshot, built on first need by
+// snapAnte into the solver's anteScratch buffer.  setBound copies the
+// buffer when it records an event, so a call that moves no bound
+// allocates nothing, and one whose pre-checks rule out every move
+// builds nothing.
+type anteSnap struct {
+	vars  [3]tnf.VarID // Z, X, Y of the constraint
+	n     int8         // how many of vars the operator involves
+	built bool
+}
+
+// snapAnte fills s.anteScratch with the latest lo/hi events of a's
+// variables, once per revise call.
+func (s *Solver) snapAnte(a *anteSnap) {
+	if a.built {
+		return
+	}
+	a.built = true
+	ante := s.anteScratch[:0]
+	for _, v := range a.vars[:a.n] {
+		if e := s.lastLoEv[v]; e >= 0 {
+			ante = append(ante, e)
+		}
+		if e := s.lastHiEv[v]; e >= 0 {
+			ante = append(ante, e)
+		}
+	}
+	s.anteScratch = ante
 }
 
 // invMinMax projects z = min(x,y) (isMin) or z = max(x,y) onto x and y.
@@ -438,19 +459,29 @@ func posInf() float64 { return math.Inf(1) }
 func negInf() float64 { return math.Inf(-1) }
 
 // applyContractionE applies endpoint tightenings carrying openness flags.
-func (s *Solver) applyContractionE(v tnf.VarID, lo, hi ept, ci int32, ante []int32) *conflict {
-	cur := s.dom(v)
-	if interval.New(lo.v, hi.v).IsEmpty() && !(math.IsNaN(lo.v) || math.IsNaN(hi.v)) {
+func (s *Solver) applyContractionE(v tnf.VarID, lo, hi ept, ci int32, a *anteSnap) *conflict {
+	if lo.v > hi.v {
 		// the projection itself is empty: conflict regardless of progress
-		return s.scratchConflict(ante)
+		s.snapAnte(a)
+		return s.scratchConflict(s.anteScratch)
 	}
-	threshold := s.contractionThreshold(cur)
-	if cf, applied := s.setBound(v, sideLo, lo.v, lo.open, threshold, reasonConstraint, -1, ci, ante); cf != nil {
+	// Neither endpoint tightens: both setBound calls below would be
+	// no-ops.  The test is setBound's own progress test on the raw value,
+	// so integer variables skip it — their rounding can move a bound the
+	// raw value does not reach (a non-integral declared domain).
+	if !s.vars[v].Integer &&
+		!(lo.v > s.lo[v] || (lo.v == s.lo[v] && lo.open && !s.loOpen[v])) &&
+		!(hi.v < s.hi[v] || (hi.v == s.hi[v] && hi.open && !s.hiOpen[v])) {
+		return nil
+	}
+	s.snapAnte(a)
+	threshold := s.contractionThreshold(s.dom(v))
+	if cf, applied := s.setBound(v, sideLo, lo.v, lo.open, threshold, reasonConstraint, -1, ci, s.anteScratch); cf != nil {
 		return cf
 	} else if applied {
 		s.Stats.Contractions++
 	}
-	if cf, applied := s.setBound(v, sideHi, hi.v, hi.open, threshold, reasonConstraint, -1, ci, ante); cf != nil {
+	if cf, applied := s.setBound(v, sideHi, hi.v, hi.open, threshold, reasonConstraint, -1, ci, s.anteScratch); cf != nil {
 		return cf
 	} else if applied {
 		s.Stats.Contractions++
@@ -460,23 +491,29 @@ func (s *Solver) applyContractionE(v tnf.VarID, lo, hi ept, ci int32, ante []int
 
 // applyContraction intersects v's domain with nd and applies the resulting
 // bound tightenings with constraint ci as the reason.
-func (s *Solver) applyContraction(v tnf.VarID, nd interval.Interval, ci int32, ante []int32) *conflict {
+func (s *Solver) applyContraction(v tnf.VarID, nd interval.Interval, ci int32, a *anteSnap) *conflict {
 	cur := s.dom(v)
 	nd = cur.Intersect(nd)
 	if nd.IsEmpty() {
 		// empty intersection: conflict regardless of progress thresholds
-		return s.scratchConflict(ante)
+		s.snapAnte(a)
+		return s.scratchConflict(s.anteScratch)
 	}
+	raise, lower := nd.Lo > cur.Lo, nd.Hi < cur.Hi
+	if !raise && !lower {
+		return nil
+	}
+	s.snapAnte(a)
 	threshold := s.contractionThreshold(cur)
-	if nd.Lo > cur.Lo {
-		if cf, applied := s.setBound(v, sideLo, nd.Lo, false, threshold, reasonConstraint, -1, ci, ante); cf != nil {
+	if raise {
+		if cf, applied := s.setBound(v, sideLo, nd.Lo, false, threshold, reasonConstraint, -1, ci, s.anteScratch); cf != nil {
 			return cf
 		} else if applied {
 			s.Stats.Contractions++
 		}
 	}
-	if nd.Hi < cur.Hi {
-		if cf, applied := s.setBound(v, sideHi, nd.Hi, false, threshold, reasonConstraint, -1, ci, ante); cf != nil {
+	if lower {
+		if cf, applied := s.setBound(v, sideHi, nd.Hi, false, threshold, reasonConstraint, -1, ci, s.anteScratch); cf != nil {
 			return cf
 		} else if applied {
 			s.Stats.Contractions++

@@ -157,3 +157,66 @@ func TestPropagateWatchedMatchesRescan(t *testing.T) {
 		checkWatchInvariant(t, s)
 	}
 }
+
+// benchRevise times revise on a single-constraint fixture (reviseFixture)
+// in two forms.  idle: the constraint is at its fixpoint, so no bound
+// moves — about half of all revise calls in IC3 runs look like this.
+// productive: every call records events at a fresh level, and the
+// timed loop includes the backtrack that pops them again.
+func benchRevise(b *testing.B, con tnf.Constraint, doms []interval.Interval, decisions ...tnf.Lit) {
+	b.Run("idle", func(b *testing.B) {
+		s := reviseFixture(b, con, doms, decisions...)
+		for i, n := 0, -1; n != len(s.trail); i++ {
+			if i == 100 {
+				b.Fatal("fixture does not reach a revise fixpoint")
+			}
+			n = len(s.trail)
+			if cf := s.revise(0); cf != nil {
+				b.Fatal("unexpected conflict")
+			}
+		}
+		mark := len(s.trail)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if cf := s.revise(0); cf != nil {
+				b.Fatal("unexpected conflict")
+			}
+		}
+		b.StopTimer()
+		if len(s.trail) != mark {
+			b.Fatal("idle revise recorded an event")
+		}
+	})
+	b.Run("productive", func(b *testing.B) {
+		s := reviseFixture(b, con, doms, decisions...)
+		mark := len(s.trail)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.pushLevel()
+			if cf := s.revise(0); cf != nil || len(s.trail) == mark {
+				b.Fatal("productive revise recorded nothing or conflicted")
+			}
+			s.cancelUntil(1)
+		}
+	})
+}
+
+// The fixtures are those of TestReviseAnteIsEntrySnapshot.
+func BenchmarkReviseAdd(b *testing.B) {
+	wide := interval.New(-10, 10)
+	benchRevise(b, tnf.Constraint{Op: tnf.ConAdd, Z: 0, X: 1, Y: 2},
+		[]interval.Interval{wide, wide, wide}, tnf.MkGe(1, 3), tnf.MkGe(2, 4), tnf.MkLe(0, 9))
+}
+
+func BenchmarkReviseMul(b *testing.B) {
+	wide := interval.New(-10, 10)
+	benchRevise(b, tnf.Constraint{Op: tnf.ConMul, Z: 0, X: 1, Y: 2},
+		[]interval.Interval{interval.New(-100, 100), wide, wide}, tnf.MkGe(1, 1), tnf.MkLe(1, 2), tnf.MkGe(2, 2))
+}
+
+func BenchmarkReviseSin(b *testing.B) {
+	benchRevise(b, tnf.Constraint{Op: tnf.ConSin, Z: 0, X: 1},
+		[]interval.Interval{interval.New(-2, 2), interval.New(-10, 10)}, tnf.MkGe(1, 0), tnf.MkLe(1, 1))
+}

@@ -130,7 +130,10 @@ type Stats struct {
 	// including entries whose guard survives the event (one comparison,
 	// no clause load); entries detached from a root-satisfied clause are
 	// no longer inspected and no longer counted.
-	WatchVisits    int64
+	WatchVisits int64
+	// Revisions counts HC4-revise calls, productive or not: one per
+	// constraint taken off the contraction queue.
+	Revisions      int64
 	ClausesDeleted int64 // clauses deleted by reduceDB (learned and root-satisfied)
 	LitsMinimized  int64 // literals dropped by conflict-clause minimization
 	// PrefixKeptLevels counts assumption levels carried over from the
@@ -354,6 +357,7 @@ type Solver struct {
 	redStamp  []int64 // memo for litRedundant, same epoch discipline
 	redVal    []bool  // valid when redStamp matches; true = redundant
 	lowerBuf  []int32 // reusable `lower` slice for analyze
+	coreStack []int32 // reusable work stack for finalCore
 
 	// branchMain/branchAux are the branching candidate lists, split by
 	// tier and kept in ascending var order (ties in the pick loop go to

@@ -9,8 +9,13 @@
 //
 // Work counters are machine-independent, so a gated counter (solver
 // queries) catches algorithmic regressions that wall-clock jitter on a
-// busy CI box would mask.  A counter that is zero in the old snapshot
-// (e.g. one written before the counter existed) is never gated.
+// busy CI box would mask.  When both snapshots carry per-instance
+// records, a gated counter is summed only over the instances with the
+// same verdict in both, and every instance whose verdict differs is
+// printed on its own line (newly decided, newly lost, verdict changed);
+// otherwise the engine totals are gated.  A counter that is zero in the
+// old snapshot (e.g. one written before the counter existed) is never
+// gated.
 //
 // Usage:
 //
@@ -104,6 +109,7 @@ func diffRun(label string, old, new harness.BenchRun, tol float64) (regressed bo
 				regressed = true
 			}
 		}
+		same, perInstance := sameVerdicts(ne.Engine, oe.Instances, ne.Instances)
 		for i, c := range engine.Counters {
 			o, n := oe.Counts[i], ne.Counts[i]
 			if o == 0 && n == 0 {
@@ -114,6 +120,18 @@ func diffRun(label string, old, new harness.BenchRun, tol float64) (regressed bo
 				delta = fmt.Sprintf("%+.1f%%", pct(float64(n), float64(o)))
 			}
 			fmt.Printf("  %-12s %s %d -> %d (%s)\n", ne.Engine, c.Name(), o, n, delta)
+			if c.Gate > 0 && perInstance {
+				// gate over the instances decided alike: an instance one
+				// side newly decides (or loses) near the budget edge
+				// brings its whole query count with it
+				o, n = 0, 0
+				for _, p := range same {
+					o += p[0].Counts[i]
+					n += p[1].Counts[i]
+				}
+				fmt.Printf("  %-12s %s over %d same-verdict instances %d -> %d (%+.1f%%)\n",
+					ne.Engine, c.Name(), len(same), o, n, pct(float64(n), float64(o)))
+			}
 			if c.Gate > 0 && o > 0 && float64(n) > float64(o)*(1+c.Gate) {
 				fmt.Printf("  REGRESSION: %s %s grew more than %.0f%%\n", ne.Engine, c.Name(), c.Gate*100)
 				regressed = true
@@ -121,6 +139,37 @@ func diffRun(label string, old, new harness.BenchRun, tol float64) (regressed bo
 		}
 	}
 	return regressed
+}
+
+// sameVerdicts pairs an engine's instance records by name and returns
+// the pairs whose verdict is the same in both snapshots, printing one
+// line per instance whose verdict differs.  ok is false, and the gates
+// fall back to engine totals, when either snapshot has no per-instance
+// records (one written before they existed).
+func sameVerdicts(eng string, old, cur []harness.BenchInstance) (same [][2]harness.BenchInstance, ok bool) {
+	if len(old) == 0 || len(cur) == 0 {
+		return nil, false
+	}
+	byName := make(map[string]harness.BenchInstance, len(old))
+	for _, r := range old {
+		byName[r.Name] = r
+	}
+	unknown := engine.Unknown.String()
+	for _, r := range cur { // suite order, not map order
+		o, found := byName[r.Name]
+		switch {
+		case !found:
+		case o.Verdict == r.Verdict:
+			same = append(same, [2]harness.BenchInstance{o, r})
+		case o.Verdict == unknown:
+			fmt.Printf("  %-12s newly decided: %s (%s)\n", eng, r.Name, r.Verdict)
+		case r.Verdict == unknown:
+			fmt.Printf("  %-12s newly lost: %s (was %s)\n", eng, r.Name, o.Verdict)
+		default:
+			fmt.Printf("  %-12s verdict changed: %s (%s -> %s)\n", eng, r.Name, o.Verdict, r.Verdict)
+		}
+	}
+	return same, true
 }
 
 // diffScaling tracks worker scaling (speedup_x = baseline wall /

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"io"
+	"os"
+	"strings"
 	"testing"
 
 	"icpic3/internal/engine"
@@ -149,5 +152,76 @@ func TestDiffRunFlagsThroughputDrop(t *testing.T) {
 	cur = run(10, 0, eng("ic3-icp", 5, 0.95, 0))
 	if diffRun("baseline", old, cur, 0.10) {
 		t.Fatal("within-tolerance jitter flagged")
+	}
+}
+
+// engI builds an ic3-icp slice whose per-instance records carry
+// verdicts and query counts; the engine totals are their sums.
+func engI(insts ...harness.BenchInstance) harness.BenchEngine {
+	e := harness.BenchEngine{Engine: "ic3-icp", SolvedPerSec: 1.0, Instances: insts}
+	q := engine.CounterIndex("queries")
+	for _, r := range insts {
+		e.Counts[q] += r.Counts[q]
+		if r.Verdict != engine.Unknown.String() {
+			e.SolvedSafe++
+		}
+	}
+	return e
+}
+
+func inst(name, verdict string, queries int64) harness.BenchInstance {
+	r := harness.BenchInstance{Name: name, Verdict: verdict}
+	r.Counts[engine.CounterIndex("queries")] = queries
+	return r
+}
+
+// captureStdout returns what f prints to standard output.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	f()
+	w.Close()
+	b, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+func TestDiffRunNewlyDecidedInstance(t *testing.T) {
+	// the new side decides b inside the budget: the summed queries grow
+	// 233%, but over the instances decided alike they are unchanged
+	old := run(1, 0, engI(inst("a", "safe", 100), inst("b", "unknown", 50)))
+	cur := run(2, 0, engI(inst("a", "safe", 100), inst("b", "safe", 400)))
+	var regressed bool
+	out := captureStdout(t, func() { regressed = diffRun("parallel", old, cur, 0.10) })
+	if regressed {
+		t.Fatalf("a newly decided instance flagged as a regression:\n%s", out)
+	}
+	if !strings.Contains(out, "newly decided: b (safe)") {
+		t.Errorf("newly decided instance not reported:\n%s", out)
+	}
+	// and the other way round: b is newly lost, the same-verdict queries
+	// are still unchanged, but one fewer solved instance is a regression
+	out = captureStdout(t, func() { regressed = diffRun("parallel", cur, old, 0.10) })
+	if !regressed || !strings.Contains(out, "newly lost: b (was safe)") {
+		t.Errorf("newly lost instance: regressed %v, output:\n%s", regressed, out)
+	}
+}
+
+func TestDiffRunFlagsInstanceQueryGrowth(t *testing.T) {
+	// a needs 20% more queries for the same verdict; the summed queries
+	// fall 20% because b is newly decided with fewer queries than it
+	// spent failing, so only the per-instance gate can see it
+	old := run(1, 0, engI(inst("a", "safe", 1000), inst("b", "unknown", 3000)))
+	cur := run(2, 0, engI(inst("a", "safe", 1200), inst("b", "safe", 2000)))
+	if !diffRun("baseline", old, cur, 0.10) {
+		t.Fatal("20% query growth on a same-verdict instance not flagged")
 	}
 }

@@ -21,6 +21,7 @@ var committedPairs = [][2]string{
 	{"BENCH_2026-10-16.json", "BENCH_2026-10-16-trig.json"},
 	{"BENCH_2026-10-17.json", "BENCH_2026-10-17-guard.json"},
 	{"BENCH_2026-10-17-prerevise.json", "BENCH_2026-10-17-revise.json"},
+	{"BENCH_2026-10-17-prelean.json", "BENCH_2026-10-17-lean.json"},
 }
 
 // rawEngines is a snapshot's per-engine objects as plain JSON keys.
@@ -38,8 +39,9 @@ func TestCommittedSnapshotsRoundTrip(t *testing.T) {
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no committed snapshots found: %v", err)
 	}
-	// every key BenchEngine can write, with all counters nonzero
-	var all harness.BenchEngine
+	// every key BenchEngine can write, with all counters nonzero and an
+	// instance record
+	all := harness.BenchEngine{Instances: []harness.BenchInstance{{Name: "x", Verdict: "safe"}}}
 	for i := range all.Counts {
 		all.Counts[i] = 1
 	}
@@ -51,8 +53,8 @@ func TestCommittedSnapshotsRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &known); err != nil {
 		t.Fatal(err)
 	}
-	if len(known) != 7+len(engine.Counters) {
-		t.Fatalf("BenchEngine writes %d keys, want 7 fixed + %d counters", len(known), len(engine.Counters))
+	if len(known) != 8+len(engine.Counters) {
+		t.Fatalf("BenchEngine writes %d keys, want 8 fixed + %d counters", len(known), len(engine.Counters))
 	}
 
 	for _, p := range paths {

@@ -37,36 +37,76 @@ type BenchEngine struct {
 	EngineSec    float64 `json:"engine_sec"`     // summed per-run engine time
 	SolvedPerSec float64 `json:"solved_per_sec"` // solved / engine_sec
 
+	// Instances holds one record per suite instance, in suite order.
+	// Snapshots written before it existed have none.
+	Instances []BenchInstance `json:"instances,omitempty"`
+
 	// Counts are written as one flat key per nonzero counter (its Name);
 	// a counter absent from an older snapshot reads as zero.
 	Counts engine.Counts `json:"-"`
 }
 
-// benchEngineFields is BenchEngine without its JSON methods.
-type benchEngineFields BenchEngine
+// BenchInstance is one engine's run on one suite instance: the verdict
+// and the gated counters (schema rows with a Gate), so benchdiff can
+// gate them over the instances both snapshots decided alike.
+type BenchInstance struct {
+	Name    string `json:"name"`
+	Verdict string `json:"verdict"`
 
-// MarshalJSON writes the fixed fields, then the nonzero counters in
-// schema order, each spliced in before the closing brace.
+	// Counts holds the gated rows only, written like BenchEngine's.
+	Counts engine.Counts `json:"-"`
+}
+
+// benchEngineFields and benchInstanceFields are the record types
+// without their JSON methods.
+type (
+	benchEngineFields   BenchEngine
+	benchInstanceFields BenchInstance
+)
+
+// MarshalJSON writes the fixed fields, then the nonzero counters.
 func (e BenchEngine) MarshalJSON() ([]byte, error) {
-	b, err := json.Marshal(benchEngineFields(e))
+	return marshalCounts(benchEngineFields(e), &e.Counts)
+}
+
+// UnmarshalJSON reads the fixed fields and every counter key present.
+func (e *BenchEngine) UnmarshalJSON(b []byte) error {
+	return unmarshalCounts(b, (*benchEngineFields)(e), &e.Counts)
+}
+
+// MarshalJSON writes the fixed fields, then the nonzero counters.
+func (r BenchInstance) MarshalJSON() ([]byte, error) {
+	return marshalCounts(benchInstanceFields(r), &r.Counts)
+}
+
+// UnmarshalJSON reads the fixed fields and every counter key present.
+func (r *BenchInstance) UnmarshalJSON(b []byte) error {
+	return unmarshalCounts(b, (*benchInstanceFields)(r), &r.Counts)
+}
+
+// marshalCounts marshals fields, then splices in the nonzero counters
+// in schema order, each before the closing brace.
+func marshalCounts(fields any, counts *engine.Counts) ([]byte, error) {
+	b, err := json.Marshal(fields)
 	for i, c := range engine.Counters {
-		if err == nil && e.Counts[i] != 0 {
-			b = fmt.Appendf(b[:len(b)-1], ",%q:%d}", c.Name(), e.Counts[i])
+		if err == nil && counts[i] != 0 {
+			b = fmt.Appendf(b[:len(b)-1], ",%q:%d}", c.Name(), counts[i])
 		}
 	}
 	return b, err
 }
 
-// UnmarshalJSON reads the fixed fields and every counter key present.
-func (e *BenchEngine) UnmarshalJSON(b []byte) error {
+// unmarshalCounts reads the fixed fields into fields and every counter
+// key present into counts.
+func unmarshalCounts(b []byte, fields any, counts *engine.Counts) error {
 	var raw map[string]json.RawMessage
 	err := json.Unmarshal(b, &raw)
 	if err == nil {
-		err = json.Unmarshal(b, (*benchEngineFields)(e))
+		err = json.Unmarshal(b, fields)
 	}
 	for i, c := range engine.Counters {
 		if v, ok := raw[c.Name()]; ok && err == nil {
-			err = json.Unmarshal(v, &e.Counts[i])
+			err = json.Unmarshal(v, &counts[i])
 		}
 	}
 	return err
@@ -127,6 +167,17 @@ func benchRun(suite []benchmarks.Instance, perRun time.Duration, workers int) (B
 		}
 		if be.EngineSec > 0 {
 			be.SolvedPerSec = float64(solved) / be.EngineSec
+		}
+		for _, r := range records {
+			if r.Engine == s.Engine {
+				bi := BenchInstance{Name: r.Instance, Verdict: r.Result.Verdict.String()}
+				for i, c := range engine.Counters {
+					if c.Gate > 0 {
+						bi.Counts[i] = r.Result.Stats[c.Key]
+					}
+				}
+				be.Instances = append(be.Instances, bi)
+			}
 		}
 		run.Solved += solved
 		run.Unknown += s.Unknown

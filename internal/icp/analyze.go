@@ -66,7 +66,7 @@ func (s *Solver) analyze(cf *conflict, clevel int32) (tnf.Clause, tnf.Lit, int32
 			e := &s.trail[idx]
 			s.seenStamp[idx] = 0
 			counter--
-			for _, a := range e.ante {
+			for _, a := range s.anteOf(e) {
 				mark(a)
 			}
 			idx--
@@ -185,7 +185,7 @@ func (s *Solver) litRedundant(a int32, depth int) bool {
 	if e.kind == reasonDecision {
 		return false
 	}
-	for _, b := range e.ante {
+	for _, b := range s.anteOf(e) {
 		if b < 0 {
 			continue
 		}
@@ -247,7 +247,7 @@ func (s *Solver) finalCore(ante []int32) []tnf.Lit {
 			}
 			continue
 		}
-		stack = append(stack, e.ante...)
+		stack = append(stack, s.anteOf(e)...)
 	}
 	s.coreStack = stack
 	return core

@@ -98,22 +98,11 @@ func (s *Solver) Clone() *Solver {
 		cl.lits = litBacking[a:len(litBacking):len(litBacking)]
 		c.clauses[i] = cl
 	}
-	// The trail still holds level-0 (formula-implied) events; copy them
-	// including their antecedent index slices so conflict analysis on the
-	// clone never aliases the original.  Antecedents are read-only once
-	// recorded, so they share a bulk backing array too.
-	totalAnte := 0
-	for i := range s.trail {
-		totalAnte += len(s.trail[i].ante)
-	}
-	anteBacking := make([]int32, 0, totalAnte)
-	c.trail = make([]event, len(s.trail))
-	for i, e := range s.trail {
-		a := len(anteBacking)
-		anteBacking = append(anteBacking, e.ante...)
-		e.ante = anteBacking[a:len(anteBacking):len(anteBacking)]
-		c.trail[i] = e
-	}
+	// The trail still holds level-0 (formula-implied) events; copying
+	// them with their antecedents keeps conflict analysis on the clone
+	// from aliasing the original.
+	c.trail = append([]event(nil), s.trail...)
+	c.antes = append([]int32(nil), s.antes...)
 	return c
 }
 

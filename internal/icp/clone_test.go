@@ -1,6 +1,7 @@
 package icp
 
 import (
+	"slices"
 	"testing"
 
 	"icpic3/internal/expr"
@@ -82,6 +83,45 @@ func TestCloneIsolation(t *testing.T) {
 	if r := c.Solve(nil); r.Status != StatusSat {
 		t.Fatalf("clone after original mutation = %v", r.Status)
 	}
+
+	// the antecedent arenas are separate too: park the original of a
+	// fresh snapshot above the root, then backtrack and re-propagate on
+	// the clone; the original's events must keep the antecedents they
+	// had.  The prefix query runs once before the snapshot as well, so
+	// the original's arena has room to spare when the clone is taken.
+	s, sys = cloneFixture(t)
+	x, _ = sys.Lookup("x")
+	y, _ := sys.Lookup("y")
+	prefix := []tnf.Lit{tnf.MkGe(x, 0.5), tnf.MkLe(y, 1)}
+	s.Solve(prefix)
+	c = s.Clone()
+	if r := s.Solve(prefix); r.Status != StatusSat {
+		t.Fatalf("original prefix query = %v", r.Status)
+	}
+	trail := append([]event(nil), s.trail...)
+	antes := make([][]int32, len(s.trail))
+	for i := range s.trail {
+		antes[i] = append([]int32(nil), s.anteOf(&s.trail[i])...)
+	}
+	for _, as := range [][]tnf.Lit{
+		{tnf.MkGe(x, 1)},
+		{tnf.MkLe(y, -1), tnf.MkGe(x, -2)},
+		{tnf.MkGe(x, 3)},
+		nil,
+	} {
+		c.Solve(as)
+		checkAnteArena(t, c)
+	}
+	if len(s.trail) != len(trail) {
+		t.Fatalf("original trail went from %d to %d events", len(trail), len(s.trail))
+	}
+	for i := range trail {
+		if s.trail[i] != trail[i] || !slices.Equal(s.anteOf(&s.trail[i]), antes[i]) {
+			t.Fatalf("original event %d changed by the clone's search: antes %v, was %v",
+				i, s.anteOf(&s.trail[i]), antes[i])
+		}
+	}
+	checkAnteArena(t, s)
 }
 
 // TestCloneSurvivesReduceDB takes a snapshot, then drives the original

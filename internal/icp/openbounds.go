@@ -1,6 +1,10 @@
 package icp
 
-import "math"
+import (
+	"math"
+
+	"icpic3/internal/interval"
+)
 
 // Openness propagation through contractors.
 //
@@ -21,24 +25,10 @@ type ept struct {
 	open bool
 }
 
-func roundDown(x float64) float64 {
-	if math.IsInf(x, 0) || math.IsNaN(x) {
-		return x
-	}
-	return math.Nextafter(x, math.Inf(-1))
-}
-
-func roundUp(x float64) float64 {
-	if math.IsInf(x, 0) || math.IsNaN(x) {
-		return x
-	}
-	return math.Nextafter(x, math.Inf(1))
-}
-
 // twoSum computes a+b and reports whether the float sum is exact.
 func twoSum(a, b float64) (float64, bool) {
 	s := a + b
-	if math.IsInf(s, 0) || math.IsNaN(s) {
+	if s-s != 0 { // ±Inf or NaN
 		return s, false
 	}
 	bv := s - a
@@ -63,7 +53,7 @@ func mulP(a, b float64) (float64, bool) {
 func sumLo(a, b ept) ept {
 	s, exact := twoSum(a.v, b.v)
 	if !exact {
-		return ept{roundDown(s), false}
+		return ept{interval.NextDown(s), false}
 	}
 	return ept{s, a.open || b.open}
 }
@@ -72,7 +62,7 @@ func sumLo(a, b ept) ept {
 func sumHi(a, b ept) ept {
 	s, exact := twoSum(a.v, b.v)
 	if !exact {
-		return ept{roundUp(s), false}
+		return ept{interval.NextUp(s), false}
 	}
 	return ept{s, a.open || b.open}
 }
@@ -100,7 +90,7 @@ func mulCorners(xlo, xhi, ylo, yhi ept) (lo, hi ept) {
 		var cl, ch ept
 		switch {
 		case !exact:
-			cl, ch = ept{roundDown(p), false}, ept{roundUp(p), false}
+			cl, ch = ept{interval.NextDown(p), false}, ept{interval.NextUp(p), false}
 		case p == 0:
 			// a zero product can be attained away from corners whenever a
 			// factor interval contains an interior zero; stay closed

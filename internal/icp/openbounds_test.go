@@ -2,9 +2,12 @@ package icp
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"icpic3/internal/interval"
 )
 
 func TestTwoSumExactness(t *testing.T) {
@@ -150,13 +153,165 @@ func TestMinMaxEpt(t *testing.T) {
 
 func TestRounding(t *testing.T) {
 	x := 1.5
-	if roundDown(x) >= x || roundUp(x) <= x {
+	if interval.NextDown(x) >= x || interval.NextUp(x) <= x {
 		t.Error("rounding directions")
 	}
-	if !math.IsInf(roundDown(math.Inf(-1)), -1) {
+	if !math.IsInf(interval.NextDown(math.Inf(-1)), -1) {
 		t.Error("inf passthrough")
 	}
-	if !math.IsNaN(roundUp(math.NaN())) {
+	if !math.IsNaN(interval.NextUp(math.NaN())) {
 		t.Error("nan passthrough")
+	}
+}
+
+// refTwoSum is twoSum with the non-finite test it had before s-s != 0
+// replaced it, kept as the reference.
+func refTwoSum(a, b float64) (float64, bool) {
+	s := a + b
+	if math.IsInf(s, 0) || math.IsNaN(s) {
+		return s, false
+	}
+	bv := s - a
+	av := s - bv
+	return s, a-av == 0 && b-bv == 0
+}
+
+func TestTwoSumMatchesReference(t *testing.T) {
+	specials := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	check := func(a, b float64) {
+		s, ex := twoSum(a, b)
+		rs, rex := refTwoSum(a, b)
+		if ex != rex || math.Float64bits(s) != math.Float64bits(rs) {
+			t.Fatalf("twoSum(%v, %v) = %v, %v; reference %v, %v", a, b, s, ex, rs, rex)
+		}
+	}
+	for _, a := range specials {
+		for _, b := range specials {
+			check(a, b)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 200_000; i++ {
+		check(math.Float64frombits(r.Uint64()), math.Float64frombits(r.Uint64()))
+		check(randOperand(r), randOperand(r))
+	}
+}
+
+// randOperand draws a finite float64 with a random mantissa and a binary
+// exponent in [-150, 150]; a quarter are small integers, so exact sums and
+// products are common.
+func randOperand(r *rand.Rand) float64 {
+	if r.Intn(4) == 0 {
+		return float64(r.Intn(33) - 16)
+	}
+	return math.Ldexp(r.Float64()*2-1, r.Intn(301)-150)
+}
+
+func bigOf(x float64) *big.Float { return new(big.Float).SetPrec(2200).SetFloat64(x) }
+
+// checkEndpointExact asserts that the computed endpoint got encloses the
+// exact value e (from below for a lower endpoint), is open only when it
+// equals e exactly and openOK allows it, and when inexact sits at most 2
+// ulps away.
+func checkEndpointExact(t *testing.T, what string, got ept, e *big.Float, lower, openOK bool) {
+	t.Helper()
+	c := bigOf(got.v).Cmp(e)
+	if (lower && c > 0) || (!lower && c < 0) {
+		t.Fatalf("%s: endpoint %v does not enclose exact %v", what, got.v, e)
+	}
+	if got.open && (c != 0 || !openOK) {
+		t.Fatalf("%s: endpoint %v open, exact %v, open allowed %v", what, got.v, e, openOK)
+	}
+	near := bigOf(interval.NextUp(interval.NextUp(got.v)))
+	if !lower {
+		near = bigOf(interval.NextDown(interval.NextDown(got.v)))
+	}
+	if c2 := near.Cmp(e); (lower && c2 < 0) || (!lower && c2 > 0) {
+		t.Fatalf("%s: endpoint %v more than 2 ulps from exact %v", what, got.v, e)
+	}
+}
+
+// TestEndpointsExactBig checks sumLo/sumHi and mulCorners against exact
+// math/big arithmetic: twoSum and mulP call a result exact exactly when
+// the float equals the real value, an endpoint passes an operand's
+// openness through only in that case, and every endpoint encloses the
+// exact value within 2 ulps.
+func TestEndpointsExactBig(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	rept := func() ept { return ept{v: randOperand(r), open: r.Intn(2) == 0} }
+	n := 20_000
+	if testing.Short() {
+		n = 2_000
+	}
+	for i := 0; i < n; i++ {
+		a, b := rept(), rept()
+		e := new(big.Float).SetPrec(2200).Add(bigOf(a.v), bigOf(b.v))
+		s, exact := twoSum(a.v, b.v)
+		if isExact := bigOf(s).Cmp(e) == 0; exact != isExact {
+			t.Fatalf("twoSum(%v, %v) exact = %v, big says %v", a.v, b.v, exact, isExact)
+		}
+		openOK := exact && (a.open || b.open)
+		lo, hi := sumLo(a, b), sumHi(a, b)
+		checkEndpointExact(t, "sumLo", lo, e, true, openOK)
+		checkEndpointExact(t, "sumHi", hi, e, false, openOK)
+		if lo.open != openOK || hi.open != openOK {
+			t.Fatalf("sum of %+v, %+v = %+v, %+v: an exact sum carries the operands' openness, an inexact one none", a, b, lo, hi)
+		}
+
+		xlo, xhi, ylo, yhi := rept(), rept(), rept(), rept()
+		if xlo.v > xhi.v {
+			xlo, xhi = xhi, xlo
+		}
+		if ylo.v > yhi.v {
+			ylo, yhi = yhi, ylo
+		}
+		lo, hi = mulCorners(xlo, xhi, ylo, yhi)
+		var pmin, pmax *big.Float
+		openLo, openHi := true, true // may the extremum be reported open?
+		for _, c := range [4][2]ept{{xlo, ylo}, {xlo, yhi}, {xhi, ylo}, {xhi, yhi}} {
+			p := new(big.Float).SetPrec(2200).Mul(bigOf(c[0].v), bigOf(c[1].v))
+			f, exact := mulP(c[0].v, c[1].v)
+			if isExact := bigOf(f).Cmp(p) == 0; exact != isExact {
+				t.Fatalf("mulP(%v, %v) exact = %v, big says %v", c[0].v, c[1].v, exact, isExact)
+			}
+			// an attaining corner permits openness only if exact, nonzero
+			// and built from an open operand
+			ok := exact && p.Sign() != 0 && (c[0].open || c[1].open)
+			switch {
+			case pmin == nil || p.Cmp(pmin) < 0:
+				pmin, openLo = p, ok
+			case p.Cmp(pmin) == 0:
+				openLo = openLo && ok
+			}
+			switch {
+			case pmax == nil || p.Cmp(pmax) > 0:
+				pmax, openHi = p, ok
+			case p.Cmp(pmax) == 0:
+				openHi = openHi && ok
+			}
+		}
+		checkEndpointExact(t, "mulCorners lo", lo, pmin, true, openLo)
+		checkEndpointExact(t, "mulCorners hi", hi, pmax, false, openHi)
+	}
+}
+
+var benchEpt ept
+
+// BenchmarkSumMulCorners times the openness-tracking endpoint kernels of
+// the add and mul contractors: a sumLo, a sumHi and a mulCorners per op,
+// over operands of which about a quarter combine exactly.
+func BenchmarkSumMulCorners(b *testing.B) {
+	r := rand.New(rand.NewSource(3))
+	es := make([]ept, 1024)
+	for i := range es {
+		es[i] = ept{v: randOperand(r), open: r.Intn(2) == 0}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, c := es[i&1023], es[(i+1)&1023]
+		lo, hi := mulCorners(minEpt(a, c), maxEpt(a, c), a, c)
+		benchEpt = sumLo(sumLo(a, c), sumHi(lo, hi))
 	}
 }

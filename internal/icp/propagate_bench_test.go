@@ -163,9 +163,9 @@ func TestPropagateWatchedMatchesRescan(t *testing.T) {
 // moves — about half of all revise calls in IC3 runs look like this.
 // productive: every call records events at a fresh level, and the
 // timed loop includes the backtrack that pops them again.
-func benchRevise(b *testing.B, con tnf.Constraint, doms []interval.Interval, decisions ...tnf.Lit) {
+func benchRevise(b *testing.B, c reviseCase) {
 	b.Run("idle", func(b *testing.B) {
-		s := reviseFixture(b, con, doms, decisions...)
+		s := reviseFixture(b, c.con, c.doms, c.decisions...)
 		for i, n := 0, -1; n != len(s.trail); i++ {
 			if i == 100 {
 				b.Fatal("fixture does not reach a revise fixpoint")
@@ -189,7 +189,7 @@ func benchRevise(b *testing.B, con tnf.Constraint, doms []interval.Interval, dec
 		}
 	})
 	b.Run("productive", func(b *testing.B) {
-		s := reviseFixture(b, con, doms, decisions...)
+		s := reviseFixture(b, c.con, c.doms, c.decisions...)
 		mark := len(s.trail)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -203,20 +203,28 @@ func benchRevise(b *testing.B, con tnf.Constraint, doms []interval.Interval, dec
 	})
 }
 
-// The fixtures are those of TestReviseAnteIsEntrySnapshot.
-func BenchmarkReviseAdd(b *testing.B) {
-	wide := interval.New(-10, 10)
-	benchRevise(b, tnf.Constraint{Op: tnf.ConAdd, Z: 0, X: 1, Y: 2},
-		[]interval.Interval{wide, wide, wide}, tnf.MkGe(1, 3), tnf.MkGe(2, 4), tnf.MkLe(0, 9))
+// reviseCase is a single-constraint revise fixture (reviseFixture).
+type reviseCase struct {
+	name      string
+	con       tnf.Constraint
+	doms      []interval.Interval
+	decisions []tnf.Lit
 }
 
-func BenchmarkReviseMul(b *testing.B) {
-	wide := interval.New(-10, 10)
-	benchRevise(b, tnf.Constraint{Op: tnf.ConMul, Z: 0, X: 1, Y: 2},
-		[]interval.Interval{interval.New(-100, 100), wide, wide}, tnf.MkGe(1, 1), tnf.MkLe(1, 2), tnf.MkGe(2, 2))
+// reviseBenchCases are the fixtures of TestReviseAnteIsEntrySnapshot,
+// shared by BenchmarkRevise{Add,Mul,Sin} and TestReviseProductiveAllocs.
+var reviseBenchCases = []reviseCase{
+	{"add", tnf.Constraint{Op: tnf.ConAdd, Z: 0, X: 1, Y: 2},
+		[]interval.Interval{interval.New(-10, 10), interval.New(-10, 10), interval.New(-10, 10)},
+		[]tnf.Lit{tnf.MkGe(1, 3), tnf.MkGe(2, 4), tnf.MkLe(0, 9)}},
+	{"mul", tnf.Constraint{Op: tnf.ConMul, Z: 0, X: 1, Y: 2},
+		[]interval.Interval{interval.New(-100, 100), interval.New(-10, 10), interval.New(-10, 10)},
+		[]tnf.Lit{tnf.MkGe(1, 1), tnf.MkLe(1, 2), tnf.MkGe(2, 2)}},
+	{"sin", tnf.Constraint{Op: tnf.ConSin, Z: 0, X: 1},
+		[]interval.Interval{interval.New(-2, 2), interval.New(-10, 10)},
+		[]tnf.Lit{tnf.MkGe(1, 0), tnf.MkLe(1, 1)}},
 }
 
-func BenchmarkReviseSin(b *testing.B) {
-	benchRevise(b, tnf.Constraint{Op: tnf.ConSin, Z: 0, X: 1},
-		[]interval.Interval{interval.New(-2, 2), interval.New(-10, 10)}, tnf.MkGe(1, 0), tnf.MkLe(1, 1))
-}
+func BenchmarkReviseAdd(b *testing.B) { benchRevise(b, reviseBenchCases[0]) }
+func BenchmarkReviseMul(b *testing.B) { benchRevise(b, reviseBenchCases[1]) }
+func BenchmarkReviseSin(b *testing.B) { benchRevise(b, reviseBenchCases[2]) }

@@ -17,7 +17,8 @@ import (
 // (the full-backtrack case).  Both solvers must report the same Status
 // on every query, every UNSAT core must be a subset of the assumptions
 // that produced it, and both solvers must keep the watch invariant
-// (checkWatchInvariant) after every Solve.
+// (checkWatchInvariant) and the antecedent-arena layout (checkAnteArena)
+// after every Solve.
 func FuzzSolveRetentionEquiv(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x10, 0x03, 0x42, 0x43, 0x05, 0x81})
@@ -68,6 +69,8 @@ func FuzzSolveRetentionEquiv(f *testing.F) {
 			rOff := off.Solve(as)
 			checkWatchInvariant(t, on)
 			checkWatchInvariant(t, off)
+			checkAnteArena(t, on)
+			checkAnteArena(t, off)
 			if rOn.Status != rOff.Status {
 				t.Fatalf("query %d %v: retention %v, no-retention %v",
 					q, as, rOn.Status, rOff.Status)

@@ -116,8 +116,8 @@ func TestReviseAnteIsEntrySnapshot(t *testing.T) {
 				if e.kind != reasonConstraint || e.con != 0 {
 					t.Fatalf("event %d: kind %d con %d, want the constraint", i, e.kind, e.con)
 				}
-				if !slices.Equal(e.ante, want) {
-					t.Errorf("event %d: ante %v, want entry snapshot %v", i, e.ante, want)
+				if !slices.Equal(s.anteOf(e), want) {
+					t.Errorf("event %d: ante %v, want entry snapshot %v", i, s.anteOf(e), want)
 				}
 			}
 			if (cf != nil) != c.conflictOn {
@@ -186,7 +186,7 @@ func finalCoreMap(s *Solver, ante []int32) []tnf.Lit {
 			}
 			continue
 		}
-		stack = append(stack, e.ante...)
+		stack = append(stack, s.anteOf(e)...)
 	}
 	return core
 }

@@ -162,24 +162,28 @@ const (
 	reasonConstraint
 )
 
-// event records one bound tightening on the trail.
+// event records one bound tightening on the trail.  It holds no
+// pointers: its antecedent trail indices are s.antes[anteLo:anteHi].
+// Fields are ordered widest first, which packs the event into 48 bytes.
 type event struct {
-	v       tnf.VarID
-	side    int8
-	old     float64 // endpoint value before the event
-	oldOpen bool    // endpoint openness before the event
-	nb      float64 // endpoint value after the event
-	nbOpen  bool    // endpoint openness after the event
-	level   int32
-	kind    reasonKind
-	cl      int32   // clause index for reasonClause
-	con     int32   // constraint index for reasonConstraint
-	ante    []int32 // antecedent trail indices (-1 entries are skipped)
+	old   float64 // endpoint value before the event
+	nb    float64 // endpoint value after the event
+	v     tnf.VarID
+	level int32
+	cl    int32 // clause index for reasonClause
+	con   int32 // constraint index for reasonConstraint
+	// anteLo, anteHi delimit the event's antecedent trail indices in
+	// s.antes (-1 entries are skipped).
+	anteLo, anteHi int32
 	// prev is the trail index of the previous event on the same
 	// (v, side), -1 if none — the pushdown that lets cancelUntil restore
 	// lastLoEv/lastHiEv in O(1) per popped event instead of rescanning
 	// the trail.
-	prev int32
+	prev    int32
+	side    int8
+	kind    reasonKind
+	oldOpen bool // endpoint openness before the event
+	nbOpen  bool // endpoint openness after the event
 }
 
 // lit returns the bound literal established by the event.
@@ -308,15 +312,16 @@ type Solver struct {
 	deferredRoot []int32
 
 	// anteScratch is the shared antecedent-snapshot buffer for
-	// propagation (see revise/checkClause): setBound copies it into the
-	// trail when an event is actually recorded, so the frequent
-	// no-progress calls allocate nothing.
+	// propagation (see revise/checkClause): setBound copies it into antes
+	// only when an event is actually recorded, so the frequent
+	// no-progress calls copy nothing.
 	anteScratch []int32
-	// anteArena is the chunked arena those per-event copies come from;
-	// each event gets a cap==len sub-slice, so recording an event costs
-	// amortized zero allocations.  Never reset: exhausted blocks are
-	// garbage-collected once the events referencing them are popped.
-	anteArena []int32
+	// antes holds the antecedents of every trail event, in trail order:
+	// event i owns antes[trail[i].anteLo:trail[i].anteHi].  Events pop in
+	// LIFO order, so cancelUntil truncates antes together with the trail,
+	// and len(antes) is always the last event's anteHi (0 on an empty
+	// trail).  Once warm, recording an event allocates nothing.
+	antes []int32
 
 	rootConflict bool // system is UNSAT at level 0
 	stopped      bool // propagate observed the Stop hook firing mid-fixpoint
@@ -754,6 +759,9 @@ func (s *Solver) cancelUntil(lvl int32) {
 			s.lastHiEv[e.v] = e.prev
 		}
 	}
+	if limit < int32(len(s.trail)) {
+		s.antes = s.antes[:s.trail[limit].anteLo]
+	}
 	s.trail = s.trail[:limit]
 	s.trailLim = s.trailLim[:lvl]
 	if s.propHead > limit {
@@ -840,10 +848,12 @@ func (s *Solver) setBound(v tnf.VarID, side int8, b float64, strict bool, thresh
 		nbOpen = s.hiOpen[v]
 	}
 	// ante may be the caller's scratch buffer; the event owns a copy
+	anteLo := int32(len(s.antes))
+	s.antes = append(s.antes, ante...)
 	ev := event{
 		v: v, side: side, old: old, oldOpen: oldOpen, nb: b, nbOpen: nbOpen,
 		level: s.level(), kind: kind, cl: cl, con: con,
-		ante: s.copyAnte(ante),
+		anteLo: anteLo, anteHi: int32(len(s.antes)),
 	}
 	if side == sideLo {
 		ev.prev = s.lastLoEv[v]
@@ -869,24 +879,10 @@ func (s *Solver) scratchConflict(ante []int32, extra ...int32) *conflict {
 	return &s.cfScratch
 }
 
-// copyAnte copies an antecedent snapshot into the solver's chunked
-// arena.  The returned sub-slice has cap == len, so appends by a future
-// reader would reallocate rather than clobber a neighbouring event.
-func (s *Solver) copyAnte(x []int32) []int32 {
-	if len(x) == 0 {
-		return nil
-	}
-	if cap(s.anteArena)-len(s.anteArena) < len(x) {
-		n := 4096
-		if len(x) > n {
-			n = len(x)
-		}
-		s.anteArena = make([]int32, 0, n)
-	}
-	a := len(s.anteArena)
-	s.anteArena = append(s.anteArena, x...)
-	return s.anteArena[a : a+len(x) : a+len(x)]
-}
+// anteOf returns the antecedents of trail event e.  The slice aliases
+// s.antes (cap == len, so an append reallocates instead of clobbering
+// the next event's); read it before the trail changes.
+func (s *Solver) anteOf(e *event) []int32 { return s.antes[e.anteLo:e.anteHi:e.anteHi] }
 
 // assertLit applies the bound of l with the given reason.
 func (s *Solver) assertLit(l tnf.Lit, kind reasonKind, cl, con int32, ante []int32) (*conflict, bool) {
@@ -1004,10 +1000,10 @@ func (s *Solver) decide(v tnf.VarID) *conflict {
 	} else {
 		// keep the split strictly inside the interval
 		if mid <= s.lo[v] {
-			mid = math.Nextafter(s.lo[v], math.Inf(1))
+			mid = interval.NextUp(s.lo[v])
 		}
 		if mid >= s.hi[v] {
-			mid = math.Nextafter(s.hi[v], math.Inf(-1))
+			mid = interval.NextDown(s.hi[v])
 		}
 		if upper {
 			cf, _ := s.setBound(v, sideLo, mid, false, 0, reasonDecision, -1, -1, nil)

@@ -281,6 +281,7 @@ func TestWatchInvariantQuerySequence(t *testing.T) {
 			checkCoreSubset(t, "query", r.Core, as)
 		}
 		checkWatchInvariant(t, s)
+		checkAnteArena(t, s)
 		// retire the query: its clause becomes root-satisfied
 		s.AddClause(tnf.Clause{tnf.MkLe(act, 0)})
 		if q%50 == 49 {
@@ -288,6 +289,7 @@ func TestWatchInvariantQuerySequence(t *testing.T) {
 			c := s.Clone()
 			s.Solve(frame)
 			checkWatchInvariant(t, s)
+			checkAnteArena(t, s)
 			addWork(s.Stats)
 			s = c
 			clones++

@@ -110,12 +110,12 @@ func (v Interval) Mag() float64 {
 	if v.IsEmpty() {
 		return 0
 	}
-	return math.Max(math.Abs(v.Lo), math.Abs(v.Hi))
+	return max(math.Abs(v.Lo), math.Abs(v.Hi))
 }
 
 // Intersect returns the intersection of v and w.
 func (v Interval) Intersect(w Interval) Interval {
-	return New(math.Max(v.Lo, w.Lo), math.Min(v.Hi, w.Hi))
+	return New(max(v.Lo, w.Lo), min(v.Hi, w.Hi))
 }
 
 // Hull returns the smallest interval containing both v and w.
@@ -126,7 +126,7 @@ func (v Interval) Hull(w Interval) Interval {
 	if w.IsEmpty() {
 		return v
 	}
-	return Interval{math.Min(v.Lo, w.Lo), math.Max(v.Hi, w.Hi)}
+	return Interval{min(v.Lo, w.Lo), max(v.Hi, w.Hi)}
 }
 
 // Equal reports whether v and w denote the same set.
@@ -145,20 +145,37 @@ func (v Interval) String() string {
 	return fmt.Sprintf("[%g, %g]", v.Lo, v.Hi)
 }
 
-// down rounds a computed lower endpoint outward (towards -inf).
-func down(x float64) float64 {
-	if math.IsInf(x, 0) || math.IsNaN(x) {
+// NextUp returns the least float64 above x: math.Nextafter(x, +Inf),
+// bit for bit, but small enough to inline.  It rounds a computed upper
+// endpoint outward.
+func NextUp(x float64) float64 {
+	switch {
+	case x != x:
+		return math.NaN()
+	case x > math.MaxFloat64:
 		return x
+	case x == 0:
+		return math.SmallestNonzeroFloat64
+	case x > 0:
+		return math.Float64frombits(math.Float64bits(x) + 1)
 	}
-	return math.Nextafter(x, math.Inf(-1))
+	return math.Float64frombits(math.Float64bits(x) - 1)
 }
 
-// up rounds a computed upper endpoint outward (towards +inf).
-func up(x float64) float64 {
-	if math.IsInf(x, 0) || math.IsNaN(x) {
+// NextDown returns the greatest float64 below x: math.Nextafter(x, -Inf),
+// bit for bit.  It rounds a computed lower endpoint outward.
+func NextDown(x float64) float64 {
+	switch {
+	case x != x:
+		return math.NaN()
+	case x < -math.MaxFloat64:
 		return x
+	case x == 0:
+		return -math.SmallestNonzeroFloat64
+	case x < 0:
+		return math.Float64frombits(math.Float64bits(x) + 1)
 	}
-	return math.Nextafter(x, math.Inf(1))
+	return math.Float64frombits(math.Float64bits(x) - 1)
 }
 
 // outward widens [lo, hi] by one ulp on each side and normalizes NaNs that
@@ -170,7 +187,7 @@ func outward(lo, hi float64) Interval {
 	if math.IsNaN(hi) {
 		hi = math.Inf(1)
 	}
-	return Interval{down(lo), up(hi)}
+	return Interval{NextDown(lo), NextUp(hi)}
 }
 
 // Add returns an enclosure of {a+b : a in v, b in w}.
@@ -216,8 +233,8 @@ func (v Interval) Mul(w Interval) Interval {
 	p2 := mulPoint(v.Lo, w.Hi)
 	p3 := mulPoint(v.Hi, w.Lo)
 	p4 := mulPoint(v.Hi, w.Hi)
-	lo := math.Min(math.Min(p1, p2), math.Min(p3, p4))
-	hi := math.Max(math.Max(p1, p2), math.Max(p3, p4))
+	lo := min(min(p1, p2), min(p3, p4))
+	hi := max(max(p1, p2), max(p3, p4))
 	return outward(lo, hi)
 }
 
@@ -237,10 +254,10 @@ func (v Interval) Div(w Interval) Interval {
 	// w straddles or touches 0: hull of division by the two sign halves.
 	var res Interval = Empty()
 	if w.Hi > 0 {
-		res = res.Hull(v.divNonzero(Interval{math.Nextafter(0, 1), w.Hi}))
+		res = res.Hull(v.divNonzero(Interval{math.SmallestNonzeroFloat64, w.Hi}))
 	}
 	if w.Lo < 0 {
-		res = res.Hull(v.divNonzero(Interval{w.Lo, math.Nextafter(0, -1)}))
+		res = res.Hull(v.divNonzero(Interval{w.Lo, -math.SmallestNonzeroFloat64}))
 	}
 	if v.Contains(0) {
 		res = res.Hull(Point(0))
@@ -261,8 +278,8 @@ func (v Interval) divNonzero(w Interval) Interval {
 	p2 := v.Lo / w.Hi
 	p3 := v.Hi / w.Lo
 	p4 := v.Hi / w.Hi
-	lo := math.Min(math.Min(p1, p2), math.Min(p3, p4))
-	hi := math.Max(math.Max(p1, p2), math.Max(p3, p4))
+	lo := min(min(p1, p2), min(p3, p4))
+	hi := max(max(p1, p2), max(p3, p4))
 	return outward(lo, hi)
 }
 
@@ -272,12 +289,12 @@ func (v Interval) Sqr() Interval {
 		return Empty()
 	}
 	a, b := math.Abs(v.Lo), math.Abs(v.Hi)
-	hi := math.Max(a, b)
+	hi := max(a, b)
 	var lo float64
 	if v.Contains(0) {
 		lo = 0
 	} else {
-		lo = math.Min(a, b)
+		lo = min(a, b)
 	}
 	res := outward(lo*lo, hi*hi)
 	if res.Lo < 0 {
@@ -293,12 +310,12 @@ func (v Interval) Sqrt() Interval {
 	}
 	lo := 0.0
 	if v.Lo > 0 {
-		lo = down(math.Sqrt(v.Lo))
+		lo = NextDown(math.Sqrt(v.Lo))
 		if lo < 0 {
 			lo = 0
 		}
 	}
-	return Interval{lo, up(math.Sqrt(v.Hi))}
+	return Interval{lo, NextUp(math.Sqrt(v.Hi))}
 }
 
 // Abs returns an enclosure of {|a| : a in v}.
@@ -312,7 +329,7 @@ func (v Interval) Abs() Interval {
 	if v.Hi <= 0 {
 		return v.Neg()
 	}
-	return Interval{0, math.Max(-v.Lo, v.Hi)}
+	return Interval{0, max(-v.Lo, v.Hi)}
 }
 
 // Min returns an enclosure of {min(a,b) : a in v, b in w}.
@@ -320,7 +337,7 @@ func (v Interval) Min(w Interval) Interval {
 	if v.IsEmpty() || w.IsEmpty() {
 		return Empty()
 	}
-	return Interval{math.Min(v.Lo, w.Lo), math.Min(v.Hi, w.Hi)}
+	return Interval{min(v.Lo, w.Lo), min(v.Hi, w.Hi)}
 }
 
 // Max returns an enclosure of {max(a,b) : a in v, b in w}.
@@ -328,7 +345,7 @@ func (v Interval) Max(w Interval) Interval {
 	if v.IsEmpty() || w.IsEmpty() {
 		return Empty()
 	}
-	return Interval{math.Max(v.Lo, w.Lo), math.Max(v.Hi, w.Hi)}
+	return Interval{max(v.Lo, w.Lo), max(v.Hi, w.Hi)}
 }
 
 // PowInt returns an enclosure of {a^n : a in v} for integer n >= 0.
@@ -395,11 +412,11 @@ func (v Interval) Exp() Interval {
 	if v.IsEmpty() {
 		return Empty()
 	}
-	lo := down(math.Exp(v.Lo))
+	lo := NextDown(math.Exp(v.Lo))
 	if lo < 0 {
 		lo = 0
 	}
-	return Interval{lo, up(math.Exp(v.Hi))}
+	return Interval{lo, NextUp(math.Exp(v.Hi))}
 }
 
 // Log returns an enclosure of {ln(a) : a in v, a > 0}.
@@ -409,9 +426,9 @@ func (v Interval) Log() Interval {
 	}
 	lo := math.Inf(-1)
 	if v.Lo > 0 {
-		lo = down(math.Log(v.Lo))
+		lo = NextDown(math.Log(v.Lo))
 	}
-	return Interval{lo, up(math.Log(v.Hi))}
+	return Interval{lo, NextUp(math.Log(v.Hi))}
 }
 
 // Sin returns an enclosure of {sin(a) : a in v}.
@@ -430,8 +447,8 @@ func (v Interval) Sin() Interval {
 func sinHull(v Interval, sLo, sHi float64) Interval {
 	// Determine whether the interval crosses a maximum (pi/2 + 2k*pi) or a
 	// minimum (-pi/2 + 2k*pi).
-	lo := math.Min(sLo, sHi)
-	hi := math.Max(sLo, sHi)
+	lo := min(sLo, sHi)
+	hi := max(sLo, sHi)
 	if crossesPhase(v, math.Pi/2) {
 		hi = 1
 	}
@@ -577,12 +594,12 @@ func rootEven(z Interval, n int) Interval {
 	// z >= 0 assumed. principal n-th root, outward rounded.
 	lo := 0.0
 	if z.Lo > 0 {
-		lo = down(math.Pow(z.Lo, 1/float64(n)))
+		lo = NextDown(math.Pow(z.Lo, 1/float64(n)))
 		if lo < 0 {
 			lo = 0
 		}
 	}
-	hi := up(math.Pow(z.Hi, 1/float64(n)))
+	hi := NextUp(math.Pow(z.Hi, 1/float64(n)))
 	return New(lo, hi)
 }
 
@@ -590,7 +607,7 @@ func rootOdd(z Interval, n int) Interval {
 	if z.IsEmpty() {
 		return Empty()
 	}
-	return New(down(oddRoot(z.Lo, n)), up(oddRoot(z.Hi, n)))
+	return New(NextDown(oddRoot(z.Lo, n)), NextUp(oddRoot(z.Hi, n)))
 }
 
 func oddRoot(x float64, n int) float64 {

@@ -85,9 +85,9 @@ func (f trigFn) at(a float64, upper bool) trigEnd {
 	switch f {
 	case trigCos:
 		if upper {
-			a = up(a + math.Pi/2)
+			a = NextUp(a + math.Pi/2)
 		} else {
-			a = down(a + math.Pi/2)
+			a = NextDown(a + math.Pi/2)
 		}
 		return trigEnd{a, math.Sin(a)}
 	case trigTan:
@@ -203,11 +203,11 @@ func InvTanh(z Interval) Interval {
 	}
 	lo := math.Inf(-1)
 	if zz.Lo > -1 {
-		lo = down(math.Atanh(zz.Lo))
+		lo = NextDown(math.Atanh(zz.Lo))
 	}
 	hi := math.Inf(1)
 	if zz.Hi < 1 {
-		hi = up(math.Atanh(zz.Hi))
+		hi = NextUp(math.Atanh(zz.Hi))
 	}
 	return New(lo, hi)
 }

@@ -17,11 +17,9 @@ test:
 # The race detector over everything is slow; focus it on the packages
 # with real concurrency (service, the runner's portfolio, harness)
 # plus their substrate.  Add packages here when they grow goroutines.
-# The ic3icp line targets just the parallel-pushing suites — the rest of
-# that package is sequential and slow under -race.
+# ic3icp is left out: it spawns no goroutines.
 test-race:
 	$(GO) test -race ./internal/service/... ./internal/runner/... ./internal/engine/... ./internal/certify/... ./internal/harness/... ./internal/icp/...
-	$(GO) test -race -run 'Parallel|Determinism' ./internal/ic3icp/
 
 # Machine-readable perf snapshot: runs the suite at workers=1 and
 # workers=GOMAXPROCS and writes BENCH_<date>.json (see EXPERIMENTS.md).

@@ -12,8 +12,8 @@ import (
 )
 
 // committedPairs are the snapshot pairs diffed by make bench-smoke, plus
-// the watched-propagation pair; every one passed benchdiff when it was
-// committed.
+// the watched-propagation and one-consecution-path pairs; every one
+// passed benchdiff when it was committed.
 var committedPairs = [][2]string{
 	{"BENCH_2026-08-06.json", "BENCH_2026-08-06-watched.json"},
 	{"BENCH_2026-08-08.json", "BENCH_2026-08-08-triggered.json"},
@@ -22,6 +22,7 @@ var committedPairs = [][2]string{
 	{"BENCH_2026-10-17.json", "BENCH_2026-10-17-guard.json"},
 	{"BENCH_2026-10-17-prerevise.json", "BENCH_2026-10-17-revise.json"},
 	{"BENCH_2026-10-17-prelean.json", "BENCH_2026-10-17-lean.json"},
+	{"BENCH_2026-10-18-preconsec.json", "BENCH_2026-10-18-consec.json"},
 }
 
 // rawEngines is a snapshot's per-engine objects as plain JSON keys.

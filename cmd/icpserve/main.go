@@ -26,11 +26,9 @@
 //	  "wait_ms": 30000
 //	}'
 //
-// The optional per-job "workers" field sets the goroutine count for
-// IC3's parallel clause pushing inside that job (0 = sequential); it
-// changes wall-clock only, never the verdict, so cached answers are
-// shared across worker counts.  Distinct from -workers, which sizes the
-// service's job pool.
+// Each job runs on one goroutine of the pool that -workers sizes; a
+// job has no parallelism of its own, and a body with a "workers" field
+// is rejected with 400 like any other unknown field.
 //
 // Poll, cancel, observe:
 //

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -61,7 +60,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		depth      = fs.Int("depth", 128, "maximum BMC unrolling depth")
 		maxK       = fs.Int("k", 24, "maximum k-induction depth")
 		gen        = fs.String("gen", "core+widen", "IC3 generalization: none | core | core+widen")
-		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "goroutines for IC3's parallel clause pushing (1 = sequential)")
 		showTrace  = fs.Bool("trace", true, "print counterexample traces")
 		showInv    = fs.Bool("invariant", false, "print the inductive invariant (ic3, safe)")
 		witnessOut = fs.String("witness", "", "write a JSON witness to this file")
@@ -119,7 +117,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		res := engine.Guard(n, logf, func() engine.Result {
 			return runner.Check(sys, runner.Spec{
 				Engine: n, Eps: *eps, MaxDepth: *depth, MaxK: *maxK,
-				Generalize: *gen, Workers: *workers, Budget: budget,
+				Generalize: *gen, Budget: budget,
 			})
 		})
 		if *doCertify && res.Verdict != engine.Unknown {

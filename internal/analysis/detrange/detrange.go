@@ -1,12 +1,12 @@
 // Package detrange flags `range` over a map in the verdict-affecting
 // packages.  Go randomizes map iteration order, so any verdict-adjacent
-// loop over a map can make a run — or the 1-worker vs N-worker parallel
-// clause pushing the determinism contract promises are identical —
-// diverge between executions.  The fix is to iterate a sorted key
-// slice (see internal/det.SortedKeys) or an insertion-order slice kept
-// alongside the map; genuinely order-insensitive loops (pure
-// accumulation into another map, membership counting) may carry a
-// //lint:allow detrange <reason> pragma.
+// loop over a map can make two runs of the same job, which the
+// determinism contract promises are identical, diverge.  The fix is to
+// iterate a sorted key slice (see internal/det.SortedKeys) or an
+// insertion-order slice kept alongside the map; genuinely
+// order-insensitive loops (pure accumulation into another map,
+// membership counting) may carry a //lint:allow detrange <reason>
+// pragma.
 package detrange
 
 import (

@@ -4,7 +4,9 @@
 // contract of the service, the runner's portfolio, and the harness is
 // that a panic costs one verdict, never the process; a bare goroutine is
 // the one place where a recover() higher up cannot help, so every spawn
-// must install its own guard.  The check follows same-package calls
+// must install its own guard.  The engine packages are in scope too:
+// they spawn no goroutines today, and a new spawn there must be guarded
+// like any other.  The check follows same-package calls
 // (go s.worker() is fine when worker's body reaches engine.Guard), so
 // only a genuinely unguarded spawn — or one delegating straight into
 // another package — is reported.
@@ -21,6 +23,12 @@ var Scope = []string{
 	"internal/service",
 	"internal/runner",
 	"internal/harness",
+	"internal/ic3icp",
+	"internal/icp",
+	"internal/kind",
+	"internal/bmc",
+	"internal/ic3bool",
+	"internal/certify",
 }
 
 var Analyzer = &analysis.Analyzer{

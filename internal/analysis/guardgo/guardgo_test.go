@@ -10,5 +10,6 @@ import (
 func TestGuardgo(t *testing.T) {
 	analysistest.Run(t, "testdata", guardgo.Analyzer,
 		"a/internal/service",
+		"a/internal/ic3icp",
 	)
 }

@@ -57,8 +57,8 @@ func forEachParallel(n, workers int, f func(int)) {
 // RunSuiteWorkers is RunSuite with an explicit worker count: the
 // (instance, engine) grid fans out over the pool, one engine run per
 // cell, and the records come back in instance-major order regardless of
-// workers.  Engine-internal parallelism stays off here — the grid is
-// the better parallelism axis and nesting would oversubscribe.
+// workers.  The engines themselves are sequential; the grid is the
+// parallelism axis.
 func RunSuiteWorkers(instances []benchmarks.Instance, names []string, perRun time.Duration, workers int) []RunRecord {
 	out := make([]RunRecord, len(instances)*len(names))
 	forEachParallel(len(out), workers, func(i int) {

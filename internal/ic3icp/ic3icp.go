@@ -88,12 +88,6 @@ type Options struct {
 	// F_1; clauses that are no longer inductive are dropped, so a stale
 	// or corrupted seed can slow a run but never change its verdict.
 	SeedClauses []Cube
-	// Workers is the number of goroutines the forward clause-pushing
-	// phase fans its per-clause consecution queries across (<= 1 =
-	// sequential).  Every worker runs on its own solver snapshot (see
-	// icp.Solver.Clone), so verdicts and certificates do not depend on the
-	// worker count.
-	Workers int
 	// DebugTrace prints blocking activity to stdout (development aid).
 	DebugTrace bool
 	// Budget bounds the run.
@@ -122,9 +116,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxObligations <= 0 {
 		o.MaxObligations = 200_000
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
 	}
 	return o
 }
@@ -220,15 +211,7 @@ type checker struct {
 	mainApplied int
 	mainRetired int
 	statsBase   icp.Stats
-
-	// persistent consecution shards for the pushing phase (parallel.go):
-	// one long-lived solver per static shard, each with its own
-	// activation-variable ids, log position, and retirement count.
-	pushSolvers []*icp.Solver
-	pushActs    [][]tnf.VarID
-	pushApplied []int
-	pushRetired []int
-	pushStalled bool // last sweep pushed nothing while skips were in effect
+	pushStalled bool // last push sweep pushed nothing while skips were in effect
 
 	// coreHits counts how often each (variable, direction) bound was
 	// retained by an UNSAT core, steering generalization to drop or
@@ -236,9 +219,8 @@ type checker struct {
 	coreHits map[coreKey]int64
 
 	// memo caches UNSAT consecution answers keyed by canonical cube,
-	// target frame, and op-log generation (memo.go).  Sequential-loop
-	// only: blockQuery consults it directly, and pushFrames resolves
-	// hits in a pre-pass before fanning the misses out to the shards.
+	// target frame, and op-log generation (memo.go), consulted by
+	// blockQuery and pushFrames before they ask the solver.
 	memo *consecMemo
 
 	// hot-path tables, built once in build(): position and declared
@@ -247,10 +229,8 @@ type checker struct {
 	curIdx   map[tnf.VarID]int
 	domByVar map[tnf.VarID]interval.Interval
 
-	// single-goroutine scratch buffers for the property/init/primed
-	// literal mappings and the widening candidate cube.  Only the main
-	// IC3 loop uses them; the parallel pushing workers allocate their
-	// own (see parallel.go).
+	// scratch buffers for the property/init/primed literal mappings and
+	// the widening candidate cube.
 	propScratch   []tnf.Lit
 	initScratch   []tnf.Lit
 	primedScratch []tnf.Lit
@@ -363,9 +343,6 @@ func checkFull(sys *ts.System, opts Options) (engine.Result, *Info, *checker) {
 	// surface the main solver's hot-path counters next to the IC3 ones
 	// (statsBase carries what earlier solver rebuilds absorbed)
 	ch.absorbMainStats()
-	for _, ps := range ch.pushSolvers {
-		ch.absorbSolverStats(&ps.Stats)
-	}
 	ch.stats["watchVisits"] = ch.statsBase.WatchVisits
 	ch.stats["clausesDeleted"] = ch.statsBase.ClausesDeleted
 	ch.stats["litsMinimized"] = ch.statsBase.LitsMinimized
@@ -449,9 +426,9 @@ func (ch *checker) build() error {
 	}
 	ch.badRobust = badR
 	// Compile-time TNF preprocessing (tnf.Simplify): every solver built
-	// from these systems — main, its rebuilds, the 8 push shards, the
-	// F_∞ prototype — replays the smaller form.  Must run before the
-	// first icp.New on each system (solvers sync by position counts).
+	// from these systems — main, its rebuilds, the F_∞ prototype —
+	// replays the smaller form.  Must run before the first icp.New on
+	// each system (solvers sync by position counts).
 	ch.stats["tnfOpsPruned"] += int64(ch.tnfMain.Simplify().Pruned())
 	ch.main = icp.New(ch.tnfMain, ch.opts.Solver)
 
@@ -789,7 +766,7 @@ func (ch *checker) globallySafe() bool {
 }
 
 // newFrame appends a frame level with a fresh activation variable (a
-// durable op, so rebuilt and shard solvers re-create it on replay).
+// durable op, so a rebuilt main solver re-creates it on replay).
 func (ch *checker) newFrame() {
 	ch.appendOp(durableOp{newFrame: true})
 	ch.applyMain()
@@ -855,8 +832,7 @@ func (ch *checker) boxPoint(box []interval.Interval, ids []tnf.VarID) ts.State {
 }
 
 // primed maps cube literals onto the next-state variables.  The returned
-// slice is a scratch buffer valid until the next primed call; the
-// parallel pushing workers map into their own buffers instead.
+// slice is a scratch buffer valid until the next primed call.
 func (ch *checker) primed(c icpCube) []tnf.Lit {
 	ch.primedScratch = mapLits(ch.primedScratch[:0], c, ch.nextIDs, ch.curIdx)
 	//lint:allow scratchalias documented loan: consumed by Solve before the next primed call
@@ -894,8 +870,9 @@ func (ch *checker) initIntersects(c icpCube) (bool, *icp.Result) {
 	return true, &r
 }
 
-// blockQuery asks SAT(F_{frame-1} ∧ ¬cube ∧ T ∧ cube').  On UNSAT it
-// returns the subset of cube literals in the assumption core.
+// blockQuery asks the consecution query for a blocking attempt.  On
+// UNSAT it returns the subset of cube literals in the assumption core,
+// counts them in coreHits and stores them in the consecution memo.
 func (ch *checker) blockQuery(c icpCube, frame int) (icp.Result, icpCube) {
 	ch.tick()
 	// consecution memo: a cached UNSAT for this (cube, frame) at an
@@ -911,6 +888,20 @@ func (ch *checker) blockQuery(c icpCube, frame int) (icp.Result, icpCube) {
 		}
 		return icp.Result{Status: icp.StatusUnsat}, coreCube
 	}
+	r, coreCube := ch.consecution(c, frame)
+	if r.Status == icp.StatusUnsat {
+		for _, l := range coreCube {
+			ch.coreHits[coreKey{l.Var, l.Dir}]++
+		}
+		ch.memoStore(c, frame, len(ch.ops), coreCube)
+	}
+	return r, coreCube
+}
+
+// consecution asks SAT(F_{frame-1} ∧ ¬cube ∧ T ∧ cube') on the main
+// solver, the one query shape blocking and pushing share.  On UNSAT it
+// returns the subset of cube literals in the assumption core.
+func (ch *checker) consecution(c icpCube, frame int) (icp.Result, icpCube) {
 	ch.stats["queries"]++
 	// retired one-shot activation variables accumulate; rebuild the main
 	// solver from the durable-op log before they exceed the slack, so
@@ -938,10 +929,8 @@ func (ch *checker) blockQuery(c icpCube, frame int) (icp.Result, icpCube) {
 		for i, pl := range primed {
 			if inCore[pl] {
 				coreCube = append(coreCube, c[i])
-				ch.coreHits[coreKey{c[i].Var, c[i].Dir}]++
 			}
 		}
-		ch.memoStore(c, frame, len(ch.ops), coreCube)
 	}
 	ch.main.AddClause(tnf.Clause{tnf.MkLe(tmp, 0)}) // retire
 	ch.mainRetired++
@@ -949,10 +938,9 @@ func (ch *checker) blockQuery(c icpCube, frame int) (icp.Result, icpCube) {
 }
 
 // addBlockedCube installs ¬cube at the given frame level: an op on the
-// durable log (replayed by shard solvers at their next sync), applied
-// eagerly to main.  A fresh clause at level L strengthens every F_i
-// with i <= L, so dormant push attempts of all those frames are
-// re-armed when the clause might refute their witness.
+// durable log, applied eagerly to main.  A fresh clause at level L
+// strengthens every F_i with i <= L, so dormant push attempts of all
+// those frames are re-armed when the clause might refute their witness.
 func (ch *checker) addBlockedCube(c icpCube, level int) {
 	ch.stats["blockedCubes"]++
 	if ch.opts.DebugTrace {
@@ -1078,10 +1066,8 @@ func (ch *checker) run(info *Info) engine.Result {
 			}
 		}
 
-		// propagate clauses forward: per-clause consecution queries fan
-		// out over solver snapshots (see parallel.go) with a per-frame
-		// barrier merge in clause order, so the result is identical for
-		// every worker count.
+		// propagate clauses forward: one consecution query per pending
+		// clause, merged at a per-frame barrier in clause order (push.go).
 		ch.newFrame()
 		if i, fixed := ch.pushFrames(k); fixed {
 			// F_i == F_{i+1}: inductive invariant.  The unguarded F_∞
@@ -1292,7 +1278,7 @@ func (ch *checker) generalize(c, coreCube icpCube, frame int) icpCube {
 	// they are attempted first — successful drops early make every later
 	// query in this loop smaller and cheaper.  The hit table evolves
 	// deterministically with the query sequence, so the ordering is
-	// identical across runs and worker counts.
+	// identical across runs.
 	g = ch.orderByCoreHits(g)
 	for i := 0; i < len(g); i++ {
 		// try dropping the literal entirely

@@ -25,12 +25,9 @@ import (
 // canonical (order-independent) literal hash plus the target frame;
 // an entry is valid when its recorded generation is at or below the
 // querying context's.  Entries store the canonical cube itself, so a
-// hash collision degrades to a miss, never to a wrong answer.  All
-// lookups and stores happen on the sequential IC3 loop (the parallel
-// pushing workers only see the queries that already missed), so the
-// hit sequence — and with it every solver lineage — is a deterministic
-// function of the frame evolution alone, independent of the worker
-// count.
+// hash collision degrades to a miss, never to a wrong answer.  The
+// IC3 loop is sequential, so the hit sequence — and with it the solver
+// lineage — is a deterministic function of the frame evolution alone.
 
 // memoSize is the number of direct-mapped cache slots (power of two).
 const memoSize = 4096

@@ -19,7 +19,7 @@ import (
 // proves the forced runs actually exercised reduceDB.
 func TestReduceDBVerdictInvariance(t *testing.T) {
 	var deleted int64
-	for _, inst := range parallelInstances {
+	for _, inst := range pushInstances {
 		t.Run(inst.name, func(t *testing.T) {
 			runWith := func(solver icp.Options) engine.Result {
 				sys := mustParse(t, inst.src)

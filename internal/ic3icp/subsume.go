@@ -55,8 +55,8 @@ func cubeSubsumes(c, e icpCube) bool {
 }
 
 // subsumeInFrame removes every cube of frames[level] subsumed by c,
-// compacting in place (order preserved — determinism across worker
-// counts depends on frame order).  Returns the number removed.
+// compacting in place (order preserved — run-to-run determinism
+// depends on frame order).  Returns the number removed.
 func (ch *checker) subsumeInFrame(c icpCube, level int) int {
 	fr := ch.frames[level]
 	out := 0

@@ -7,7 +7,7 @@ import (
 	"icpic3/internal/tnf"
 )
 
-// Triggered clause pushing and the long-lived frame-solver lifecycle.
+// Triggered clause pushing and the main solver's lifecycle.
 //
 // Two pieces of machinery live here:
 //
@@ -35,19 +35,15 @@ import (
 //     the untriggered algorithm would reach is reached at most one
 //     major iteration later.
 //
-//  2. A durable-op log replacing per-phase solver cloning.  Frame
-//     content — activation variables and guarded clauses — is recorded
-//     as ops over stable tnf-level literals; any solver compiled from
-//     tnfMain can replay the log from an arbitrary prefix.  The main
-//     solver consumes ops eagerly; the pushShards consecution solvers
-//     replay the suffix at each sync point and so stay warm across
-//     propagation phases (keeping their learned clauses) instead of
-//     being re-cloned from main each sweep.  The same log rebuilds the
-//     main solver from scratch once retired one-shot activation
+//  2. A durable-op log.  Frame content — activation variables and
+//     guarded clauses — is recorded as ops over stable tnf-level
+//     literals; any solver compiled from tnfMain can replay the log
+//     from an arbitrary prefix.  The main solver, which answers every
+//     blocking and pushing query, consumes ops eagerly, and the same
+//     log rebuilds it from scratch once retired one-shot activation
 //     variables accumulate (mainRebuildSlack), bounding NumVars over a
-//     long run; per-shard retirement counts do the same for the push
-//     solvers.  Rebuild points are a function of deterministic query
-//     counts only, so verdicts stay reproducible and worker-invariant.
+//     long run.  Rebuild points are a function of deterministic query
+//     counts only, so verdicts stay reproducible.
 
 // frameCube is a blocked cube plus its push-trigger state.
 type frameCube struct {
@@ -70,12 +66,8 @@ type durableOp struct {
 
 // mainRebuildSlack bounds how many retired one-shot .tmp activation
 // variables the main solver may accumulate before it is rebuilt from
-// tnfMain plus the durable-op log; pushRebuildSlack is the per-shard
-// equivalent for the long-lived consecution solvers.
-const (
-	mainRebuildSlack = 1024
-	pushRebuildSlack = 1024
-)
+// tnfMain plus the durable-op log.
+const mainRebuildSlack = 1024
 
 func (ch *checker) appendOp(op durableOp) { ch.ops = append(ch.ops, op) }
 
@@ -120,28 +112,17 @@ func (ch *checker) rebuildMain() {
 	ch.stats["solverRebuilds"]++
 }
 
-// absorbMainStats folds the surfaced counters of the current main
-// solver into the run-level base so a rebuild does not reset them.
+// absorbMainStats folds the surfaced counters of the main solver into
+// the run-level base.  It runs once per main solver: just before a
+// rebuild discards it, and at the end of the run.  Of the search
+// counters only Revisions is reported; the rest fingerprint the search
+// for the work-profile golden test.
 func (ch *checker) absorbMainStats() {
-	st := &ch.main.Stats
-	ch.statsBase.WatchVisits += st.WatchVisits
-	ch.statsBase.ClausesDeleted += st.ClausesDeleted
-	ch.statsBase.LitsMinimized += st.LitsMinimized
-	ch.statsBase.SubsumedFrameClauses += st.SubsumedFrameClauses
-	st.WatchVisits, st.ClausesDeleted, st.LitsMinimized, st.SubsumedFrameClauses = 0, 0, 0, 0
-	ch.absorbSolverStats(st)
-}
-
-// absorbSolverStats folds one solver's trail-retention and search
-// counters into the run-level base.  Unlike the main-only counters
-// above, these are also collected from the shard consecution solvers (at
-// their rebuild points and once at end of run): the shards answer most
-// consecution queries, so main-only numbers would wildly under-report
-// retention and contraction work.  Of the search counters only
-// Revisions is reported; the rest fingerprint the search for the
-// work-profile golden test.
-func (ch *checker) absorbSolverStats(st *icp.Stats) {
-	b := &ch.statsBase
+	st, b := &ch.main.Stats, &ch.statsBase
+	b.WatchVisits += st.WatchVisits
+	b.ClausesDeleted += st.ClausesDeleted
+	b.LitsMinimized += st.LitsMinimized
+	b.SubsumedFrameClauses += st.SubsumedFrameClauses
 	b.PrefixKeptLevels += st.PrefixKeptLevels
 	b.TrailEventsSaved += st.TrailEventsSaved
 	b.Revisions += st.Revisions
@@ -149,49 +130,6 @@ func (ch *checker) absorbSolverStats(st *icp.Stats) {
 	b.Contractions += st.Contractions
 	b.Conflicts += st.Conflicts
 	b.Decisions += st.Decisions
-	st.PrefixKeptLevels, st.TrailEventsSaved, st.Revisions = 0, 0, 0
-	st.Propagations, st.Contractions, st.Conflicts, st.Decisions = 0, 0, 0, 0
-}
-
-// ensurePushSolvers builds the persistent consecution shards on first
-// use, rebuilds any shard whose retired activation variables exceeded
-// the slack, and replays new ops onto the rest.
-func (ch *checker) ensurePushSolvers() {
-	if ch.pushSolvers == nil {
-		ch.pushSolvers = make([]*icp.Solver, pushShards)
-		ch.pushActs = make([][]tnf.VarID, pushShards)
-		ch.pushApplied = make([]int, pushShards)
-		ch.pushRetired = make([]int, pushShards)
-	}
-	for s := range ch.pushSolvers {
-		if ch.pushSolvers[s] == nil {
-			ch.buildPushSolver(s)
-		} else if ch.pushRetired[s] >= pushRebuildSlack {
-			ch.absorbSolverStats(&ch.pushSolvers[s].Stats)
-			ch.buildPushSolver(s)
-			ch.stats["solverRebuilds"]++
-		}
-	}
-	ch.syncPushSolvers()
-}
-
-// buildPushSolver compiles shard s cold from tnfMain + the full op log.
-func (ch *checker) buildPushSolver(s int) {
-	sol := icp.New(ch.tnfMain, ch.opts.Solver)
-	ch.pushSolvers[s] = sol
-	ch.pushActs[s] = applyOps(sol, ch.pushActs[s][:0], ch.ops, 0)
-	ch.pushApplied[s] = len(ch.ops)
-	ch.pushRetired[s] = 0
-}
-
-// syncPushSolvers replays newly appended durable ops onto every shard
-// (called at phase start and at each per-frame barrier so later frames
-// see the clauses pushed by earlier ones).
-func (ch *checker) syncPushSolvers() {
-	for s := range ch.pushSolvers {
-		ch.pushActs[s] = applyOps(ch.pushSolvers[s], ch.pushActs[s], ch.ops, ch.pushApplied[s])
-		ch.pushApplied[s] = len(ch.ops)
-	}
 }
 
 // markTriggered re-arms dormant push attempts that the new clause ¬g

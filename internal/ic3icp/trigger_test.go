@@ -10,10 +10,11 @@ import (
 )
 
 // TestBlockQueryBoundedVars asserts that the one-shot .tmp activation
-// variables of blockQuery no longer accumulate without bound: once
-// mainRebuildSlack of them have been retired, the main solver is
+// variables of consecution queries no longer accumulate without bound:
+// once mainRebuildSlack of them have been retired, the main solver is
 // rebuilt from tnfMain plus the durable-op log, so NumVars stays
-// bounded over arbitrarily long runs.
+// bounded over arbitrarily long runs.  Blocking and pushing queries
+// share the main solver, so both count toward the slack.
 func TestBlockQueryBoundedVars(t *testing.T) {
 	ch := newTestChecker(t, logisticSrc)
 	ch.newFrame() // F_0
@@ -60,6 +61,35 @@ func TestBlockQueryBoundedVars(t *testing.T) {
 			t.Errorf("memo hit grew the solver: %d -> %d vars", before, n)
 		}
 	}
+
+	// A push sweep over a frame of more than mainRebuildSlack pending
+	// cubes: every push is UNSAT (the logistic map never reaches 0.95),
+	// each solver query retires a .tmp on main, and main is rebuilt once
+	// on the way.
+	ch = newTestChecker(t, logisticSrc)
+	for i := 0; i < 3; i++ {
+		ch.newFrame() // F_0, F_1, F_2
+	}
+	n := mainRebuildSlack + 64
+	for i := 0; i < n; i++ {
+		ch.frames[1] = append(ch.frames[1], &frameCube{cube: cubeAt(i), pending: true})
+	}
+	base = ch.main.NumVars()
+	if i, fixed := ch.pushFrames(1); !fixed || i != 1 {
+		t.Fatalf("pushFrames(1) = %d, %v; want every cube pushed and F_1 empty", i, fixed)
+	}
+	if got := ch.stats["queries"]; got != int64(n) {
+		t.Errorf("push sweep ran %d queries, want %d", got, n)
+	}
+	if got := ch.stats["solverRebuilds"]; got != 1 {
+		t.Errorf("solverRebuilds = %d after %d push queries, want 1", got, n)
+	}
+	if ch.mainRetired != n-mainRebuildSlack {
+		t.Errorf("mainRetired = %d, want %d", ch.mainRetired, n-mainRebuildSlack)
+	}
+	if got, bound := ch.main.NumVars(), base+mainRebuildSlack; got > bound {
+		t.Errorf("main solver has %d vars after the push sweep, want <= %d", got, bound)
+	}
 }
 
 // TestTriggeredPushReduceInvariance is the differential check that the
@@ -72,7 +102,7 @@ func TestBlockQueryBoundedVars(t *testing.T) {
 // verdict or losing pushes) or stop skipping entirely.
 func TestTriggeredPushReduceInvariance(t *testing.T) {
 	var deleted, skipped int64
-	for _, inst := range parallelInstances {
+	for _, inst := range pushInstances {
 		t.Run(inst.name, func(t *testing.T) {
 			runWith := func(solver icp.Options) engine.Result {
 				sys := mustParse(t, inst.src)
@@ -111,7 +141,7 @@ func TestTriggeredPushReduceInvariance(t *testing.T) {
 // isolates the retention layer alone.
 func TestRetentionInvariance(t *testing.T) {
 	var saved, lookups int64
-	for _, inst := range parallelInstances {
+	for _, inst := range pushInstances {
 		t.Run(inst.name, func(t *testing.T) {
 			runWith := func(solver icp.Options) engine.Result {
 				sys := mustParse(t, inst.src)

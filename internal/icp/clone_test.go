@@ -129,9 +129,8 @@ func TestCloneIsolation(t *testing.T) {
 // pile of root-satisfied retire-style clauses, the kind IC3 queries
 // leave behind).  The clone owns copies of the clause slice and watch
 // lists, so deletions and watch rebuilds in the original must not
-// change a single answer on the snapshot — this is what lets the IC3
-// parallel-pushing shards keep serving queries while the main solver
-// reduces.
+// change a single answer on the snapshot — this is what lets a clone
+// keep serving queries while the solver it was taken from reduces.
 func TestCloneSurvivesReduceDB(t *testing.T) {
 	sys := tnf.NewSystem()
 	for _, n := range []string{"x", "y"} {

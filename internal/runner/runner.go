@@ -36,8 +36,6 @@ type Spec struct {
 	MaxK int
 	// Generalize is the IC3 generalization mode (see ParseGen).
 	Generalize string
-	// Workers is the goroutine count of IC3's parallel clause pushing.
-	Workers int
 	// Budget bounds the run.
 	Budget engine.Budget
 	// Progress, when non-nil, receives the engine's heartbeat; the
@@ -126,8 +124,7 @@ func checkIC3(sys *ts.System, s Spec) engine.Result {
 	return ic3icp.Check(sys, ic3icp.Options{
 		Solver:     icp.Options{Eps: s.Eps},
 		Generalize: gen, GeneralizeSet: true,
-		Workers: s.Workers, SeedClauses: s.SeedClauses,
-		Budget: s.Budget, Progress: s.Progress,
+		SeedClauses: s.SeedClauses, Budget: s.Budget, Progress: s.Progress,
 	})
 }
 

@@ -18,7 +18,6 @@ type submitBody struct {
 	MaxDepth   int     `json:"max_depth"`
 	MaxK       int     `json:"max_k"`
 	Generalize string  `json:"generalize"`
-	Workers    int     `json:"workers"` // IC3 clause-pushing goroutines (0 = sequential)
 }
 
 // Handler returns the HTTP API of the service:
@@ -55,14 +54,13 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, err := s.Submit(Request{
-		Source:       body.Model,
-		Engine:       body.Engine,
-		Timeout:      time.Duration(body.TimeoutMS) * time.Millisecond,
-		Eps:          body.Eps,
-		MaxDepth:     body.MaxDepth,
-		MaxK:         body.MaxK,
-		Generalize:   body.Generalize,
-		QueryWorkers: body.Workers,
+		Source:     body.Model,
+		Engine:     body.Engine,
+		Timeout:    time.Duration(body.TimeoutMS) * time.Millisecond,
+		Eps:        body.Eps,
+		MaxDepth:   body.MaxDepth,
+		MaxK:       body.MaxK,
+		Generalize: body.Generalize,
 	})
 	if err != nil {
 		switch {

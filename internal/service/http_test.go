@@ -162,9 +162,16 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad engine status = %d, want 400", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, srv.URL+"/v1/jobs", map[string]interface{}{"model": safeModel, "tenant": "alice"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field status = %d, want 400", resp.StatusCode)
+	// fields of removed features are unknown: "tenant" (per-tenant
+	// quotas) and "workers" (IC3's per-job pushing goroutines)
+	for _, body := range []map[string]interface{}{
+		{"model": safeModel, "tenant": "alice"},
+		{"model": safeModel, "workers": 4},
+	} {
+		resp, _ = postJSON(t, srv.URL+"/v1/jobs", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("unknown field in %v: status = %d, want 400", body, resp.StatusCode)
+		}
 	}
 	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader("{"))
 	if err != nil {

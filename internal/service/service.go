@@ -149,10 +149,6 @@ type Request struct {
 	// Generalize is the IC3 generalization mode: none | core | core+widen,
 	// or the alias widen ("" = core+widen; see runner.ParseGen).
 	Generalize string `json:"generalize,omitempty"`
-	// QueryWorkers is the goroutine count for IC3's parallel clause
-	// pushing within this job (0 = 1, i.e. sequential; clamped to 64).
-	// Verdicts do not depend on it, so it is excluded from the cache key.
-	QueryWorkers int `json:"workers,omitempty"`
 }
 
 // normalize applies the request defaults so that equivalent requests
@@ -180,12 +176,6 @@ func (r Request) normalize(cfg Config) (Request, error) {
 	if r.MaxK <= 0 {
 		r.MaxK = 24
 	}
-	if r.QueryWorkers <= 0 {
-		r.QueryWorkers = 1
-	}
-	if r.QueryWorkers > 64 {
-		r.QueryWorkers = 64
-	}
 	if r.Timeout <= 0 {
 		r.Timeout = cfg.DefaultTimeout
 	}
@@ -198,10 +188,7 @@ func (r Request) normalize(cfg Config) (Request, error) {
 // cacheKey is the canonical identity of a job's answer: the system hash
 // plus every option that can change the verdict.  The timeout is
 // deliberately excluded — only decisive results are cached and those do
-// not depend on the budget that found them.  QueryWorkers is likewise
-// excluded: IC3's parallel clause pushing is deterministic across worker
-// counts (shard-by-query-index, see internal/ic3icp/parallel.go), so a
-// sequential and a parallel run of the same job share one answer.
+// not depend on the budget that found them.
 func (r Request) cacheKey(sys *ts.System) string {
 	return fmt.Sprintf("%s|engine=%s|eps=%g|depth=%d|k=%d|gen=%s",
 		sys.Hash(), r.Engine, r.Eps, r.MaxDepth, r.MaxK, r.Generalize)

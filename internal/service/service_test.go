@@ -125,44 +125,6 @@ func TestCacheHitOnResubmission(t *testing.T) {
 	}
 }
 
-// TestQueryWorkersSharedAcrossWorkerCounts: per-job query parallelism
-// must not fragment the result cache — IC3's pushing is deterministic in
-// the worker count, so a sequential answer serves a parallel resubmit.
-func TestQueryWorkersSharedAcrossWorkerCounts(t *testing.T) {
-	s := newTestService(t, Config{Workers: 2})
-	first, err := s.Submit(Request{Source: safeModel, Engine: "ic3", Timeout: 30 * time.Second, QueryWorkers: 1})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	final, err := s.Wait(first.ID, 30*time.Second)
-	if err != nil || final.Verdict != "safe" {
-		t.Fatalf("final = %+v, err %v, want safe", final, err)
-	}
-	second, err := s.Submit(Request{Source: safeModel, Engine: "ic3", Timeout: 30 * time.Second, QueryWorkers: 8})
-	if err != nil {
-		t.Fatalf("resubmit: %v", err)
-	}
-	if !second.CacheHit || second.Verdict != "safe" {
-		t.Fatalf("second = %+v, want cache hit across worker counts", second)
-	}
-	if first.Key != second.Key {
-		t.Fatalf("keys differ: %s vs %s", first.Key, second.Key)
-	}
-
-	// normalize defaults to sequential and clamps runaway requests
-	norm, err := Request{Source: safeModel}.normalize(Config{}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if norm.QueryWorkers != 1 {
-		t.Errorf("default QueryWorkers = %d, want 1", norm.QueryWorkers)
-	}
-	norm, _ = Request{Source: safeModel, QueryWorkers: 10000}.normalize(Config{}.withDefaults())
-	if norm.QueryWorkers != 64 {
-		t.Errorf("clamped QueryWorkers = %d, want 64", norm.QueryWorkers)
-	}
-}
-
 func TestCancelRunningJob(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1})
 	st, err := s.Submit(Request{Source: hardModel, Engine: "ic3", Timeout: time.Hour})

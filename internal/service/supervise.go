@@ -149,8 +149,7 @@ func (s *Service) runAttempt(jb *job, engineName string, hints seedHints) engine
 		engine.FireFault(jb.sys.Name, budget)
 		return runner.Check(jb.sys, runner.Spec{
 			Engine: engineName, Eps: req.Eps, MaxDepth: req.MaxDepth, MaxK: req.MaxK,
-			Generalize: req.Generalize, Workers: req.QueryWorkers,
-			Budget: budget, Progress: prog,
+			Generalize: req.Generalize, Budget: budget, Progress: prog,
 			SeedClauses: hints.invariant, SeedK: hints.k,
 		})
 	})

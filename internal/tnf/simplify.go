@@ -18,8 +18,7 @@ import (
 // constraints and clauses, literal merging, unused-auxiliary collapse)
 // the solver never revisits.  Every solver subsequently compiled from
 // the system replays a smaller problem; for ic3icp that is the main
-// solver, its rebuilds, all persistent push shards, and the F_∞ probe
-// prototype.
+// solver, its rebuilds, and the F_∞ probe prototype.
 //
 // The pass never removes or renumbers variables: VarIDs are stable
 // handles held by callers (state-variable tables, captured literals),

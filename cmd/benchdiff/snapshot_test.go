@@ -11,9 +11,9 @@ import (
 	"icpic3/internal/harness"
 )
 
-// committedPairs are the snapshot pairs diffed by make bench-smoke, plus
-// the watched-propagation and one-consecution-path pairs; every one
-// passed benchdiff when it was committed.
+// committedPairs are the committed before/after snapshot pairs; every
+// one passed benchdiff when it was committed.  TestCommittedPairsPass is
+// the one place they are diffed.
 var committedPairs = [][2]string{
 	{"BENCH_2026-08-06.json", "BENCH_2026-08-06-watched.json"},
 	{"BENCH_2026-08-08.json", "BENCH_2026-08-08-triggered.json"},

@@ -18,6 +18,7 @@ type Counter struct {
 // adding a counter is one row here for a Stats key an engine emits.
 var Counters = [...]Counter{
 	{"queries", "solver queries", 0.10},
+	{"infQueries", "F_∞ self-inductiveness probes", 0},
 	{"pushAttempts", "clause-push consecution queries attempted", 0},
 	{"pushSkippedTriggered", "push attempts skipped as dormant by triggered pushing", 0},
 	{"solverRebuilds", "frame-solver slack rebuilds (activation-var GC)", 0},

@@ -39,13 +39,14 @@ import (
 type GenMode int
 
 const (
-	// GenNone blocks the full cube unchanged (ablation baseline).
-	GenNone GenMode = iota
-	// GenCore drops literals absent from the UNSAT core.
+	// GenCoreWiden, the default, drops literals absent from the UNSAT
+	// core and widens the surviving bounds outward while the blocking
+	// query remains UNSAT.
+	GenCoreWiden GenMode = iota
+	// GenCore only drops literals absent from the UNSAT core.
 	GenCore
-	// GenCoreWiden additionally widens surviving bounds outward while the
-	// blocking query remains UNSAT.
-	GenCoreWiden
+	// GenNone blocks the full cube unchanged (ablation baseline).
+	GenNone
 )
 
 func (g GenMode) String() string {
@@ -69,13 +70,9 @@ type Options struct {
 	// ValidateTol is the counterexample validation tolerance
 	// (0 = 1000 * Eps).
 	ValidateTol float64
-	// Generalize selects the generalization strategy (default GenCoreWiden;
-	// note GenNone is the zero value and therefore must be requested via
-	// GeneralizeSet).
+	// Generalize selects the generalization strategy (zero value
+	// GenCoreWiden).
 	Generalize GenMode
-	// GeneralizeSet marks Generalize as explicitly chosen (lets GenNone be
-	// selectable despite being the zero value).
-	GeneralizeSet bool
 	// WidenRounds is the number of bisection steps when widening a bound
 	// outward (0 = 8, used only by GenCoreWiden).
 	WidenRounds int
@@ -107,9 +104,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ValidateTol <= 0 {
 		o.ValidateTol = 1000 * o.Solver.Eps
-	}
-	if !o.GeneralizeSet {
-		o.Generalize = GenCoreWiden
 	}
 	if o.WidenRounds <= 0 {
 		o.WidenRounds = 8
@@ -172,9 +166,9 @@ type checker struct {
 	sys  *ts.System
 	opts Options
 
-	// main solver: steps 0 (current) and 1 (next), Trans asserted
+	// steps 0 (current) and 1 (next), Trans asserted; both query
+	// solvers are compiled from tnfMain (see trigger.go)
 	tnfMain   *tnf.System
-	main      *icp.Solver
 	curIDs    []tnf.VarID // state var ids at step 0
 	nextIDs   []tnf.VarID // state var ids at step 1
 	badLit    tnf.Lit     // !Prop over step-0 vars
@@ -196,20 +190,17 @@ type checker struct {
 	propPlain    *icp.Solver
 	propPlainIDs []tnf.VarID
 
-	frameAct []tnf.VarID    // per-level activation variable (main solver)
-	frames   [][]*frameCube // per-level blocked cubes with push-trigger state
-	budget   engine.Budget
-	stats    map[string]int64
+	frames [][]*frameCube // per-level blocked cubes with push-trigger state
+	budget engine.Budget
+	stats  map[string]int64
 
-	// durable-op log and solver-lifecycle state (see trigger.go): ops
-	// replays frame content onto any solver compiled from tnfMain;
-	// mainApplied/mainRetired track the main solver's log position and
-	// retired one-shot activation variables (slack rebuild bounds
-	// NumVars); statsBase accumulates surfaced solver counters across
-	// rebuilds.
+	// durable-op log and the two query solvers (see trigger.go): ops
+	// replays frame content onto any solver compiled from tnfMain; main
+	// answers blocking, pushing and bad-state queries, inf the F_∞
+	// probes (built on the first probe); statsBase accumulates main's
+	// surfaced counters across rebuilds.
 	ops         []durableOp
-	mainApplied int
-	mainRetired int
+	main, inf   *querySolver
 	statsBase   icp.Stats
 	pushStalled bool // last push sweep pushed nothing while skips were in effect
 
@@ -218,9 +209,9 @@ type checker struct {
 	// widen rarely-essential literals first.  Lookup-only iteration.
 	coreHits map[coreKey]int64
 
-	// memo caches UNSAT consecution answers keyed by canonical cube,
-	// target frame, and op-log generation (memo.go), consulted by
-	// blockQuery and pushFrames before they ask the solver.
+	// memo caches UNSAT consecution answers keyed by canonical cube and
+	// target frame (memo.go), consulted by blockQuery and pushFrames
+	// before they ask the solver.
 	memo *consecMemo
 
 	// hot-path tables, built once in build(): position and declared
@@ -235,14 +226,6 @@ type checker struct {
 	initScratch   []tnf.Lit
 	primedScratch []tnf.Lit
 	widenScratch  icpCube
-
-	// F_∞ probe solvers: selfInductive runs on infSolver — a clone of
-	// infProto (compiled from tnfMain, no frame clauses) plus the F_∞
-	// clauses — so probes stop growing the main solver.  infSolver is
-	// re-cloned from the pristine prototype when its per-query
-	// activation variables accumulate, keeping it bounded too.
-	infProto  *icp.Solver
-	infSolver *icp.Solver
 
 	// counterexample-to-generalization machinery
 	ctgBudget   int     // remaining recursive CTG blocks for this obligation
@@ -426,11 +409,11 @@ func (ch *checker) build() error {
 	}
 	ch.badRobust = badR
 	// Compile-time TNF preprocessing (tnf.Simplify): every solver built
-	// from these systems — main, its rebuilds, the F_∞ prototype —
+	// from these systems — main, the F_∞ probe solver, their rebuilds —
 	// replays the smaller form.  Must run before the first icp.New on
 	// each system (solvers sync by position counts).
 	ch.stats["tnfOpsPruned"] += int64(ch.tnfMain.Simplify().Pruned())
-	ch.main = icp.New(ch.tnfMain, ch.opts.Solver)
+	ch.main = ch.newQuerySolver(mainRebuildSlack, false)
 
 	ch.tnfInit = tnf.NewSystem()
 	ids, err := sys.DeclareStep(ch.tnfInit, 0)
@@ -631,32 +614,6 @@ func (ch *checker) widenCubeWith(c icpCube, test func(icpCube) bool) icpCube {
 	return c
 }
 
-// infRebuildSlack bounds how many retired per-query activation
-// variables the F_∞ probe solver may accumulate before it is re-cloned
-// from the pristine prototype.
-const infRebuildSlack = 256
-
-// infQuerySolver returns the dedicated F_∞ probe solver, building it on
-// first use and re-cloning it from the prototype once retired per-query
-// activation variables accumulate.  The prototype is compiled from
-// tnfMain, so it sees the transition relation and the run literal but no
-// frame clauses — which are guarded and therefore inactive in F_∞
-// queries anyway — making the probe solver semantically equivalent to
-// querying main while keeping main's variable count constant across
-// probes.
-func (ch *checker) infQuerySolver() *icp.Solver {
-	if ch.infProto == nil {
-		ch.infProto = icp.New(ch.tnfMain, ch.opts.Solver)
-	}
-	if ch.infSolver == nil || ch.infSolver.NumVars() > ch.infProto.NumVars()+infRebuildSlack {
-		ch.infSolver = ch.infProto.Clone()
-		for _, g := range ch.infCubes {
-			ch.infSolver.AddClause(ch.negCube(g))
-		}
-	}
-	return ch.infSolver
-}
-
 // selfInductive reports whether the cube's complement is closed under the
 // transition relation on its own: ¬c ∧ T ∧ c' is UNSAT without any frame
 // clauses.  Such a cube can be excluded permanently (the F_∞ frame of
@@ -666,14 +623,10 @@ func (ch *checker) selfInductive(c icpCube) bool {
 		return false
 	}
 	ch.stats["infQueries"]++
-	s := ch.infQuerySolver()
-	tmp := s.AddBoolVar(fmt.Sprintf(".inf%d", ch.stats["infQueries"]))
-	cl := append(tnf.Clause{tnf.MkLe(tmp, 0)}, ch.negCube(c)...)
-	s.AddClause(cl)
-	assumps := []tnf.Lit{ch.runLit, tnf.MkGe(tmp, 1)}
-	assumps = append(assumps, ch.primed(c)...)
-	r := s.Solve(assumps)
-	s.AddClause(tnf.Clause{tnf.MkLe(tmp, 0)}) // retire
+	if ch.inf == nil {
+		ch.inf = ch.newQuerySolver(probeRebuildSlack, true)
+	}
+	r, _ := ch.oneShot(ch.inf, 0, c)
 	ch.infWitness = nil
 	if r.Status == icp.StatusSat {
 		// the obstruction: a box outside c with a successor inside c
@@ -738,10 +691,6 @@ func (ch *checker) promoteInductive(c icpCube) bool {
 	}
 	ch.infCubes = append(ch.infCubes, g)
 	ch.appendOp(durableOp{level: -1, body: ch.negCube(g)})
-	ch.applyMain()
-	if ch.infSolver != nil {
-		ch.infSolver.AddClause(ch.negCube(g)) // keep the probe solver in step
-	}
 	// an F_∞ cube is active everywhere: retire every frame cube it covers
 	// and re-arm any push attempt it might unblock
 	ch.subsumeFrames(g, -1)
@@ -769,17 +718,7 @@ func (ch *checker) globallySafe() bool {
 // durable op, so a rebuilt main solver re-creates it on replay).
 func (ch *checker) newFrame() {
 	ch.appendOp(durableOp{newFrame: true})
-	ch.applyMain()
 	ch.frames = append(ch.frames, nil)
-}
-
-// actLits returns activation assumptions for F_i (levels >= i).
-func (ch *checker) actLits(i int) []tnf.Lit {
-	lits := make([]tnf.Lit, 0, len(ch.frameAct)-i)
-	for j := i; j < len(ch.frameAct); j++ {
-		lits = append(lits, tnf.MkGe(ch.frameAct[j], 1))
-	}
-	return lits
 }
 
 // boxCube extracts the state cube from a solution box, trimming bounds
@@ -893,7 +832,7 @@ func (ch *checker) blockQuery(c icpCube, frame int) (icp.Result, icpCube) {
 		for _, l := range coreCube {
 			ch.coreHits[coreKey{l.Var, l.Dir}]++
 		}
-		ch.memoStore(c, frame, len(ch.ops), coreCube)
+		ch.memoStore(c, frame, coreCube)
 	}
 	return r, coreCube
 }
@@ -903,23 +842,7 @@ func (ch *checker) blockQuery(c icpCube, frame int) (icp.Result, icpCube) {
 // returns the subset of cube literals in the assumption core.
 func (ch *checker) consecution(c icpCube, frame int) (icp.Result, icpCube) {
 	ch.stats["queries"]++
-	// retired one-shot activation variables accumulate; rebuild the main
-	// solver from the durable-op log before they exceed the slack, so
-	// NumVars stays bounded over arbitrarily long runs
-	if ch.mainRetired >= mainRebuildSlack {
-		ch.rebuildMain()
-	}
-	// one-shot activation variable for the ¬cube clause
-	tmp := ch.main.AddBoolVar(fmt.Sprintf(".tmp%d", ch.stats["queries"]))
-	cl := append(tnf.Clause{tnf.MkLe(tmp, 0)}, ch.negCube(c)...)
-	ch.main.AddClause(cl)
-
-	assumps := ch.actLits(frame - 1)
-	assumps = append(assumps, ch.runLit, tnf.MkGe(tmp, 1))
-	primed := ch.primed(c)
-	assumps = append(assumps, primed...)
-	r := ch.main.Solve(assumps)
-
+	r, primed := ch.oneShot(ch.main, frame-1, c)
 	var coreCube icpCube
 	if r.Status == icp.StatusUnsat {
 		inCore := make(map[tnf.Lit]bool, len(r.Core))
@@ -932,8 +855,6 @@ func (ch *checker) consecution(c icpCube, frame int) (icp.Result, icpCube) {
 			}
 		}
 	}
-	ch.main.AddClause(tnf.Clause{tnf.MkLe(tmp, 0)}) // retire
-	ch.mainRetired++
 	return r, coreCube
 }
 
@@ -951,7 +872,6 @@ func (ch *checker) addBlockedCube(c icpCube, level int) {
 	ch.subsumeFrames(c, level)
 	ch.frames[level] = append(ch.frames[level], &frameCube{cube: c, pending: true})
 	ch.appendOp(durableOp{level: level, body: ch.negCube(c)})
-	ch.applyMain()
 	ch.markTriggered(c, 1, level)
 }
 
@@ -1009,7 +929,6 @@ func (ch *checker) run(info *Info) engine.Result {
 	// the step-0 variables guarded by act_0.
 	ch.newFrame() // level 0
 	ch.appendOp(durableOp{level: 0, body: tnf.Clause{initLit}})
-	ch.applyMain()
 	ch.newFrame() // level 1
 
 	// Certificate reuse: install still-inductive prior-proof clauses at
@@ -1031,11 +950,11 @@ func (ch *checker) run(info *Info) engine.Result {
 		for {
 			ch.stats["queries"]++
 			ch.tick()
-			r := ch.main.Solve(append(ch.actLits(k), ch.badRobust))
+			r := ch.main.Solve(append(ch.main.actLits(k), ch.badRobust))
 			if r.Status == icp.StatusUnsat {
 				ch.stats["queries"]++
 				ch.tick()
-				r = ch.main.Solve(append(ch.actLits(k), ch.badLit))
+				r = ch.main.Solve(append(ch.main.actLits(k), ch.badLit))
 			}
 			if r.Status == icp.StatusUnsat {
 				break
@@ -1091,13 +1010,6 @@ func (ch *checker) run(info *Info) engine.Result {
 	}
 	info.Frames = k
 	return engine.Result{Verdict: engine.Unknown, Depth: k, Note: "frame budget"}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // block discharges the root obligation.  It returns Safe when all

@@ -199,8 +199,8 @@ prop x <= 9 or y <= 9
 	for _, mode := range []GenMode{GenNone, GenCore, GenCoreWiden} {
 		sys := mustParse(t, src)
 		res := Check(sys, Options{
-			Generalize: mode, GeneralizeSet: true,
-			Budget: engine.Budget{Timeout: 5 * time.Second},
+			Generalize: mode,
+			Budget:     engine.Budget{Timeout: 5 * time.Second},
 		})
 		switch mode {
 		case GenCoreWiden:

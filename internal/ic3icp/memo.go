@@ -22,10 +22,12 @@ import (
 // cached.
 //
 // The cache is a fixed-size direct-mapped table keyed by the cube's
-// canonical (order-independent) literal hash plus the target frame;
-// an entry is valid when its recorded generation is at or below the
-// querying context's.  Entries store the canonical cube itself, so a
-// hash collision degrades to a miss, never to a wrong answer.  The
+// canonical (order-independent) literal hash plus the target frame.
+// Entries carry no generation stamp: the op log is append-only
+// (appendOp is its one writer), so every lookup happens at a generation
+// at or above the one its entry was proved at, and every entry is
+// valid.  Entries store the canonical cube itself, so a hash collision
+// degrades to a miss, never to a wrong answer.  The
 // IC3 loop is sequential, so the hit sequence — and with it the solver
 // lineage — is a deterministic function of the frame evolution alone.
 
@@ -35,7 +37,6 @@ const memoSize = 4096
 // memoEntry is one cached UNSAT consecution answer.
 type memoEntry struct {
 	hash  uint64
-	gen   int   // op-log length when the answer was proved
 	frame int32 // target frame of the query
 	cube  icpCube
 	core  icpCube // cube-literal subset sufficient for UNSAT
@@ -116,14 +117,13 @@ func cubesEqual(a, b icpCube) bool {
 }
 
 // lookup returns the cached core subset for an UNSAT answer to the
-// consecution query (c, frame) proved at or before op-log generation
-// gen.  The returned core aliases the entry; callers treat it as
-// read-only (generalize copies before mutating).
-func (m *consecMemo) lookup(c icpCube, frame, gen int) (icpCube, bool) {
+// consecution query (c, frame).  The returned core aliases the entry;
+// callers treat it as read-only (generalize copies before mutating).
+func (m *consecMemo) lookup(c icpCube, frame int) (icpCube, bool) {
 	canon := m.canon(c)
 	h := hashCube(canon, frame)
 	e := &m.entries[h&(memoSize-1)]
-	if e.cube == nil || e.hash != h || e.frame != int32(frame) || e.gen > gen {
+	if e.cube == nil || e.hash != h || e.frame != int32(frame) {
 		return nil, false
 	}
 	if !cubesEqual(e.cube, canon) {
@@ -135,13 +135,12 @@ func (m *consecMemo) lookup(c icpCube, frame, gen int) (icpCube, bool) {
 // store records an UNSAT consecution answer.  Collisions overwrite:
 // the table is a bounded cache, not a log, and dropping an entry only
 // costs a future re-query.
-func (m *consecMemo) store(c icpCube, frame, gen int, core icpCube) {
+func (m *consecMemo) store(c icpCube, frame int, core icpCube) {
 	canon := m.canon(c)
 	h := hashCube(canon, frame)
 	e := &m.entries[h&(memoSize-1)]
 	*e = memoEntry{
 		hash:  h,
-		gen:   gen,
 		frame: int32(frame),
 		cube:  append(icpCube(nil), canon...),
 		core:  append(icpCube(nil), core...),
@@ -155,7 +154,7 @@ func (ch *checker) memoLookup(c icpCube, frame int) (icpCube, bool) {
 	if ch.memo == nil {
 		ch.memo = newConsecMemo()
 	}
-	core, ok := ch.memo.lookup(c, frame, len(ch.ops))
+	core, ok := ch.memo.lookup(c, frame)
 	if ok {
 		ch.stats["consecCacheHits"]++
 	} else {
@@ -164,11 +163,11 @@ func (ch *checker) memoLookup(c icpCube, frame int) (icpCube, bool) {
 	return core, ok
 }
 
-// memoStore records an UNSAT consecution answer proved at op-log
-// generation gen with the given cube-literal core subset.
-func (ch *checker) memoStore(c icpCube, frame, gen int, core icpCube) {
+// memoStore records an UNSAT consecution answer with the given
+// cube-literal core subset.
+func (ch *checker) memoStore(c icpCube, frame int, core icpCube) {
 	if ch.memo == nil {
 		ch.memo = newConsecMemo()
 	}
-	ch.memo.store(c, frame, gen, core)
+	ch.memo.store(c, frame, core)
 }

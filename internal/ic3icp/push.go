@@ -71,11 +71,10 @@ func (ch *checker) pushFrames(k int) (int, bool) {
 		if len(attempts) == 0 {
 			continue
 		}
-		// An attempt whose (cube, target) was already proved UNSAT at an
-		// earlier op-log generation is memo-served.  Fresh answers are
-		// stored only at the barrier, so no store of this frame can evict
-		// an entry a later attempt of the frame would hit.
-		gen := len(ch.ops)
+		// An attempt whose (cube, target) was already proved UNSAT is
+		// memo-served.  Fresh answers are stored only at the barrier, so
+		// no store of this frame can evict an entry a later attempt of
+		// the frame would hit.
 		results := make([]pushResult, len(attempts))
 		for a, j := range attempts {
 			c := frame[j].cube
@@ -107,7 +106,7 @@ func (ch *checker) pushFrames(k int) (int, bool) {
 			case results[a].pushed:
 				pushedIdx[j] = true
 				if results[a].solved {
-					ch.memoStore(fc.cube, i+1, gen, results[a].core)
+					ch.memoStore(fc.cube, i+1, results[a].core)
 				}
 			case results[a].unknown:
 				// stays pending: retried next sweep
@@ -152,6 +151,5 @@ func (ch *checker) installPushed(fc *frameCube, level int) {
 	fc.pending, fc.witness = true, nil
 	ch.frames[level] = append(ch.frames[level], fc)
 	ch.appendOp(durableOp{level: level, body: ch.negCube(fc.cube)})
-	ch.applyMain()
 	ch.markTriggered(fc.cube, level, level)
 }

@@ -34,28 +34,50 @@ trans x' = 2.5 * x * (1 - x)
 prop x <= 0.9
 `
 
-// TestSelfInductiveBoundedGrowth asserts that repeated F_∞ probes no
-// longer grow the main solver (each used to leak one .infN variable and
-// two clauses into it) and that the dedicated probe solver is itself
-// bounded by the periodic re-clone from its prototype.
+// TestSelfInductiveBoundedGrowth asserts that F_∞ probes run on their
+// own query solver: repeated probes leave the main solver's variable
+// count alone, and the probe solver, rebuilt from tnfMain plus the F_∞
+// ops each time it has retired probeRebuildSlack one-shot variables,
+// stays within its slack.  An F_∞ clause appended between probes reaches
+// the probe solver before the next probe and survives every rebuild;
+// frame ops never reach it.
 func TestSelfInductiveBoundedGrowth(t *testing.T) {
 	ch := newTestChecker(t, logisticSrc)
-	cube := icpCube{tnf.MkGe(ch.curIDs[0], 0.95)}
-
-	first := ch.selfInductive(cube)
+	ch.newFrame() // F_0: a frame op the probe solver skips
+	x := ch.curIDs[0]
+	// x' = 2.5x(1-x) >= 0.6 exactly when x is in [0.4, 0.6], so x >= 0.6
+	// is entered from below until [0.35, 0.65] is excluded for good
+	cube := icpCube{tnf.MkGe(x, 0.6)}
+	if ch.selfInductive(cube) {
+		t.Fatal("x >= 0.6 self-inductive with no F_∞ clause; want the obstruction near x = 0.5")
+	}
+	base := ch.inf.NumVars() - 1 // without the one retired .tmp
 	mainVars := ch.main.NumVars()
+	ch.appendOp(durableOp{level: -1, body: ch.negCube(icpCube{tnf.MkGe(x, 0.35), tnf.MkLe(x, 0.65)})})
 
-	// enough probes to trip the infRebuildSlack re-clone several times
-	for i := 0; i < 3*infRebuildSlack; i++ {
-		if got := ch.selfInductive(cube); got != first {
-			t.Fatalf("probe %d flipped from %v to %v", i, first, got)
+	builds, last := 0, ch.inf.Solver
+	for i := 0; i < 3*probeRebuildSlack; i++ {
+		if !ch.selfInductive(cube) {
+			t.Fatalf("probe %d: x >= 0.6 not self-inductive under the F_∞ clause", i)
 		}
+		if ch.inf.Solver != last {
+			builds, last = builds+1, ch.inf.Solver
+		}
+		if n, bound := ch.inf.NumVars(), base+probeRebuildSlack; n > bound {
+			t.Fatalf("probe %d: probe solver has %d vars, want <= %d", i, n, bound)
+		}
+	}
+	if builds < 2 {
+		t.Errorf("probe solver rebuilt %d times over %d probes, want >= 2", builds, 3*probeRebuildSlack)
 	}
 	if ch.main.NumVars() != mainVars {
 		t.Errorf("main solver grew from %d to %d vars across F_∞ probes", mainVars, ch.main.NumVars())
 	}
-	if cap := ch.infProto.NumVars() + infRebuildSlack + 1; ch.infSolver.NumVars() > cap {
-		t.Errorf("probe solver has %d vars, want <= %d", ch.infSolver.NumVars(), cap)
+	if len(ch.inf.acts) != 0 {
+		t.Errorf("probe solver replayed %d frame activation variables, want 0", len(ch.inf.acts))
+	}
+	if got := ch.stats["solverRebuilds"]; got != 0 {
+		t.Errorf("solverRebuilds = %d after probes alone, want 0 (it counts main rebuilds)", got)
 	}
 }
 

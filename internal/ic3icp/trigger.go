@@ -35,15 +35,19 @@ import (
 //     the untriggered algorithm would reach is reached at most one
 //     major iteration later.
 //
-//  2. A durable-op log.  Frame content — activation variables and
-//     guarded clauses — is recorded as ops over stable tnf-level
-//     literals; any solver compiled from tnfMain can replay the log
-//     from an arbitrary prefix.  The main solver, which answers every
-//     blocking and pushing query, consumes ops eagerly, and the same
-//     log rebuilds it from scratch once retired one-shot activation
-//     variables accumulate (mainRebuildSlack), bounding NumVars over a
-//     long run.  Rebuild points are a function of deterministic query
-//     counts only, so verdicts stay reproducible.
+//  2. A durable-op log and the query solvers' one lifecycle.  Frame
+//     content — activation variables and guarded clauses — and the
+//     unguarded F_∞ clauses are recorded as ops over stable tnf-level
+//     literals.  IC3 asks its consecution-shaped queries on two
+//     querySolvers, both compiled from tnfMain and fed from the log:
+//     main replays every op eagerly and answers every blocking, pushing
+//     and bad-state query; the F_∞ probe solver replays only the
+//     unguarded ops, lazily before each probe.  Every one-shot query
+//     leaves a retired activation variable behind, so once a solver has
+//     retired its slack of them it is rebuilt from a fresh compilation
+//     plus a replay, bounding NumVars over a long run.  Rebuild points
+//     are a function of deterministic query counts only, so verdicts
+//     stay reproducible.
 
 // frameCube is a blocked cube plus its push-trigger state.
 type frameCube struct {
@@ -64,52 +68,103 @@ type durableOp struct {
 	body     tnf.Clause
 }
 
-// mainRebuildSlack bounds how many retired one-shot .tmp activation
-// variables the main solver may accumulate before it is rebuilt from
-// tnfMain plus the durable-op log.
-const mainRebuildSlack = 1024
+// Rebuild slacks: how many retired one-shot .tmp activation variables
+// a query solver may accumulate before it is rebuilt.  A rebuild drops
+// learned clauses, so the slack is part of the search: the probe
+// solver's 257 keeps the rebuild points its probes have always had.
+const (
+	mainRebuildSlack  = 1024
+	probeRebuildSlack = 257
+)
 
-func (ch *checker) appendOp(op durableOp) { ch.ops = append(ch.ops, op) }
+// querySolver is one of IC3's two long-lived query solvers: a solver
+// compiled from tnfMain plus its position in the durable-op log.
+type querySolver struct {
+	*icp.Solver
+	acts    []tnf.VarID // per-level frame activation variables (main only)
+	applied int         // ops[:applied] have been replayed
+	retired int         // one-shot activation variables retired since the build
+	slack   int         // rebuild once retired reaches it
+	// probe marks the F_∞ probe solver: it replays only the unguarded
+	// ops, and its search counters are not reported.
+	probe bool
+}
 
-// applyOps replays ops[from:] onto a solver, appending any new
-// activation variables to acts and returning it.
-func applyOps(s *icp.Solver, acts []tnf.VarID, ops []durableOp, from int) []tnf.VarID {
-	for _, op := range ops[from:] {
-		if op.newFrame {
-			acts = append(acts, s.AddBoolVar(fmt.Sprintf(".frame%d", len(acts))))
-			continue
+// newQuerySolver compiles a query solver and replays the op log onto it.
+func (ch *checker) newQuerySolver(slack int, probe bool) *querySolver {
+	q := &querySolver{slack: slack, probe: probe}
+	ch.compile(q)
+	return q
+}
+
+// compile replaces q's solver with a fresh compilation of tnfMain plus a
+// replay of the op log.  Learned clauses are dropped.
+func (ch *checker) compile(q *querySolver) {
+	q.Solver = icp.New(ch.tnfMain, ch.opts.Solver)
+	q.acts, q.applied, q.retired = q.acts[:0], 0, 0
+	ch.catchUp(q)
+}
+
+// catchUp replays the ops q has not seen yet: every op on main, only the
+// unguarded (F_∞) ones on the probe solver.
+func (ch *checker) catchUp(q *querySolver) {
+	for _, op := range ch.ops[q.applied:] {
+		switch {
+		case op.newFrame:
+			if !q.probe {
+				q.acts = append(q.acts, q.AddBoolVar(fmt.Sprintf(".frame%d", len(q.acts))))
+			}
+		case op.level < 0:
+			q.AddClause(op.body)
+		case !q.probe:
+			cl := make(tnf.Clause, 0, len(op.body)+1)
+			cl = append(cl, tnf.MkLe(q.acts[op.level], 0))
+			cl = append(cl, op.body...)
+			q.AddClause(cl)
 		}
-		if op.level < 0 {
-			s.AddClause(op.body)
-			continue
-		}
-		cl := make(tnf.Clause, 0, len(op.body)+1)
-		cl = append(cl, tnf.MkLe(acts[op.level], 0))
-		cl = append(cl, op.body...)
-		s.AddClause(cl)
 	}
-	return acts
+	q.applied = len(ch.ops)
 }
 
-// applyMain brings the main solver up to date with the op log.
-func (ch *checker) applyMain() {
-	ch.frameAct = applyOps(ch.main, ch.frameAct, ch.ops, ch.mainApplied)
-	ch.mainApplied = len(ch.ops)
+// actLits returns activation assumptions for F_i (levels >= i).
+func (q *querySolver) actLits(i int) []tnf.Lit {
+	lits := make([]tnf.Lit, 0, len(q.acts)-i)
+	for j := i; j < len(q.acts); j++ {
+		lits = append(lits, tnf.MkGe(q.acts[j], 1))
+	}
+	return lits
 }
 
-// rebuildMain replaces the main solver with a fresh compilation of
-// tnfMain plus a full replay of the op log.  Learned clauses are
-// dropped, but the rebuild point is a deterministic function of the
-// query count, so runs remain reproducible.  Solver-level counters the
-// run surfaces are absorbed first so CheckFull reports totals across
-// rebuilds.
-func (ch *checker) rebuildMain() {
-	ch.absorbMainStats()
-	ch.main = icp.New(ch.tnfMain, ch.opts.Solver)
-	ch.frameAct = applyOps(ch.main, ch.frameAct[:0], ch.ops, 0)
-	ch.mainApplied = len(ch.ops)
-	ch.mainRetired = 0
-	ch.stats["solverRebuilds"]++
+// appendOp records a durable op and applies it to main at once.
+func (ch *checker) appendOp(op durableOp) {
+	ch.ops = append(ch.ops, op)
+	ch.catchUp(ch.main)
+}
+
+// oneShot asks SAT(F_level ∧ ¬c ∧ T ∧ c') on q, the one query shape of
+// both query solvers (the probe solver has no frame levels: pass 0 and
+// the query is ¬c ∧ T ∧ c' under the F_∞ clauses alone).  ¬c goes in
+// under a one-shot .tmp activation variable that is retired after the
+// solve; a solver that has retired its slack is rebuilt first (main's
+// counters are absorbed and the rebuild counted, so CheckFull reports
+// totals across rebuilds).  The primed cube literals are returned for
+// core extraction: a scratch buffer, valid until the next primed call.
+func (ch *checker) oneShot(q *querySolver, level int, c icpCube) (icp.Result, []tnf.Lit) {
+	if q.retired >= q.slack {
+		if !q.probe {
+			ch.absorbMainStats()
+			ch.stats["solverRebuilds"]++
+		}
+		ch.compile(q)
+	}
+	ch.catchUp(q)
+	tmp := q.AddBoolVar(fmt.Sprintf(".tmp%d", q.retired))
+	q.AddClause(append(tnf.Clause{tnf.MkLe(tmp, 0)}, ch.negCube(c)...))
+	primed := ch.primed(c)
+	r := q.Solve(append(append(q.actLits(level), ch.runLit, tnf.MkGe(tmp, 1)), primed...))
+	q.AddClause(tnf.Clause{tnf.MkLe(tmp, 0)}) // retire
+	q.retired++
+	return r, primed
 }
 
 // absorbMainStats folds the surfaced counters of the main solver into

@@ -84,8 +84,8 @@ func TestBlockQueryBoundedVars(t *testing.T) {
 	if got := ch.stats["solverRebuilds"]; got != 1 {
 		t.Errorf("solverRebuilds = %d after %d push queries, want 1", got, n)
 	}
-	if ch.mainRetired != n-mainRebuildSlack {
-		t.Errorf("mainRetired = %d, want %d", ch.mainRetired, n-mainRebuildSlack)
+	if ch.main.retired != n-mainRebuildSlack {
+		t.Errorf("main.retired = %d, want %d", ch.main.retired, n-mainRebuildSlack)
 	}
 	if got, bound := ch.main.NumVars(), base+mainRebuildSlack; got > bound {
 		t.Errorf("main solver has %d vars after the push sweep, want <= %d", got, bound)

@@ -14,6 +14,7 @@ import (
 type searchProfile struct {
 	verdict      engine.Verdict
 	queries      int64
+	infQueries   int64
 	watchVisits  int64
 	revisions    int64
 	propagations int64
@@ -38,8 +39,8 @@ func TestWorkProfileGolden(t *testing.T) {
 		in   benchmarks.Instance
 		want searchProfile
 	}{
-		{pendulum, searchProfile{engine.Safe, 761, 127773, 95434, 57356, 49485, 134, 2375}},
-		{poly, searchProfile{engine.Unsafe, 348, 113494, 61708, 38795, 35592, 209, 880}},
+		{pendulum, searchProfile{engine.Safe, 761, 1344, 127773, 95434, 57356, 49485, 134, 2375}},
+		{poly, searchProfile{engine.Unsafe, 348, 5, 113494, 61708, 38795, 35592, 209, 880}},
 	}
 	for _, c := range cases {
 		// the budget only guards against a hang: both runs take well
@@ -49,7 +50,7 @@ func TestWorkProfileGolden(t *testing.T) {
 			t.Fatalf("%s: %s", c.in.Name, res.Note)
 		}
 		b := &ch.statsBase
-		got := searchProfile{res.Verdict, res.Stats["queries"], res.Stats["watchVisits"], res.Stats["revisions"],
+		got := searchProfile{res.Verdict, res.Stats["queries"], res.Stats["infQueries"], res.Stats["watchVisits"], res.Stats["revisions"],
 			b.Propagations, b.Contractions, b.Conflicts, b.Decisions}
 		if got != c.want {
 			t.Errorf("%s: work profile\n got %+v\nwant %+v", c.in.Name, got, c.want)

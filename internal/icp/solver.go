@@ -1252,20 +1252,6 @@ func (s *Solver) retainOnExit() {
 	s.retained = append(s.retained[:0], s.assumptions[:r]...)
 }
 
-// resetRetention fully unwinds a retained assumption prefix, returning
-// the solver to the historical between-Solve state (decision level 0).
-// Deferred formula clauses are queued for re-seeding so their unit
-// consequences become permanent root facts.
-func (s *Solver) resetRetention() {
-	s.cancelUntil(0)
-	s.retained = s.retained[:0]
-	s.fixLevel = 0
-	if len(s.deferredRoot) > 0 {
-		s.newClause = append(s.deferredRoot, s.newClause...)
-		s.deferredRoot = nil
-	}
-}
-
 // clampAssumptionLevel returns the level to backjump to when analysis
 // points below the assumption levels: we return to just below the
 // shallowest assumption still intact, letting the main loop re-push.

@@ -122,8 +122,8 @@ func checkIC3(sys *ts.System, s Spec) engine.Result {
 		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}
 	}
 	return ic3icp.Check(sys, ic3icp.Options{
-		Solver:     icp.Options{Eps: s.Eps},
-		Generalize: gen, GeneralizeSet: true,
+		Solver:      icp.Options{Eps: s.Eps},
+		Generalize:  gen,
 		SeedClauses: s.SeedClauses, Budget: s.Budget, Progress: s.Progress,
 	})
 }

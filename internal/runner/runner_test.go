@@ -83,7 +83,7 @@ prop x <= 5
 		want engine.Result
 	}{
 		{Spec{Engine: "ic3", Eps: 1e-4, Generalize: "core", Budget: b},
-			ic3icp.Check(sys, ic3icp.Options{Solver: solver, Generalize: ic3icp.GenCore, GeneralizeSet: true, Budget: b})},
+			ic3icp.Check(sys, ic3icp.Options{Solver: solver, Generalize: ic3icp.GenCore, Budget: b})},
 		{Spec{Engine: "ic3-icp", Budget: b}, ic3icp.Check(sys, ic3icp.Options{Budget: b})},
 		{Spec{Engine: "bmc", Eps: 1e-4, MaxDepth: 8, Budget: b},
 			bmc.Check(sys, bmc.Options{MaxDepth: 8, Solver: solver, Budget: b})},

@@ -37,7 +37,8 @@ bench-diff:
 # Fast perf/soundness smoke for CI: single-iteration benchmarks of the
 # hot paths (solver, watched propagation and its guard-skip path, idle
 # and productive revise, the endpoint and rounding kernels, the sin
-# contractor, the model parser) and the reduceDB invariance legs
+# contractor, the model parser, the property query, a satisfiable and an
+# UNSAT F_∞ probe) and the reduceDB invariance legs
 # (verdicts must match with clause deletion off vs forced aggressive —
 # see reduce_test.go and trigger_test.go).  The committed BENCH snapshot
 # pairs are not diffed here: they are frozen files, and
@@ -48,7 +49,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'PropagateWatched|PropagateGuardSkip|Revise|SumMulCorners' -benchtime=1x -benchmem ./internal/icp/
 	$(GO) test -run '^$$' -bench 'InvSin|Outward|IntervalMulDiv' -benchtime=1x -benchmem ./internal/interval/
 	$(GO) test -run '^$$' -bench 'Parse' -benchtime=1x -benchmem ./internal/ts/
-	$(GO) test -run '^$$' -bench 'PropQuery' -benchtime=1x -benchmem ./internal/ic3icp/
+	$(GO) test -run '^$$' -bench 'PropQuery|InfProbe' -benchtime=1x -benchmem ./internal/ic3icp/
 	$(GO) test -run 'TestReduceDBVerdictInvariance|TestTriggeredPushReduceInvariance|TestRetentionInvariance' -count=1 -v ./internal/ic3icp/
 
 # The repository benchmark (bench/, see BENCHMARK.json) is a module of
@@ -89,6 +90,7 @@ lint-sarif:
 # allows one -fuzz pattern per invocation, hence one line per target.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=5s ./internal/expr/
+	$(GO) test -run='^$$' -fuzz=FuzzEvalInterval -fuzztime=5s ./internal/expr/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=5s ./internal/ts/
 	$(GO) test -run='^$$' -fuzz=FuzzSystem -fuzztime=5s ./internal/ts/
 	$(GO) test -run='^$$' -fuzz=FuzzSolveRetentionEquiv -fuzztime=5s ./internal/icp/

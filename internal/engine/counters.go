@@ -28,8 +28,11 @@ var Counters = [...]Counter{
 	{"consecCacheHits", "consecution queries served from the UNSAT memo", 0},
 	{"consecCacheMisses", "consecution queries that went to a solver", 0},
 	{"tnfOpsPruned", "TNF ops removed by compile-time simplification", 0},
-	{"watchVisits", "watch-list entries inspected during propagation", 0},
-	{"revisions", "HC4-revise calls on constraints taken off the contraction queue", 0},
+	{"watchVisits", "watch-list entries inspected during propagation by the main query solver", 0},
+	{"revisions", "HC4-revise calls of the main query solver (constraints taken off the contraction queue)", 0},
+	{"infRevisions", "HC4-revise calls of the F_∞ probe solver", 0},
+	{"infDecisions", "branching decisions of the F_∞ probe solver", 0},
+	{"infAccepted", "F_∞ probes ended early at an exact counter-point", 0},
 }
 
 // Counts holds one value per row of Counters; its length follows the table.

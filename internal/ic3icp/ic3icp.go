@@ -197,11 +197,9 @@ type checker struct {
 	// durable-op log and the two query solvers (see trigger.go): ops
 	// replays frame content onto any solver compiled from tnfMain; main
 	// answers blocking, pushing and bad-state queries, inf the F_∞
-	// probes (built on the first probe); statsBase accumulates main's
-	// surfaced counters across rebuilds.
+	// probes (built on the first probe).
 	ops         []durableOp
 	main, inf   *querySolver
-	statsBase   icp.Stats
 	pushStalled bool // last push sweep pushed nothing while skips were in effect
 
 	// coreHits counts how often each (variable, direction) bound was
@@ -237,6 +235,19 @@ type checker struct {
 	// F_∞: unguarded clauses from self-inductive blocked cubes
 	infCubes    []icpCube
 	provedByInf bool
+
+	// exact-witness exit of the F_∞ probes (witness.go): the successor
+	// enclosure (nil when Trans is not a function of the state), the
+	// step-0 formulas compiled into tnfMain that may be undefined at a
+	// point, and scratch for the candidate point and its successor
+	stepper    *ts.Stepper
+	partial    []*expr.Expr
+	probePoint []float64
+	probeSucc  []interval.Interval
+	probeEnv   expr.IEnv
+	// onProbe, when set, observes every F_∞ probe once it is answered
+	// (tests compare the answers against probes without the exit)
+	onProbe func(c icpCube, needBox bool, r icp.Result, accepted bool)
 
 	sim *ts.Simulator // exact point replay for counterexample repair
 }
@@ -297,9 +308,15 @@ func CheckFull(sys *ts.System, opts Options) (engine.Result, *Info) {
 }
 
 // checkFull is CheckFull also returning the finished checker (nil if the
-// system did not validate), whose statsBase holds the run's solver
+// system did not validate), whose query solvers hold the run's solver
 // totals.
 func checkFull(sys *ts.System, opts Options) (engine.Result, *Info, *checker) {
+	return checkWith(sys, opts, nil)
+}
+
+// checkWith is checkFull with a setup hook run on the built checker
+// before the search starts.
+func checkWith(sys *ts.System, opts Options, setup func(*checker)) (engine.Result, *Info, *checker) {
 	opts = opts.withDefaults()
 	budget := opts.Budget.Start()
 	info := &Info{}
@@ -321,17 +338,26 @@ func checkFull(sys *ts.System, opts Options) (engine.Result, *Info, *checker) {
 	if err := ch.build(); err != nil {
 		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}, info, ch
 	}
+	if setup != nil {
+		setup(ch)
+	}
 	res := ch.run(info)
 	res.Runtime = budget.Elapsed()
-	// surface the main solver's hot-path counters next to the IC3 ones
-	// (statsBase carries what earlier solver rebuilds absorbed)
-	ch.absorbMainStats()
-	ch.stats["watchVisits"] = ch.statsBase.WatchVisits
-	ch.stats["clausesDeleted"] = ch.statsBase.ClausesDeleted
-	ch.stats["litsMinimized"] = ch.statsBase.LitsMinimized
-	ch.stats["prefixKeptLevels"] = ch.statsBase.PrefixKeptLevels
-	ch.stats["trailEventsSaved"] = ch.statsBase.TrailEventsSaved
-	ch.stats["revisions"] = ch.statsBase.Revisions
+	// surface the query solvers' hot-path counters next to the IC3 ones
+	// (each solver's total carries what its earlier rebuilds absorbed)
+	ch.main.absorb()
+	m := &ch.main.total
+	ch.stats["watchVisits"] = m.WatchVisits
+	ch.stats["clausesDeleted"] = m.ClausesDeleted
+	ch.stats["litsMinimized"] = m.LitsMinimized
+	ch.stats["prefixKeptLevels"] = m.PrefixKeptLevels
+	ch.stats["trailEventsSaved"] = m.TrailEventsSaved
+	ch.stats["revisions"] = m.Revisions
+	if ch.inf != nil {
+		ch.inf.absorb()
+		ch.stats["infRevisions"] = ch.inf.total.Revisions
+		ch.stats["infDecisions"] = ch.inf.total.Decisions
+	}
 	res.Stats = ch.stats
 	if res.Verdict == engine.Safe {
 		res.Certificate = CertificateOf(info.Invariant)
@@ -463,6 +489,7 @@ func (ch *checker) build() error {
 		ch.curIdx[id] = i
 		ch.domByVar[id] = sys.Vars[i].Dom
 	}
+	ch.buildWitness()
 	return nil
 }
 
@@ -617,8 +644,11 @@ func (ch *checker) widenCubeWith(c icpCube, test func(icpCube) bool) icpCube {
 // selfInductive reports whether the cube's complement is closed under the
 // transition relation on its own: ¬c ∧ T ∧ c' is UNSAT without any frame
 // clauses.  Such a cube can be excluded permanently (the F_∞ frame of
-// classical PDR implementations).
-func (ch *checker) selfInductive(c icpCube) bool {
+// classical PDR implementations).  needBox says whether the caller reads
+// the obstruction box (infWitness) of a failed probe; a probe that does
+// not may end at the first exact counter-point (witness.go), which
+// changes the box it finds, never its answer.
+func (ch *checker) selfInductive(c icpCube, needBox bool) bool {
 	if len(c) == 0 {
 		return false
 	}
@@ -626,21 +656,37 @@ func (ch *checker) selfInductive(c icpCube) bool {
 	if ch.inf == nil {
 		ch.inf = ch.newQuerySolver(probeRebuildSlack, true)
 	}
-	r, _ := ch.oneShot(ch.inf, 0, c)
-	ch.infWitness = nil
-	if r.Status == icp.StatusSat {
+	var accept func(lo, hi []float64) bool
+	accepted := false
+	if !needBox && ch.stepper != nil {
+		accept = func(lo, hi []float64) bool {
+			accepted = ch.steppedInto(c, lo, hi)
+			return accepted
+		}
+	}
+	r, _ := ch.oneShot(ch.inf, 0, c, accept)
+	if accepted {
+		ch.stats["infAccepted"]++
+	}
+	if r.Status == icp.StatusSat && needBox {
 		// the obstruction: a box outside c with a successor inside c
 		ch.infWitness = ch.boxCube(r.Box, ch.curIDs)
+	}
+	if ch.onProbe != nil {
+		ch.onProbe(c, needBox, r, accepted)
 	}
 	return r.Status == icp.StatusUnsat
 }
 
-// inductiveAndSeparate is the widening predicate for F_∞ promotion.
-func (ch *checker) inductiveAndSeparate(c icpCube) bool {
+// inductiveAndSeparate is the widening predicate for F_∞ promotion.  It
+// clears infWitness first, so a probe that never runs (c meets Init)
+// leaves no earlier probe's box behind.
+func (ch *checker) inductiveAndSeparate(c icpCube, needBox bool) bool {
+	ch.infWitness = nil
 	if intersects, _ := ch.initIntersects(c); intersects {
 		return false
 	}
-	return ch.selfInductive(c)
+	return ch.selfInductive(c, needBox)
 }
 
 // inductiveAndSeparateCTG is inductiveAndSeparate with down-
@@ -648,13 +694,15 @@ func (ch *checker) inductiveAndSeparate(c icpCube) bool {
 // transitions into c, u itself may be promotable — if it is, the
 // obstruction disappears permanently and the probe is re-asked.
 // Recursion is bounded to one level and charged to the per-obligation
-// CTG budget.
+// CTG budget.  Only the first probe reads its box, and only when the
+// CTG budget and depth let it recurse.
 func (ch *checker) inductiveAndSeparateCTG(c icpCube) bool {
-	if ch.inductiveAndSeparate(c) {
+	recurse := ch.ctgBudget > 0 && ch.infCTGDepth < 1
+	if ch.inductiveAndSeparate(c, recurse) {
 		return true
 	}
 	w := ch.infWitness
-	if w == nil || ch.ctgBudget <= 0 || ch.infCTGDepth >= 1 || ch.budget.Expired() {
+	if w == nil || !recurse || ch.budget.Expired() {
 		return false
 	}
 	ch.ctgBudget--
@@ -671,14 +719,14 @@ func (ch *checker) inductiveAndSeparateCTG(c icpCube) bool {
 		return false
 	}
 	ch.stats["ctgPromoted"]++
-	return ch.inductiveAndSeparate(c)
+	return ch.inductiveAndSeparate(c, false)
 }
 
 // promoteInductive checks whether cube c is self-inductive and disjoint
 // from Init; if so it widens it within that predicate, installs the
 // negation as an unguarded (F_∞) clause, and returns true.
 func (ch *checker) promoteInductive(c icpCube) bool {
-	if !ch.inductiveAndSeparate(c) {
+	if !ch.inductiveAndSeparate(c, false) {
 		return false
 	}
 	g := c
@@ -689,8 +737,7 @@ func (ch *checker) promoteInductive(c icpCube) bool {
 		// along the way (down-generalization)
 		g = ch.widenCubeWith(c, ch.inductiveAndSeparateCTG)
 	}
-	ch.infCubes = append(ch.infCubes, g)
-	ch.appendOp(durableOp{level: -1, body: ch.negCube(g)})
+	ch.addInfCube(g)
 	// an F_∞ cube is active everywhere: retire every frame cube it covers
 	// and re-arm any push attempt it might unblock
 	ch.subsumeFrames(g, -1)
@@ -700,6 +747,14 @@ func (ch *checker) promoteInductive(c icpCube) bool {
 		fmt.Printf("promote F_inf: %s\n", ch.exportCube(g))
 	}
 	return true
+}
+
+// addInfCube installs ¬g as an unguarded (F_∞) clause: an op on the
+// durable log, and a cube in infCubes, which the probes' exact-witness
+// exit reads as the unguarded clauses the probe solver holds.
+func (ch *checker) addInfCube(g icpCube) {
+	ch.infCubes = append(ch.infCubes, g)
+	ch.appendOp(durableOp{level: -1, body: ch.negCube(g)})
 }
 
 // globallySafe reports whether the F_∞ clauses alone already exclude every
@@ -842,7 +897,7 @@ func (ch *checker) blockQuery(c icpCube, frame int) (icp.Result, icpCube) {
 // returns the subset of cube literals in the assumption core.
 func (ch *checker) consecution(c icpCube, frame int) (icp.Result, icpCube) {
 	ch.stats["queries"]++
-	r, primed := ch.oneShot(ch.main, frame-1, c)
+	r, primed := ch.oneShot(ch.main, frame-1, c, nil)
 	var coreCube icpCube
 	if r.Status == icp.StatusUnsat {
 		inCore := make(map[tnf.Lit]bool, len(r.Core))

@@ -14,14 +14,19 @@ import (
 // before the main loop so tests can poke individual queries.
 func newTestChecker(t *testing.T, src string) *checker {
 	t.Helper()
-	sys := mustParse(t, src)
+	return buildChecker(t, mustParse(t, src))
+}
+
+// buildChecker is newTestChecker for a system already built.
+func buildChecker(tb testing.TB, sys *ts.System) *checker {
+	tb.Helper()
 	opts := Options{}.withDefaults()
 	ch := &checker{
 		sys: sys, opts: opts, budget: opts.Budget.Start(),
 		stats: map[string]int64{}, coreHits: map[coreKey]int64{},
 	}
 	if err := ch.build(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return ch
 }
@@ -48,16 +53,16 @@ func TestSelfInductiveBoundedGrowth(t *testing.T) {
 	// x' = 2.5x(1-x) >= 0.6 exactly when x is in [0.4, 0.6], so x >= 0.6
 	// is entered from below until [0.35, 0.65] is excluded for good
 	cube := icpCube{tnf.MkGe(x, 0.6)}
-	if ch.selfInductive(cube) {
+	if ch.selfInductive(cube, false) {
 		t.Fatal("x >= 0.6 self-inductive with no F_∞ clause; want the obstruction near x = 0.5")
 	}
 	base := ch.inf.NumVars() - 1 // without the one retired .tmp
 	mainVars := ch.main.NumVars()
-	ch.appendOp(durableOp{level: -1, body: ch.negCube(icpCube{tnf.MkGe(x, 0.35), tnf.MkLe(x, 0.65)})})
+	ch.addInfCube(icpCube{tnf.MkGe(x, 0.35), tnf.MkLe(x, 0.65)})
 
 	builds, last := 0, ch.inf.Solver
 	for i := 0; i < 3*probeRebuildSlack; i++ {
-		if !ch.selfInductive(cube) {
+		if !ch.selfInductive(cube, false) {
 			t.Fatalf("probe %d: x >= 0.6 not self-inductive under the F_∞ clause", i)
 		}
 		if ch.inf.Solver != last {

@@ -86,8 +86,11 @@ type querySolver struct {
 	retired int         // one-shot activation variables retired since the build
 	slack   int         // rebuild once retired reaches it
 	// probe marks the F_∞ probe solver: it replays only the unguarded
-	// ops, and its search counters are not reported.
+	// ops, and its rebuilds are not counted.
 	probe bool
+	// total accumulates the counters of the solvers q has discarded;
+	// absorb folds in the current one
+	total icp.Stats
 }
 
 // newQuerySolver compiles a query solver and replays the op log onto it.
@@ -145,14 +148,16 @@ func (ch *checker) appendOp(op durableOp) {
 // both query solvers (the probe solver has no frame levels: pass 0 and
 // the query is ¬c ∧ T ∧ c' under the F_∞ clauses alone).  ¬c goes in
 // under a one-shot .tmp activation variable that is retired after the
-// solve; a solver that has retired its slack is rebuilt first (main's
-// counters are absorbed and the rebuild counted, so CheckFull reports
-// totals across rebuilds).  The primed cube literals are returned for
-// core extraction: a scratch buffer, valid until the next primed call.
-func (ch *checker) oneShot(q *querySolver, level int, c icpCube) (icp.Result, []tnf.Lit) {
+// solve; a solver that has retired its slack is rebuilt first (its
+// counters are absorbed and a main rebuild counted, so CheckFull
+// reports totals across rebuilds).  A non-nil accept may end a
+// satisfiable query early (icp.Solver.SolveAccept).  The primed cube
+// literals are returned for core extraction: a scratch buffer, valid
+// until the next primed call.
+func (ch *checker) oneShot(q *querySolver, level int, c icpCube, accept func(lo, hi []float64) bool) (icp.Result, []tnf.Lit) {
 	if q.retired >= q.slack {
+		q.absorb()
 		if !q.probe {
-			ch.absorbMainStats()
 			ch.stats["solverRebuilds"]++
 		}
 		ch.compile(q)
@@ -161,31 +166,16 @@ func (ch *checker) oneShot(q *querySolver, level int, c icpCube) (icp.Result, []
 	tmp := q.AddBoolVar(fmt.Sprintf(".tmp%d", q.retired))
 	q.AddClause(append(tnf.Clause{tnf.MkLe(tmp, 0)}, ch.negCube(c)...))
 	primed := ch.primed(c)
-	r := q.Solve(append(append(q.actLits(level), ch.runLit, tnf.MkGe(tmp, 1)), primed...))
+	r := q.SolveAccept(append(append(q.actLits(level), ch.runLit, tnf.MkGe(tmp, 1)), primed...), accept)
 	q.AddClause(tnf.Clause{tnf.MkLe(tmp, 0)}) // retire
 	q.retired++
 	return r, primed
 }
 
-// absorbMainStats folds the surfaced counters of the main solver into
-// the run-level base.  It runs once per main solver: just before a
-// rebuild discards it, and at the end of the run.  Of the search
-// counters only Revisions is reported; the rest fingerprint the search
-// for the work-profile golden test.
-func (ch *checker) absorbMainStats() {
-	st, b := &ch.main.Stats, &ch.statsBase
-	b.WatchVisits += st.WatchVisits
-	b.ClausesDeleted += st.ClausesDeleted
-	b.LitsMinimized += st.LitsMinimized
-	b.SubsumedFrameClauses += st.SubsumedFrameClauses
-	b.PrefixKeptLevels += st.PrefixKeptLevels
-	b.TrailEventsSaved += st.TrailEventsSaved
-	b.Revisions += st.Revisions
-	b.Propagations += st.Propagations
-	b.Contractions += st.Contractions
-	b.Conflicts += st.Conflicts
-	b.Decisions += st.Decisions
-}
+// absorb folds the counters of q's current solver into q.total.  It
+// runs once per solver: just before a rebuild discards it, and at the
+// end of the run.
+func (q *querySolver) absorb() { q.total.Add(&q.Stats) }
 
 // markTriggered re-arms dormant push attempts that the new clause ¬g
 // might unblock.  In the delta encoding a clause installed at level hi

@@ -9,8 +9,8 @@ import (
 )
 
 // searchProfile is the deterministic fingerprint of one IC3 run: the
-// verdict, the IC3-level counters and the search counters summed over
-// the main solver and its rebuilds.
+// verdict, the IC3-level counters, the search counters summed over the
+// main solver and its rebuilds, and the F_∞ probe solver's work.
 type searchProfile struct {
 	verdict      engine.Verdict
 	queries      int64
@@ -21,6 +21,9 @@ type searchProfile struct {
 	contractions int64
 	conflicts    int64
 	decisions    int64
+	infRevisions int64
+	infDecisions int64
+	infAccepted  int64
 }
 
 // TestWorkProfileGolden pins the search on two fixed instances, so that
@@ -39,8 +42,8 @@ func TestWorkProfileGolden(t *testing.T) {
 		in   benchmarks.Instance
 		want searchProfile
 	}{
-		{pendulum, searchProfile{engine.Safe, 761, 1344, 127773, 95434, 57356, 49485, 134, 2375}},
-		{poly, searchProfile{engine.Unsafe, 348, 5, 113494, 61708, 38795, 35592, 209, 880}},
+		{pendulum, searchProfile{engine.Safe, 761, 1344, 127773, 95434, 57356, 49485, 134, 2375, 437402, 2752, 461}},
+		{poly, searchProfile{engine.Unsafe, 348, 5, 113494, 61708, 38795, 35592, 209, 880, 513, 0, 5}},
 	}
 	for _, c := range cases {
 		// the budget only guards against a hang: both runs take well
@@ -49,9 +52,10 @@ func TestWorkProfileGolden(t *testing.T) {
 		if ch == nil {
 			t.Fatalf("%s: %s", c.in.Name, res.Note)
 		}
-		b := &ch.statsBase
+		b := &ch.main.total
 		got := searchProfile{res.Verdict, res.Stats["queries"], res.Stats["infQueries"], res.Stats["watchVisits"], res.Stats["revisions"],
-			b.Propagations, b.Contractions, b.Conflicts, b.Decisions}
+			b.Propagations, b.Contractions, b.Conflicts, b.Decisions,
+			res.Stats["infRevisions"], res.Stats["infDecisions"], res.Stats["infAccepted"]}
 		if got != c.want {
 			t.Errorf("%s: work profile\n got %+v\nwant %+v", c.in.Name, got, c.want)
 		}

@@ -149,6 +149,24 @@ type Stats struct {
 	SubsumedFrameClauses int64
 }
 
+// Add sums o into s, field by field.
+func (s *Stats) Add(o *Stats) {
+	s.Decisions += o.Decisions
+	s.Conflicts += o.Conflicts
+	s.Propagations += o.Propagations
+	s.Contractions += o.Contractions
+	s.Learned += o.Learned
+	s.Solves += o.Solves
+	s.Reductions += o.Reductions
+	s.WatchVisits += o.WatchVisits
+	s.Revisions += o.Revisions
+	s.ClausesDeleted += o.ClausesDeleted
+	s.LitsMinimized += o.LitsMinimized
+	s.PrefixKeptLevels += o.PrefixKeptLevels
+	s.TrailEventsSaved += o.TrailEventsSaved
+	s.SubsumedFrameClauses += o.SubsumedFrameClauses
+}
+
 const (
 	sideLo = 0 // event raised a lower bound
 	sideHi = 1 // event lowered an upper bound
@@ -1016,6 +1034,22 @@ func (s *Solver) decide(v tnf.VarID) *conflict {
 
 // Solve runs the CDCL(ICP) search under the given assumptions.
 func (s *Solver) Solve(assumptions []tnf.Lit) Result {
+	return s.SolveAccept(assumptions, nil)
+}
+
+// SolveAccept is Solve with an early exit for callers that only need to
+// know the query is satisfiable.  At every conflict-free propagation
+// fixpoint with all assumptions in place, before it picks a branching
+// variable, the search calls accept with the current box (lo[v], hi[v]
+// for variable v; read-only, valid during the call only).  A true answer
+// ends the search with StatusSat and that box, which is in general wider
+// than ε: it is not a solution box, and the solver has not checked it.
+// The caller must only answer true when it knows the query has a real
+// solution (say, an exact witness point it verified itself); then no
+// search could end in StatusUnsat, so the early exit changes which Sat
+// box is returned, never whether the query is satisfiable.  A nil accept
+// is Solve.
+func (s *Solver) SolveAccept(assumptions []tnf.Lit, accept func(lo, hi []float64) bool) Result {
 	s.Stats.Solves++
 	if s.rootConflict {
 		return Result{Status: StatusUnsat}
@@ -1192,6 +1226,11 @@ func (s *Solver) Solve(assumptions []tnf.Lit) Result {
 			continue
 		}
 
+		if accept != nil && accept(s.lo, s.hi) {
+			box := s.box()
+			s.retainOnExit()
+			return Result{Status: StatusSat, Box: box}
+		}
 		v, ok := s.pickBranchVar()
 		if !ok {
 			// Watched propagation is lazy after backtracks: a clause whose
@@ -1206,11 +1245,7 @@ func (s *Solver) Solve(assumptions []tnf.Lit) Result {
 			} else if prog {
 				continue
 			}
-			// candidate box
-			box := make([]interval.Interval, len(s.vars))
-			for i := range s.vars {
-				box[i] = interval.New(s.lo[i], s.hi[i])
-			}
+			box := s.box()
 			s.retainOnExit()
 			return Result{Status: StatusSat, Box: box}
 		}
@@ -1231,6 +1266,16 @@ func (s *Solver) Solve(assumptions []tnf.Lit) Result {
 			s.cancelUntil(lvl - 1)
 		}
 	}
+}
+
+// box copies the current bounds.  Call it before retainOnExit, which
+// may backtrack them.
+func (s *Solver) box() []interval.Interval {
+	box := make([]interval.Interval, len(s.vars))
+	for i := range s.vars {
+		box[i] = interval.New(s.lo[i], s.hi[i])
+	}
+	return box
 }
 
 // retainOnExit unwinds the trail at the end of a Solve call.  With

@@ -37,9 +37,10 @@ bench-diff:
 # Fast perf/soundness smoke for CI: single-iteration benchmarks of the
 # hot paths (solver, watched propagation and its guard-skip path, idle
 # and productive revise, the endpoint and rounding kernels, the sin
-# contractor, the model parser, the property query, a satisfiable and an
-# UNSAT F_∞ probe) and the reduceDB invariance legs
-# (verdicts must match with clause deletion off vs forced aggressive —
+# contractor, the model parser, a 24-step TNF unrolling, the property
+# query, a satisfiable and an UNSAT F_∞ probe) and the reduceDB
+# invariance legs (verdicts must match with clause deletion off vs
+# forced aggressive —
 # see reduce_test.go and trigger_test.go).  The committed BENCH snapshot
 # pairs are not diffed here: they are frozen files, and
 # TestCommittedPairsPass (cmd/benchdiff, under `make test`) already runs
@@ -48,7 +49,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'SolverICP' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'PropagateWatched|PropagateGuardSkip|Revise|SumMulCorners' -benchtime=1x -benchmem ./internal/icp/
 	$(GO) test -run '^$$' -bench 'InvSin|Outward|IntervalMulDiv' -benchtime=1x -benchmem ./internal/interval/
-	$(GO) test -run '^$$' -bench 'Parse' -benchtime=1x -benchmem ./internal/ts/
+	$(GO) test -run '^$$' -bench 'Parse|CompileUnroll' -benchtime=1x -benchmem ./internal/ts/
 	$(GO) test -run '^$$' -bench 'PropQuery|InfProbe' -benchtime=1x -benchmem ./internal/ic3icp/
 	$(GO) test -run 'TestReduceDBVerdictInvariance|TestTriggeredPushReduceInvariance|TestRetentionInvariance' -count=1 -v ./internal/ic3icp/
 

@@ -24,6 +24,7 @@ var committedPairs = [][2]string{
 	{"BENCH_2026-10-17-prelean.json", "BENCH_2026-10-17-lean.json"},
 	{"BENCH_2026-10-18-preconsec.json", "BENCH_2026-10-18-consec.json"},
 	{"BENCH_2026-10-18-preexit.json", "BENCH_2026-10-18-exit.json"},
+	{"BENCH_2026-10-18-precompile.json", "BENCH_2026-10-18-compile.json"},
 }
 
 // rawEngines is a snapshot's per-engine objects as plain JSON keys.

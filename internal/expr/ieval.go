@@ -2,7 +2,6 @@ package expr
 
 import (
 	"fmt"
-	"math"
 
 	"icpic3/internal/interval"
 )
@@ -118,10 +117,7 @@ func (e *Expr) EvalInterval(env IEnv) (interval.Interval, error) {
 	case OpSin:
 		return args[0].Sin(), nil
 	case OpCos:
-		// sin(a + π/2) with the shift enclosing π/2 itself; interval.Cos
-		// shifts by the float64 nearest π/2, 6e-17 below it, which can
-		// miss cos by more than an ulp near its zeros
-		return args[0].Add(halfPi).Sin(), nil
+		return args[0].Cos(), nil
 	case OpTan:
 		r := args[0].Tan()
 		if r.IsEntire() { // the argument may hold a pole
@@ -188,9 +184,6 @@ func (e *Expr) EvalInterval(env IEnv) (interval.Interval, error) {
 	}
 	return interval.Interval{}, fmt.Errorf("expr: cannot evaluate op %s", e.Op)
 }
-
-// halfPi encloses π/2: the float64 nearest to it lies just below.
-var halfPi = interval.Interval{Lo: math.Pi / 2, Hi: interval.NextUp(math.Pi / 2)}
 
 // EvalTruth evaluates a Boolean expression over the box env (see
 // EvalInterval).

@@ -1,7 +1,7 @@
 package ic3icp
 
 import (
-	"fmt"
+	"strconv"
 
 	"icpic3/internal/icp"
 	"icpic3/internal/tnf"
@@ -115,7 +115,7 @@ func (ch *checker) catchUp(q *querySolver) {
 		switch {
 		case op.newFrame:
 			if !q.probe {
-				q.acts = append(q.acts, q.AddBoolVar(fmt.Sprintf(".frame%d", len(q.acts))))
+				q.acts = append(q.acts, q.AddBoolVar(".frame"+strconv.Itoa(len(q.acts))))
 			}
 		case op.level < 0:
 			q.AddClause(op.body)
@@ -163,7 +163,7 @@ func (ch *checker) oneShot(q *querySolver, level int, c icpCube, accept func(lo,
 		ch.compile(q)
 	}
 	ch.catchUp(q)
-	tmp := q.AddBoolVar(fmt.Sprintf(".tmp%d", q.retired))
+	tmp := q.AddBoolVar(".tmp" + strconv.Itoa(q.retired))
 	q.AddClause(append(tnf.Clause{tnf.MkLe(tmp, 0)}, ch.negCube(c)...))
 	primed := ch.primed(c)
 	r := q.SolveAccept(append(append(q.actLits(level), ch.runLit, tnf.MkGe(tmp, 1)), primed...), accept)

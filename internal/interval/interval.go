@@ -465,10 +465,15 @@ func sinHull(v Interval, sLo, sHi float64) Interval {
 	return res
 }
 
-// Cos returns an enclosure of {cos(a) : a in v}.
+// Cos returns an enclosure of {cos(a) : a in v}: sin(a + π/2), with the
+// shift enclosing π/2 itself.
 func (v Interval) Cos() Interval {
-	return v.Add(Point(math.Pi / 2)).Sin()
+	return v.Add(halfPi).Sin()
 }
+
+// halfPi encloses π/2.  The float64 nearest to it lies 6e-17 below, more
+// than an ulp of cos near its zeros, so a point shift would lose cos there.
+var halfPi = Interval{math.Pi / 2, NextUp(math.Pi / 2)}
 
 // crossesPhase reports whether v contains a point phase + 2k*pi for some
 // integer k.  Conservative (may report true spuriously near the edges),

@@ -263,6 +263,32 @@ func TestSinCos(t *testing.T) {
 	}
 }
 
+// TestCosEnclosesNearZeros checks Cos and InvCos at points next to the
+// zeros of cos, where shifting by the float64 nearest π/2 (6e-17 below
+// it) instead of an enclosure of π/2 moves the result by more than an
+// ulp of cos.
+func TestCosEnclosesNearZeros(t *testing.T) {
+	check := func(x float64) {
+		t.Helper()
+		c := math.Cos(x)
+		if got := Point(x).Cos(); !got.Contains(c) {
+			t.Fatalf("Point(%v).Cos() = %v misses cos = %v", x, got, c)
+		}
+		// x as either end of the domain: the contractor's end evaluations
+		for _, xs := range []Interval{New(x-0.01, x), New(x, x+0.01)} {
+			if got := InvCos(Point(c), xs); !got.Contains(x) {
+				t.Fatalf("InvCos(%v, %v) = %v misses %v", c, xs, got, x)
+			}
+		}
+	}
+	check(-1.6221038674007273)
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 20000; i++ {
+		k := float64(r.Intn(9) - 4)
+		check((k+0.5)*math.Pi + (r.Float64()-0.5)*0.2)
+	}
+}
+
 // randInterval generates a finite interval with moderate magnitudes.
 func randInterval(r *rand.Rand) Interval {
 	a := (r.Float64() - 0.5) * 200

@@ -78,16 +78,17 @@ const (
 type trigEnd struct{ arg, val float64 }
 
 // at evaluates f at a as the lower (upper = false) or the upper endpoint
-// of a sub-interval.  Cos is Sin of x shifted by π/2, and the shift rounds
-// a lower endpoint down and an upper one up (see Cos and Add), so its two
-// sides see different arguments; Sin and Tan see a itself on both.
+// of a sub-interval.  Cos is Sin of x shifted by halfPi, and the shift
+// adds halfPi's lower end and rounds down on a lower endpoint, its upper
+// end and rounds up on an upper one (see Cos and Add), so its two sides
+// see different arguments; Sin and Tan see a itself on both.
 func (f trigFn) at(a float64, upper bool) trigEnd {
 	switch f {
 	case trigCos:
 		if upper {
-			a = NextUp(a + math.Pi/2)
+			a = NextUp(a + halfPi.Hi)
 		} else {
-			a = NextDown(a + math.Pi/2)
+			a = NextDown(a + halfPi.Lo)
 		}
 		return trigEnd{a, math.Sin(a)}
 	case trigTan:

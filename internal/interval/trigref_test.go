@@ -38,7 +38,11 @@ func refSin(v Interval) Interval {
 	return res
 }
 
-func refCos(v Interval) Interval { return refSin(v.Add(Point(math.Pi / 2))) }
+// refCos shifts by an enclosure of π/2: the float64 nearest π/2 lies
+// below it, and shifting by that point alone misses cos near its zeros.
+func refCos(v Interval) Interval {
+	return refSin(v.Add(Interval{math.Pi / 2, math.Nextafter(math.Pi/2, math.Inf(1))}))
+}
 
 func refTan(v Interval) Interval {
 	if v.IsEmpty() {

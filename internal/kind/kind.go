@@ -62,18 +62,22 @@ type side struct {
 	solver *icp.Solver
 	steps  [][]tnf.VarID
 	badLit []tnf.Lit
-	robust []tnf.Lit
+	robust []tnf.Lit // base side only
+	base   bool
 	tol    float64
 }
 
-func newSide(sys *ts.System, opts icp.Options, withInit bool, tol float64) (*side, error) {
-	u := &side{sys: sys, tnfSys: tnf.NewSystem(), tol: tol}
+// newSide starts an unrolling at step 0.  The base side asserts Init and
+// compiles robust violation literals next to the plain ones; the step
+// side asks only plain violations.
+func newSide(sys *ts.System, opts icp.Options, base bool, tol float64) (*side, error) {
+	u := &side{sys: sys, tnfSys: tnf.NewSystem(), base: base, tol: tol}
 	ids, err := sys.DeclareStep(u.tnfSys, 0)
 	if err != nil {
 		return nil, err
 	}
 	u.steps = append(u.steps, ids)
-	if withInit {
+	if base {
 		if err := u.tnfSys.Assert(ts.AtStep(sys.Init, 0)); err != nil {
 			return nil, err
 		}
@@ -102,7 +106,8 @@ func (u *side) extend(assertProp bool) error {
 	return nil
 }
 
-// bad returns the robust-violation and plain-violation literals at step k.
+// bad returns the robust-violation and plain-violation literals at step
+// k.  The step side has no robust literals and returns a zero one.
 func (u *side) bad(k int) (robust, plain tnf.Lit, err error) {
 	for len(u.badLit) <= k {
 		i := len(u.badLit)
@@ -111,14 +116,19 @@ func (u *side) bad(k int) (robust, plain tnf.Lit, err error) {
 			return tnf.Lit{}, tnf.Lit{}, err
 		}
 		u.badLit = append(u.badLit, l)
-		r, err := u.tnfSys.CompileBool(expr.Not(expr.Weaken(ts.AtStep(u.sys.Prop, i), 2*u.tol)))
-		if err != nil {
-			return tnf.Lit{}, tnf.Lit{}, err
+		if u.base {
+			r, err := u.tnfSys.CompileBool(expr.Not(expr.Weaken(ts.AtStep(u.sys.Prop, i), 2*u.tol)))
+			if err != nil {
+				return tnf.Lit{}, tnf.Lit{}, err
+			}
+			u.robust = append(u.robust, r)
 		}
-		u.robust = append(u.robust, r)
 	}
 	u.solver.Sync(u.tnfSys)
-	return u.robust[k], u.badLit[k], nil
+	if u.base {
+		robust = u.robust[k]
+	}
+	return robust, u.badLit[k], nil
 }
 
 func (u *side) traceFromBox(box []interval.Interval, depth int) []ts.State {

@@ -48,14 +48,33 @@ func (d Delta) Identical() bool { return d.Distance == 0 }
 
 // Diff computes the canonical structural difference between two
 // systems.  It is symmetric up to the Added/Removed labels.
-func Diff(old, new *ts.System) Delta {
+func Diff(old, new *ts.System) Delta { return shapeOf(old).diff(shapeOf(new)) }
+
+// shape is what Diff reads of a system, rendered once: the declarations
+// by name and each formula's canonical rendering.  The store keeps one
+// per entry and renders an incoming system once per lookup.
+type shape struct {
+	vars              map[string]ts.VarDecl
+	nvars             int
+	init, trans, prop rendering
+}
+
+func shapeOf(s *ts.System) *shape {
+	m := make(map[string]ts.VarDecl, len(s.Vars))
+	for _, v := range s.Vars {
+		m[v.Name] = v
+	}
+	return &shape{vars: m, nvars: len(s.Vars),
+		init: render(s.Init), trans: render(s.Trans), prop: render(s.Prop)}
+}
+
+// diff is Diff over rendered systems.
+func (old *shape) diff(new *shape) Delta {
 	var d Delta
 
 	// --- variables, aligned by name (canonical order) ------------------
-	oldVars := varMap(old)
-	newVars := varMap(new)
-	for name, ov := range oldVars {
-		nv, ok := newVars[name]
+	for name, ov := range old.vars {
+		nv, ok := new.vars[name]
 		if !ok {
 			d.VarsRemoved++
 			continue
@@ -64,20 +83,17 @@ func Diff(old, new *ts.System) Delta {
 			d.VarsChanged++
 		}
 	}
-	for name := range newVars {
-		if _, ok := oldVars[name]; !ok {
+	for name := range new.vars {
+		if _, ok := old.vars[name]; !ok {
 			d.VarsAdded++
 		}
 	}
-	maxVars := len(old.Vars)
-	if len(new.Vars) > maxVars {
-		maxVars = len(new.Vars)
-	}
+	maxVars := max(old.nvars, new.nvars)
 
 	// --- formulas, canonical rendering ---------------------------------
-	d.InitDist = formulaDist(old.Init, new.Init)
-	d.TransDist = formulaDist(old.Trans, new.Trans)
-	d.PropDist = formulaDist(old.Prop, new.Prop)
+	d.InitDist = old.init.dist(new.init)
+	d.TransDist = old.trans.dist(new.trans)
+	d.PropDist = old.prop.dist(new.prop)
 
 	varScore := 0.0
 	if maxVars > 0 {
@@ -90,38 +106,38 @@ func Diff(old, new *ts.System) Delta {
 	return d
 }
 
-// varMap indexes the declarations by name.
-func varMap(s *ts.System) map[string]ts.VarDecl {
-	m := make(map[string]ts.VarDecl, len(s.Vars))
-	for _, v := range s.Vars {
-		m[v.Name] = v
-	}
-	return m
+// rendering is a formula as Diff compares it: the rendering of its
+// simplified form and that rendering's tokens.  A nil formula is absent.
+type rendering struct {
+	present bool
+	text    string
+	toks    []string
 }
 
-// formulaDist is the normalized token edit distance between the
-// canonical (simplified) renderings of two formulas.
-func formulaDist(a, b *expr.Expr) float64 {
-	if a == nil || b == nil {
-		if a == b {
+func render(e *expr.Expr) rendering {
+	if e == nil {
+		return rendering{}
+	}
+	text := expr.Simplify(e).String()
+	return rendering{present: true, text: text, toks: tokenize(text)}
+}
+
+// dist is the normalized token edit distance between two renderings.
+func (a rendering) dist(b rendering) float64 {
+	if !a.present || !b.present {
+		if a.present == b.present {
 			return 0
 		}
 		return 1
 	}
-	sa := expr.Simplify(a).String()
-	sb := expr.Simplify(b).String()
-	if sa == sb {
+	if a.text == b.text {
 		return 0
 	}
-	ta, tb := tokenize(sa), tokenize(sb)
-	n := len(ta)
-	if len(tb) > n {
-		n = len(tb)
-	}
+	n := max(len(a.toks), len(b.toks))
 	if n == 0 {
 		return 0
 	}
-	return float64(editDistance(ta, tb)) / float64(n)
+	return float64(editDistance(a.toks, b.toks)) / float64(n)
 }
 
 // tokenize splits a formula rendering into identifier/number/operator

@@ -31,11 +31,11 @@ type Entry struct {
 	Cert *engine.Certificate `json:"certificate"`
 }
 
-// storeItem is the in-memory record: the entry plus its parsed system,
-// so Lookup never re-parses per candidate.
+// storeItem is the in-memory record: the entry plus its system rendered
+// for Diff, so Lookup never re-parses or re-renders per candidate.
 type storeItem struct {
 	entry Entry
-	sys   *ts.System
+	shape *shape
 }
 
 // Store is a bounded LRU of proof certificates keyed by the canonical
@@ -117,20 +117,21 @@ func (s *Store) Put(sys *ts.System, engineName string, depth int, cert *engine.C
 	return s.put(e, s.dir != "")
 }
 
-// put installs an entry, optionally persisting it; it parses the source
-// once for future diffs and silently drops entries whose source no
-// longer parses (possible only for corrupted on-disk files).
+// put installs an entry, optionally persisting it; it parses and renders
+// the source once for future diffs and silently drops entries whose
+// source no longer parses (possible only for corrupted on-disk files).
 func (s *Store) put(e Entry, persist bool) error {
 	sys, err := ts.Parse(e.Source)
 	if err != nil {
 		return fmt.Errorf("reuse: entry %s: source does not parse: %w", short(e.Hash), err)
 	}
+	item := &storeItem{entry: e, shape: shapeOf(sys)}
 	s.mu.Lock()
 	if el, ok := s.items[e.Hash]; ok {
-		el.Value = &storeItem{entry: e, sys: sys}
+		el.Value = item
 		s.order.MoveToFront(el)
 	} else {
-		s.items[e.Hash] = s.order.PushFront(&storeItem{entry: e, sys: sys})
+		s.items[e.Hash] = s.order.PushFront(item)
 		if s.order.Len() > s.max {
 			oldest := s.order.Back()
 			s.order.Remove(oldest)
@@ -215,8 +216,9 @@ func (s *Store) Lookup(sys *ts.System, maxDist float64) (Match, bool) {
 
 	best := Match{}
 	found := false
+	incoming := shapeOf(sys)
 	for _, it := range items {
-		d := Diff(it.sys, sys)
+		d := it.shape.diff(incoming)
 		if d.Distance > maxDist {
 			continue
 		}

@@ -54,7 +54,7 @@ func (s *System) Simplify() SimplifyStats {
 	// Init late), but the structural cache may point at auxiliaries whose
 	// domains were tightened or collapsed above; drop it so later
 	// compilations build fresh variables instead of resurrecting them.
-	s.cse = make(map[string]VarID)
+	s.cse, s.ites = make(map[cseKey]VarID), nil
 	return st
 }
 

@@ -178,9 +178,9 @@ func TestSimplifyCollapsesUnusedAux(t *testing.T) {
 	sys, x, _ := simplifyFixture(t)
 	sys.AddClause(Clause{MkGe(x, 3), MkLe(x, 7)}) // keeps x used
 	sys.Vars = append(sys.Vars,
-		VarInfo{Name: ".tmp0", Aux: true, Domain: interval.New(-2, 5)},  // -> 0
-		VarInfo{Name: ".tmp1", Aux: true, Domain: interval.New(2, 5)},   // -> 2
-		VarInfo{Name: ".tmp2", Aux: true, Domain: interval.Point(4)},    // already a point
+		VarInfo{Name: "tmp", Aux: true, Domain: interval.New(-2, 5)},    // -> 0
+		VarInfo{Name: "tmp", Aux: true, Domain: interval.New(2, 5)},     // -> 2
+		VarInfo{Name: "tmp", Aux: true, Domain: interval.Point(4)},      // already a point
 		VarInfo{Name: "named", Aux: false, Domain: interval.New(-2, 5)}, // user var: untouched
 	)
 	st := sys.Simplify()

@@ -14,6 +14,7 @@ package tnf
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"icpic3/internal/expr"
 	"icpic3/internal/interval"
@@ -24,6 +25,9 @@ type VarID int32
 
 // VarInfo describes one solver variable.
 type VarInfo struct {
+	// Name is the declared name, or for an auxiliary the tag of what it
+	// stands for ("a" for a sum, "and" for a conjunction, ...); VarName
+	// renders an auxiliary's full name.
 	Name    string
 	Integer bool // integral domain (Booleans are integer vars in [0,1])
 	Aux     bool // compiler-introduced auxiliary (branching deprioritized)
@@ -152,15 +156,28 @@ type System struct {
 	Cons    []Constraint
 	Clauses []Clause
 
-	byName map[string]VarID
-	cse    map[string]VarID // structural cache for arithmetic subterms
+	byName map[string]VarID // declared variables (auxiliaries are unnamed here)
+	cse    map[cseKey]VarID // hash-consed arithmetic subterms
+	ites   map[string]VarID // arithmetic ite nodes, keyed on their rendering
+}
+
+// cseKey identifies a compiled arithmetic node by its operator and the
+// variables its operands compiled to, so equal subterms share one
+// variable and a look-up costs O(1) whatever the subterm's depth.  A
+// constant is keyed on its bits (-0 and 0 stay apart).  An arithmetic
+// ite is cached apart, on its rendering (see CompileArith).
+type cseKey struct {
+	op   expr.Op
+	x, y VarID
+	n    int
+	bits uint64
 }
 
 // NewSystem returns an empty system.
 func NewSystem() *System {
 	return &System{
 		byName: make(map[string]VarID),
-		cse:    make(map[string]VarID),
+		cse:    make(map[cseKey]VarID),
 	}
 }
 
@@ -193,19 +210,24 @@ func (s *System) Lookup(name string) (VarID, bool) {
 	return id, ok
 }
 
-// VarName returns the declared name of v (aux variables have synthesized
-// names).
-func (s *System) VarName(v VarID) string { return s.Vars[v].Name }
+// VarName returns the declared name of v.  An auxiliary's name, .<tag><id>,
+// is synthesized here on demand.
+func (s *System) VarName(v VarID) string {
+	info := &s.Vars[v]
+	if info.Aux {
+		return "." + info.Name + strconv.Itoa(int(v))
+	}
+	return info.Name
+}
 
-// fresh introduces an auxiliary variable.
-func (s *System) fresh(prefix string, integer bool, dom interval.Interval) VarID {
+// fresh introduces an auxiliary variable tagged tag.  It has no entry in
+// the name index: nothing looks an auxiliary up by name.
+func (s *System) fresh(tag string, integer bool, dom interval.Interval) VarID {
 	if integer {
 		dom = tightenIntegral(dom)
 	}
 	id := VarID(len(s.Vars))
-	name := fmt.Sprintf(".%s%d", prefix, id)
-	s.Vars = append(s.Vars, VarInfo{Name: name, Integer: integer, Aux: true, Domain: dom})
-	s.byName[name] = id
+	s.Vars = append(s.Vars, VarInfo{Name: tag, Integer: integer, Aux: true, Domain: dom})
 	return id
 }
 
@@ -268,32 +290,22 @@ func intLower(b float64, strict bool) float64 {
 // --- compilation of arithmetic -----------------------------------------
 
 // CompileArith translates a numeric expression to a variable constrained to
-// equal its value.  Subterms are shared through a structural cache.
-// The expression must be type-correct (numeric) and all variables declared.
+// equal its value.  Subterms are hash-consed: the operands compile first,
+// and a node whose operator and operand variables were seen before
+// reuses that node's variable.  The expression must be type-correct
+// (numeric) and all variables declared.
 func (s *System) CompileArith(e *expr.Expr) (VarID, error) {
-	key := e.String()
-	if v, ok := s.cse[key]; ok {
-		return v, nil
-	}
-	v, err := s.compileArith(e)
-	if err != nil {
-		return 0, err
-	}
-	s.cse[key] = v
-	return v, nil
-}
-
-func (s *System) compileArith(e *expr.Expr) (VarID, error) {
 	switch e.Op {
-	case expr.OpConst:
-		v := s.fresh("c", e.Val == math.Trunc(e.Val), interval.Point(e.Val))
-		return v, nil
 	case expr.OpVar:
 		id, ok := s.byName[e.Name]
 		if !ok {
 			return 0, fmt.Errorf("tnf: undeclared variable %q", e.Name)
 		}
 		return id, nil
+	case expr.OpConst:
+		return s.share(cseKey{op: e.Op, bits: math.Float64bits(e.Val)}, func() VarID {
+			return s.fresh("c", e.Val == math.Trunc(e.Val), interval.Point(e.Val))
+		}), nil
 	case expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpDiv, expr.OpMin, expr.OpMax:
 		x, err := s.CompileArith(e.Args[0])
 		if err != nil {
@@ -303,139 +315,165 @@ func (s *System) compileArith(e *expr.Expr) (VarID, error) {
 		if err != nil {
 			return 0, err
 		}
-		return s.binaryCon(e.Op, x, y)
+		return s.share(cseKey{op: e.Op, x: x, y: y}, func() VarID { return s.binaryCon(e.Op, x, y) }), nil
 	case expr.OpNeg, expr.OpAbs, expr.OpSqrt, expr.OpExp, expr.OpLog, expr.OpSin, expr.OpCos,
 		expr.OpTan, expr.OpAtan, expr.OpTanh:
 		x, err := s.CompileArith(e.Args[0])
 		if err != nil {
 			return 0, err
 		}
-		return s.unaryCon(e.Op, x)
+		return s.share(cseKey{op: e.Op, x: x}, func() VarID { return s.unaryCon(e.Op, x) }), nil
 	case expr.OpPow:
 		x, err := s.CompileArith(e.Args[0])
 		if err != nil {
 			return 0, err
 		}
-		dx := s.Vars[x].Domain
-		z := s.fresh("pw", s.Vars[x].Integer && e.N >= 0, dx.PowInt(e.N))
-		s.addCon(Constraint{Op: ConPow, Z: z, X: x, N: e.N})
-		return z, nil
+		return s.share(cseKey{op: e.Op, x: x, n: e.N}, func() VarID {
+			z := s.fresh("pw", s.Vars[x].Integer && e.N >= 0, s.Vars[x].Domain.PowInt(e.N))
+			s.addCon(Constraint{Op: ConPow, Z: z, X: x, N: e.N})
+			return z
+		}), nil
 	case expr.OpIte:
-		cond, err := s.CompileBool(e.Args[0])
+		// Looked up before its operands compile: CompileBool does not
+		// memoize, so compiling the condition again would add Tseitin
+		// variables.  The rendering is the only key available before then.
+		key := e.String()
+		if v, ok := s.ites[key]; ok {
+			return v, nil
+		}
+		v, err := s.compileIte(e)
 		if err != nil {
 			return 0, err
 		}
-		a, err := s.CompileArith(e.Args[1])
-		if err != nil {
-			return 0, err
+		if s.ites == nil {
+			s.ites = make(map[string]VarID)
 		}
-		b, err := s.CompileArith(e.Args[2])
-		if err != nil {
-			return 0, err
-		}
-		da, db := s.Vars[a].Domain, s.Vars[b].Domain
-		z := s.fresh("ite", s.Vars[a].Integer && s.Vars[b].Integer, da.Hull(db))
-		// cond -> z = a ; !cond -> z = b, via difference variables.
-		dza, err := s.binaryCon(expr.OpSub, z, a)
-		if err != nil {
-			return 0, err
-		}
-		dzb, err := s.binaryCon(expr.OpSub, z, b)
-		if err != nil {
-			return 0, err
-		}
-		nc := s.NegLit(cond)
-		s.AddClause(Clause{nc, MkLe(dza, 0)})
-		s.AddClause(Clause{nc, MkGe(dza, 0)})
-		s.AddClause(Clause{cond, MkLe(dzb, 0)})
-		s.AddClause(Clause{cond, MkGe(dzb, 0)})
-		return z, nil
+		s.ites[key] = v
+		return v, nil
 	}
 	return 0, fmt.Errorf("tnf: expression %s is not numeric", e)
+}
+
+// share returns the variable cached under key, or caches and returns the
+// one mk builds.
+func (s *System) share(key cseKey, mk func() VarID) VarID {
+	if v, ok := s.cse[key]; ok {
+		return v
+	}
+	v := mk()
+	s.cse[key] = v
+	return v
+}
+
+// compileIte encodes z = ite(cond, a, b).
+func (s *System) compileIte(e *expr.Expr) (VarID, error) {
+	cond, err := s.CompileBool(e.Args[0])
+	if err != nil {
+		return 0, err
+	}
+	a, err := s.CompileArith(e.Args[1])
+	if err != nil {
+		return 0, err
+	}
+	b, err := s.CompileArith(e.Args[2])
+	if err != nil {
+		return 0, err
+	}
+	da, db := s.Vars[a].Domain, s.Vars[b].Domain
+	z := s.fresh("ite", s.Vars[a].Integer && s.Vars[b].Integer, da.Hull(db))
+	// cond -> z = a ; !cond -> z = b, via difference variables.
+	dza := s.binaryCon(expr.OpSub, z, a)
+	dzb := s.binaryCon(expr.OpSub, z, b)
+	nc := s.NegLit(cond)
+	s.AddClause(Clause{nc, MkLe(dza, 0)})
+	s.AddClause(Clause{nc, MkGe(dza, 0)})
+	s.AddClause(Clause{cond, MkLe(dzb, 0)})
+	s.AddClause(Clause{cond, MkGe(dzb, 0)})
+	return z, nil
 }
 
 // binaryCon introduces z with the primitive constraint for op(x, y).
 // Subtraction is encoded through addition (z = x - y  <=>  x = z + y) and
 // division through multiplication (z = x / y  <=>  x = z * y), so the
 // solver needs contractors only for the primitive set.
-func (s *System) binaryCon(op expr.Op, x, y VarID) (VarID, error) {
+func (s *System) binaryCon(op expr.Op, x, y VarID) VarID {
 	dx, dy := s.Vars[x].Domain, s.Vars[y].Domain
 	intg := s.Vars[x].Integer && s.Vars[y].Integer
 	switch op {
 	case expr.OpAdd:
 		z := s.fresh("a", intg, dx.Add(dy))
 		s.addCon(Constraint{Op: ConAdd, Z: z, X: x, Y: y})
-		return z, nil
+		return z
 	case expr.OpSub:
 		z := s.fresh("s", intg, dx.Sub(dy))
 		s.addCon(Constraint{Op: ConAdd, Z: x, X: z, Y: y})
-		return z, nil
+		return z
 	case expr.OpMul:
 		z := s.fresh("m", intg, dx.Mul(dy))
 		s.addCon(Constraint{Op: ConMul, Z: z, X: x, Y: y})
-		return z, nil
+		return z
 	case expr.OpDiv:
 		z := s.fresh("d", false, dx.Div(dy))
 		s.addCon(Constraint{Op: ConMul, Z: x, X: z, Y: y})
-		return z, nil
+		return z
 	case expr.OpMin:
 		z := s.fresh("mn", intg, dx.Min(dy))
 		s.addCon(Constraint{Op: ConMin, Z: z, X: x, Y: y})
-		return z, nil
+		return z
 	case expr.OpMax:
 		z := s.fresh("mx", intg, dx.Max(dy))
 		s.addCon(Constraint{Op: ConMax, Z: z, X: x, Y: y})
-		return z, nil
+		return z
 	}
-	return 0, fmt.Errorf("tnf: not a binary arithmetic op: %s", op)
+	panic("tnf: not a binary arithmetic op: " + op.String())
 }
 
-func (s *System) unaryCon(op expr.Op, x VarID) (VarID, error) {
+func (s *System) unaryCon(op expr.Op, x VarID) VarID {
 	dx := s.Vars[x].Domain
 	intg := s.Vars[x].Integer
 	switch op {
 	case expr.OpNeg:
 		z := s.fresh("n", intg, dx.Neg())
 		s.addCon(Constraint{Op: ConNeg, Z: z, X: x})
-		return z, nil
+		return z
 	case expr.OpAbs:
 		z := s.fresh("ab", intg, dx.Abs())
 		s.addCon(Constraint{Op: ConAbs, Z: z, X: x})
-		return z, nil
+		return z
 	case expr.OpSqrt:
 		z := s.fresh("sq", false, dx.Sqrt())
 		s.addCon(Constraint{Op: ConSqrt, Z: z, X: x})
-		return z, nil
+		return z
 	case expr.OpExp:
 		z := s.fresh("ex", false, dx.Exp())
 		s.addCon(Constraint{Op: ConExp, Z: z, X: x})
-		return z, nil
+		return z
 	case expr.OpLog:
 		z := s.fresh("lg", false, dx.Log())
 		s.addCon(Constraint{Op: ConLog, Z: z, X: x})
-		return z, nil
+		return z
 	case expr.OpSin:
 		z := s.fresh("sn", false, dx.Sin())
 		s.addCon(Constraint{Op: ConSin, Z: z, X: x})
-		return z, nil
+		return z
 	case expr.OpCos:
 		z := s.fresh("cs", false, dx.Cos())
 		s.addCon(Constraint{Op: ConCos, Z: z, X: x})
-		return z, nil
+		return z
 	case expr.OpTan:
 		z := s.fresh("tn", false, dx.Tan())
 		s.addCon(Constraint{Op: ConTan, Z: z, X: x})
-		return z, nil
+		return z
 	case expr.OpAtan:
 		z := s.fresh("at", false, dx.Atan())
 		s.addCon(Constraint{Op: ConAtan, Z: z, X: x})
-		return z, nil
+		return z
 	case expr.OpTanh:
 		z := s.fresh("th", false, dx.Tanh())
 		s.addCon(Constraint{Op: ConTanh, Z: z, X: x})
-		return z, nil
+		return z
 	}
-	return 0, fmt.Errorf("tnf: not a unary arithmetic op: %s", op)
+	panic("tnf: not a unary arithmetic op: " + op.String())
 }
 
 // --- compilation of Boolean structure ----------------------------------

@@ -340,3 +340,35 @@ func TestBoolConstAssert(t *testing.T) {
 		t.Errorf("clauses = %v", s.Clauses)
 	}
 }
+
+// nestedSum builds x + 0*(x + 1*(x + 2*(... x))) with d levels: a deep
+// term whose every level is a fresh sum, product and constant.
+func nestedSum(d int) *expr.Expr {
+	e := expr.V("x")
+	for i := 0; i < d; i++ {
+		e = expr.Add(expr.V("x"), expr.Mul(expr.Num(float64(i)), e))
+	}
+	return e
+}
+
+// TestCompileArithAllocsLinear pins hash-consing: a term twice as deep
+// costs at most about twice the allocations.  A cache keyed on rendered
+// subterms allocates with the square of the depth and fails this.
+func TestCompileArithAllocsLinear(t *testing.T) {
+	allocs := func(d int) float64 {
+		e := nestedSum(d)
+		return testing.AllocsPerRun(10, func() {
+			s := NewSystem()
+			if _, err := s.AddVar("x", false, interval.New(-1, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.CompileArith(e); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a, b := allocs(128), allocs(256)
+	if b > 2.2*a {
+		t.Errorf("allocs: depth 128 %.0f, depth 256 %.0f (> 2.2x)", a, b)
+	}
+}

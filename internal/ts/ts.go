@@ -9,6 +9,7 @@ package ts
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"icpic3/internal/expr"
@@ -198,7 +199,7 @@ func (s *System) Validate() error {
 // StepName returns the TNF variable name of state variable name at the
 // given unrolling step.
 func StepName(name string, step int) string {
-	return fmt.Sprintf("%s@%d", name, step)
+	return name + "@" + strconv.Itoa(step)
 }
 
 // AtStep instantiates a state formula at an unrolling step: x becomes x@k

@@ -291,6 +291,54 @@ func BenchmarkParse(b *testing.B) {
 // benchSys keeps the benchmarked call from being optimized away.
 var benchSys *System
 
+// pendulumSrc is a corpus-like non-linear model (bench/corpus
+// pendulum-safe-1): two real states and a sine.
+const pendulumSrc = `system pendulum
+var th : real [-2, 2]
+var w : real [-2, 2]
+init th >= 0.4 and th <= 0.45 and w >= 0.4 and w <= 0.45
+trans th' = th + 0.2 * w and w' = w + 0.2 * (-1 * sin(th) - 1 * w)
+prop th <= 1.2
+`
+
+// BenchmarkCompileUnroll compiles 24 steps of pendulumSrc to TNF the way
+// k-induction's step side does: per step the state variables, Trans@k,
+// Prop@k and the plain and robust violation literals.
+func BenchmarkCompileUnroll(b *testing.B) {
+	sys, err := Parse(pendulumSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		t := tnf.NewSystem()
+		if _, err := sys.DeclareStep(t, 0); err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < 24; k++ {
+			if _, err := sys.DeclareStep(t, k+1); err != nil {
+				b.Fatal(err)
+			}
+			if err := t.Assert(AtStep(sys.Trans, k)); err != nil {
+				b.Fatal(err)
+			}
+			if err := t.Assert(AtStep(sys.Prop, k)); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := t.CompileBool(expr.Not(AtStep(sys.Prop, k))); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := t.CompileBool(expr.Not(expr.Weaken(AtStep(sys.Prop, k), 0.02))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		benchTNF = t
+	}
+}
+
+// benchTNF keeps the compiled system of BenchmarkCompileUnroll live.
+var benchTNF *tnf.System
+
 func TestRepeatedSections(t *testing.T) {
 	src := `
 system t

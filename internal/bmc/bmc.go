@@ -9,7 +9,6 @@ package bmc
 
 import (
 	"fmt"
-	"math"
 
 	"icpic3/internal/engine"
 	"icpic3/internal/expr"
@@ -54,84 +53,101 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// unroller incrementally builds the step-indexed TNF encoding.
-type unroller struct {
-	sys    *ts.System
-	tnfSys *tnf.System
-	solver *icp.Solver
-	steps  [][]tnf.VarID // step -> var ids (declaration order of sys.Vars)
-	badLit []tnf.Lit     // step -> literal of !Prop@step (compiled lazily)
-	robust []tnf.Lit     // step -> literal of the robust violation !Weaken(Prop)@step
-	tol    float64       // robustness margin
+// Unrolling is an incrementally grown step-indexed TNF encoding of a
+// transition system, with the solver that asks it: the unrolling of BMC
+// and of both sides of k-induction.  A base unrolling asserts Init at
+// step 0 and compiles a robust violation literal next to each plain one;
+// a step unrolling has no Init and asserts Prop@k on each Extend (the
+// induction hypothesis).  Trans and Prop are simplified once, and each
+// step only renames them (ts.RenameAt).
+type Unrolling struct {
+	Solver *icp.Solver
+
+	sys         *ts.System
+	tnfSys      *tnf.System
+	trans, prop *expr.Expr    // simplified once
+	steps       [][]tnf.VarID // step -> var ids (declaration order of sys.Vars)
+	plain       []tnf.Lit     // step -> literal of !Prop@step (compiled lazily)
+	robust      []tnf.Lit     // step -> literal of !Weaken(Prop)@step (base only)
+	base        bool
+	tol         float64 // robustness margin
 }
 
-func newUnroller(sys *ts.System, opts icp.Options, tol float64) (*unroller, error) {
-	u := &unroller{sys: sys, tnfSys: tnf.NewSystem(), tol: tol}
+// NewUnrolling starts an unrolling at step 0; tol is the robustness
+// margin of a base unrolling's robust violation literals.
+func NewUnrolling(sys *ts.System, opts icp.Options, base bool, tol float64) (*Unrolling, error) {
+	u := &Unrolling{sys: sys, tnfSys: tnf.NewSystem(), trans: expr.Simplify(sys.Trans),
+		prop: expr.Simplify(sys.Prop), base: base, tol: tol}
 	ids, err := sys.DeclareStep(u.tnfSys, 0)
 	if err != nil {
 		return nil, err
 	}
 	u.steps = append(u.steps, ids)
-	if err := u.tnfSys.Assert(ts.AtStep(sys.Init, 0)); err != nil {
-		return nil, err
+	if base {
+		if err := u.tnfSys.Assert(ts.AtStep(sys.Init, 0)); err != nil {
+			return nil, err
+		}
 	}
-	u.solver = icp.New(u.tnfSys, opts)
+	u.Solver = icp.New(u.tnfSys, opts)
 	return u, nil
 }
 
-// extend declares step k+1 and asserts Trans@k (requires steps 0..k done).
-func (u *unroller) extend() error {
+// Extend declares step k+1 and asserts Trans@k, where k is the current
+// depth; a step unrolling also asserts Prop@k.
+func (u *Unrolling) Extend() error {
 	k := len(u.steps) - 1
 	ids, err := u.sys.DeclareStep(u.tnfSys, k+1)
 	if err != nil {
 		return err
 	}
 	u.steps = append(u.steps, ids)
-	if err := u.tnfSys.Assert(ts.AtStep(u.sys.Trans, k)); err != nil {
+	if err := u.tnfSys.Assert(ts.RenameAt(u.trans, k)); err != nil {
 		return err
 	}
-	u.solver.Sync(u.tnfSys)
+	if !u.base {
+		if err := u.tnfSys.Assert(ts.RenameAt(u.prop, k)); err != nil {
+			return err
+		}
+	}
+	u.Solver.Sync(u.tnfSys)
 	return nil
 }
 
-// bad returns the literals asserting the robust violation and the plain
+// Bad returns the literals asserting the robust violation and the plain
 // violation of Prop at step k, compiling on demand.  The robust literal
-// describes states violating Prop by at least the validation margin —
-// searching it first keeps the engine away from boundary-hugging
-// candidates that can never pass concrete validation.
-func (u *unroller) bad(k int) (robust, plain tnf.Lit, err error) {
-	for len(u.badLit) <= k {
-		i := len(u.badLit)
-		l, err := u.tnfSys.CompileBool(expr.Not(ts.AtStep(u.sys.Prop, i)))
+// describes states violating Prop by at least the margin 2·tol —
+// searching it first keeps the engines away from boundary-hugging
+// candidates that can never pass concrete validation.  A step unrolling
+// has no robust literals and returns a zero one.
+func (u *Unrolling) Bad(k int) (robust, plain tnf.Lit, err error) {
+	for len(u.plain) <= k {
+		p := ts.RenameAt(u.prop, len(u.plain))
+		l, err := u.tnfSys.CompileBool(expr.Not(p))
 		if err != nil {
 			return tnf.Lit{}, tnf.Lit{}, err
 		}
-		u.badLit = append(u.badLit, l)
-		r, err := u.tnfSys.CompileBool(expr.Not(expr.Weaken(ts.AtStep(u.sys.Prop, i), 2*u.tol)))
-		if err != nil {
-			return tnf.Lit{}, tnf.Lit{}, err
+		u.plain = append(u.plain, l)
+		if u.base {
+			r, err := u.tnfSys.CompileBool(expr.Not(expr.Weaken(p, 2*u.tol)))
+			if err != nil {
+				return tnf.Lit{}, tnf.Lit{}, err
+			}
+			u.robust = append(u.robust, r)
 		}
-		u.robust = append(u.robust, r)
 	}
-	u.solver.Sync(u.tnfSys)
-	return u.robust[k], u.badLit[k], nil
+	u.Solver.Sync(u.tnfSys)
+	if u.base {
+		robust = u.robust[k]
+	}
+	return robust, u.plain[k], nil
 }
 
-// traceFromBox converts a solution box into a concrete trace by taking
-// midpoints (rounded for integral variables).
-func (u *unroller) traceFromBox(box []interval.Interval, depth int) []ts.State {
+// Trace reads the states of steps 0..depth out of a solution box, taking
+// midpoints (see ts.System.BoxState).
+func (u *Unrolling) Trace(box []interval.Interval, depth int) []ts.State {
 	trace := make([]ts.State, depth+1)
-	for k := 0; k <= depth; k++ {
-		st := ts.State{}
-		for i, v := range u.sys.Vars {
-			id := u.steps[k][i]
-			val := box[id].Mid()
-			if v.Kind != expr.KindReal {
-				val = math.Round(val)
-			}
-			st[v.Name] = val
-		}
-		trace[k] = st
+	for k := range trace {
+		trace[k] = u.sys.BoxState(box, u.steps[k], interval.Interval.Mid)
 	}
 	return trace
 }
@@ -154,7 +170,7 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		return budget.Expired() || (userStop != nil && userStop())
 	}
 
-	u, err := newUnroller(sys, opts.Solver, opts.ValidateTol)
+	u, err := NewUnrolling(sys, opts.Solver, true, opts.ValidateTol)
 	if err != nil {
 		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}
 	}
@@ -162,8 +178,8 @@ func Check(sys *ts.System, opts Options) engine.Result {
 	stats := map[string]int64{}
 	spurious := int64(0)
 	finish := func(r engine.Result) engine.Result {
-		stats["decisions"] = u.solver.Stats.Decisions
-		stats["conflicts"] = u.solver.Stats.Conflicts
+		stats["decisions"] = u.Solver.Stats.Decisions
+		stats["conflicts"] = u.Solver.Stats.Conflicts
 		r.Runtime = budget.Elapsed()
 		if r.Stats == nil {
 			r.Stats = stats
@@ -175,16 +191,16 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		if budget.Expired() {
 			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: "timeout"})
 		}
-		robustBad, plainBad, err := u.bad(k)
+		robustBad, plainBad, err := u.Bad(k)
 		if err != nil {
 			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: err.Error()})
 		}
 		opts.Progress.Tick()
-		r := u.solver.Solve([]tnf.Lit{robustBad})
+		r := u.Solver.Solve([]tnf.Lit{robustBad})
 		stats["solves"]++
 		switch r.Status {
 		case icp.StatusSat:
-			trace := u.traceFromBox(r.Box, k)
+			trace := u.Trace(r.Box, k)
 			if err := sys.ValidateTrace(trace, opts.ValidateTol); err == nil {
 				return finish(engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: k})
 			}
@@ -202,10 +218,10 @@ func Check(sys *ts.System, opts Options) engine.Result {
 			// No robust violation; plain violations may still be genuine
 			// for discrete (integer) properties, so validate them too.
 			opts.Progress.Tick()
-			r2 := u.solver.Solve([]tnf.Lit{plainBad})
+			r2 := u.Solver.Solve([]tnf.Lit{plainBad})
 			stats["solves"]++
 			if r2.Status == icp.StatusSat {
-				trace := u.traceFromBox(r2.Box, k)
+				trace := u.Trace(r2.Box, k)
 				if err := sys.ValidateTrace(trace, opts.ValidateTol); err == nil {
 					return finish(engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: k})
 				}
@@ -213,7 +229,7 @@ func Check(sys *ts.System, opts Options) engine.Result {
 			}
 		}
 		if k < opts.MaxDepth {
-			if err := u.extend(); err != nil {
+			if err := u.Extend(); err != nil {
 				return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: err.Error()})
 			}
 		}
@@ -233,24 +249,24 @@ func retryDepth(sys *ts.System, opts Options, k int, budget engine.Budget) ([]ts
 	}
 	fine := opts.Solver
 	fine.Eps = opts.Solver.Eps / 64
-	u, err := newUnroller(sys, fine, opts.ValidateTol)
+	u, err := NewUnrolling(sys, fine, true, opts.ValidateTol)
 	if err != nil {
 		return nil, false
 	}
 	for i := 0; i < k; i++ {
-		if err := u.extend(); err != nil {
+		if err := u.Extend(); err != nil {
 			return nil, false
 		}
 	}
-	bad, _, err := u.bad(k)
+	bad, _, err := u.Bad(k)
 	if err != nil {
 		return nil, false
 	}
-	r := u.solver.Solve([]tnf.Lit{bad})
+	r := u.Solver.Solve([]tnf.Lit{bad})
 	if r.Status != icp.StatusSat {
 		return nil, false
 	}
-	trace := u.traceFromBox(r.Box, k)
+	trace := u.Trace(r.Box, k)
 	if err := sys.ValidateTrace(trace, opts.ValidateTol/16); err != nil {
 		return nil, false
 	}

@@ -209,7 +209,7 @@ type checker struct {
 
 	// memo caches UNSAT consecution answers keyed by canonical cube and
 	// target frame (memo.go), consulted by blockQuery and pushFrames
-	// before they ask the solver.
+	// before they ask the solver.  build() allocates it.
 	memo *consecMemo
 
 	// hot-path tables, built once in build(): position and declared
@@ -329,7 +329,7 @@ func checkWith(sys *ts.System, opts Options, setup func(*checker)) (engine.Resul
 	}
 
 	ch := &checker{sys: sys, opts: opts, budget: budget, stats: map[string]int64{},
-		coreHits: map[coreKey]int64{}, memo: newConsecMemo()}
+		coreHits: map[coreKey]int64{}}
 	// every reported work counter (engine.Counters) is present in the
 	// stats even when zero
 	for _, c := range engine.Counters {
@@ -399,6 +399,7 @@ func InvariantOf(cert *engine.Certificate) ([]Cube, error) {
 // build compiles the two solver instances.
 func (ch *checker) build() error {
 	sys := ch.sys
+	ch.memo = newConsecMemo()
 
 	ch.tnfMain = tnf.NewSystem()
 	cur, err := sys.DeclareStep(ch.tnfMain, 0)
@@ -795,36 +796,6 @@ func (ch *checker) boxCube(box []interval.Interval, ids []tnf.VarID) icpCube {
 	return cube
 }
 
-// boxCorner extracts a corner state of a box over the given ids.
-func (ch *checker) boxCorner(box []interval.Interval, ids []tnf.VarID, hi bool) ts.State {
-	st := ts.State{}
-	for i, v := range ch.sys.Vars {
-		b := box[ids[i]]
-		val := b.Lo
-		if hi {
-			val = b.Hi
-		}
-		if v.Kind != expr.KindReal {
-			val = math.Round(val)
-		}
-		st[v.Name] = val
-	}
-	return st
-}
-
-// boxPoint extracts the midpoint state of a box over the given ids.
-func (ch *checker) boxPoint(box []interval.Interval, ids []tnf.VarID) ts.State {
-	st := ts.State{}
-	for i, v := range ch.sys.Vars {
-		val := box[ids[i]].Mid()
-		if v.Kind != expr.KindReal {
-			val = math.Round(val)
-		}
-		st[v.Name] = val
-	}
-	return st
-}
-
 // primed maps cube literals onto the next-state variables.  The returned
 // slice is a scratch buffer valid until the next primed call.
 func (ch *checker) primed(c icpCube) []tnf.Lit {
@@ -970,7 +941,7 @@ func (ch *checker) run(info *Info) engine.Result {
 	ch.stats["initQueries"]++
 	r0 := ch.init.Solve([]tnf.Lit{badInit})
 	if r0.Status == icp.StatusSat {
-		trace := []ts.State{ch.boxPoint(r0.Box, ch.initIDs)}
+		trace := []ts.State{ch.sys.BoxState(r0.Box, ch.initIDs, interval.Interval.Mid)}
 		if verr := ch.sys.ValidateTrace(trace, ch.opts.ValidateTol); verr == nil {
 			return engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: 0}
 		}
@@ -1022,7 +993,7 @@ func (ch *checker) run(info *Info) engine.Result {
 			if ch.opts.DebugTrace {
 				fmt.Printf("getBad k=%d cube=%s\n", k, ch.exportCube(bad))
 			}
-			root := &obligation{cube: bad, point: ch.boxPoint(r.Box, ch.curIDs), frame: k, depth: 0}
+			root := &obligation{cube: bad, point: ch.sys.BoxState(r.Box, ch.curIDs, interval.Interval.Mid), frame: k, depth: 0}
 			verdict, res := ch.block(root, k)
 			if verdict != engine.Safe { // Unsafe or Unknown bubble up
 				info.Frames = k
@@ -1101,7 +1072,7 @@ func (ch *checker) block(root *obligation, k int) (engine.Verdict, engine.Result
 		case icp.StatusSat:
 			pred := ch.boxCube(r.Box, ch.curIDs)
 			heap.Push(&q, &obligation{
-				cube: pred, point: ch.boxPoint(r.Box, ch.curIDs),
+				cube: pred, point: ch.sys.BoxState(r.Box, ch.curIDs, interval.Interval.Mid),
 				frame: ob.frame - 1, depth: ob.depth + 1, succ: ob,
 			})
 			heap.Push(&q, ob)
@@ -1141,11 +1112,11 @@ func (ch *checker) candidateCex(ob *obligation) (engine.Verdict, engine.Result) 
 	// the init box are kept as alternative starts for trace repair.
 	startVariants := []ts.State{trace[0]}
 	if ok, r := ch.initIntersects(ob.cube); ok && r.Status == icp.StatusSat {
-		trace[0] = ch.boxPoint(r.Box, ch.initIDs)
+		trace[0] = ch.sys.BoxState(r.Box, ch.initIDs, interval.Interval.Mid)
 		startVariants = []ts.State{trace[0]}
 		startVariants = append(startVariants,
-			ch.boxCorner(r.Box, ch.initIDs, false),
-			ch.boxCorner(r.Box, ch.initIDs, true))
+			ch.sys.BoxState(r.Box, ch.initIDs, func(b interval.Interval) float64 { return b.Lo }),
+			ch.sys.BoxState(r.Box, ch.initIDs, func(b interval.Interval) float64 { return b.Hi }))
 	}
 	if err := ch.sys.ValidateTrace(trace, ch.opts.ValidateTol); err == nil {
 		return engine.Unsafe, engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: len(trace) - 1}

@@ -148,12 +148,8 @@ func (m *consecMemo) store(c icpCube, frame int, core icpCube) {
 }
 
 // memoLookup consults the consecution cache for the sequential query
-// paths, maintaining the hit/miss counters.  The cache is allocated on
-// first use so checkers built piecemeal by tests need no extra setup.
+// paths, maintaining the hit/miss counters.
 func (ch *checker) memoLookup(c icpCube, frame int) (icpCube, bool) {
-	if ch.memo == nil {
-		ch.memo = newConsecMemo()
-	}
 	core, ok := ch.memo.lookup(c, frame)
 	if ok {
 		ch.stats["consecCacheHits"]++
@@ -166,8 +162,5 @@ func (ch *checker) memoLookup(c icpCube, frame int) (icpCube, bool) {
 // memoStore records an UNSAT consecution answer with the given
 // cube-literal core subset.
 func (ch *checker) memoStore(c icpCube, frame int, core icpCube) {
-	if ch.memo == nil {
-		ch.memo = newConsecMemo()
-	}
 	ch.memo.store(c, frame, core)
 }

@@ -30,7 +30,6 @@ func (s *Solver) analyze(cf *conflict, clevel int32) (tnf.Clause, tnf.Lit, int32
 			return
 		}
 		s.seenStamp[a] = s.seenEpoch
-		s.bumpActivity(s.trail[a].v)
 		if e := &s.trail[a]; e.kind == reasonClause && e.cl >= 0 {
 			s.bumpClauseAct(e.cl)
 		}

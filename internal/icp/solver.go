@@ -74,10 +74,6 @@ type Options struct {
 	// true aborts the search with StatusUnknown (used for wall-clock
 	// budgets by the engines).
 	Stop func() bool
-	// UseActivity enables conflict-driven (VSIDS-style) branching on top
-	// of the width-first heuristic.  Off by default: the IC3 engines rely
-	// on deterministic width-first splits for box quality.
-	UseActivity bool
 	// NoReduce disables learned-clause database reduction entirely (the
 	// solver then keeps every clause it ever learns).  Used by the
 	// bench-smoke invariance leg to prove clause deletion never changes
@@ -277,8 +273,6 @@ type Solver struct {
 	initial        []interval.Interval // declared domains
 	lo, hi         []float64           // current domains
 	loOpen, hiOpen []bool              // endpoint openness (strict bounds)
-	activity       []float64           // conflict-driven branching activity
-	actInc         float64             // current activity increment
 
 	cons    []tnf.Constraint
 	varCons [][]int32 // var -> constraint indices
@@ -410,7 +404,7 @@ type Solver struct {
 // call Sync between Solve calls to pull in newly compiled variables,
 // constraints and clauses.
 func New(sys *tnf.System, opts Options) *Solver {
-	s := &Solver{opts: opts.withDefaults(), actInc: 1, claInc: 1}
+	s := &Solver{opts: opts.withDefaults(), claInc: 1}
 	s.Sync(sys)
 	return s
 }
@@ -453,7 +447,6 @@ func (s *Solver) addVarInfo(vi tnf.VarInfo) tnf.VarID {
 	s.watchGe = append(s.watchGe, nil)
 	s.lastLoEv = append(s.lastLoEv, -1)
 	s.lastHiEv = append(s.lastHiEv, -1)
-	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, 0)
 	s.phaseStamp = append(s.phaseStamp, 0)
 	// ids grow monotonically, so appending keeps the candidate lists in
@@ -464,22 +457,6 @@ func (s *Solver) addVarInfo(vi tnf.VarInfo) tnf.VarID {
 		s.branchMain = append(s.branchMain, id)
 	}
 	return id
-}
-
-// bumpActivity raises the branching activity of v (VSIDS-style).
-func (s *Solver) bumpActivity(v tnf.VarID) {
-	s.activity[v] += s.actInc
-	if s.activity[v] > 1e100 {
-		for i := range s.activity {
-			s.activity[i] *= 1e-100
-		}
-		s.actInc *= 1e-100
-	}
-}
-
-// decayActivities makes future bumps weigh more than past ones.
-func (s *Solver) decayActivities() {
-	s.actInc /= 0.95
 }
 
 // bumpClauseAct raises the deletion-ranking activity of a learned clause
@@ -977,12 +954,6 @@ func (s *Solver) pickBranchTier(cands []tnf.VarID) (tnf.VarID, bool) {
 			if iw > 0 && !math.IsInf(iw, 0) {
 				score = w / iw // relative width for bounded vars
 			}
-			if s.opts.UseActivity {
-				// conflict-driven branching (off by default: on the
-				// IC3 workloads deterministic width-first splitting
-				// produces better boxes for widening and F_∞ promotion)
-				score *= 1 + s.activity[v]/s.actInc
-			}
 		}
 		if score > bestScore {
 			bestScore = score
@@ -1135,7 +1106,6 @@ func (s *Solver) SolveAccept(assumptions []tnf.Lit, accept func(lo, hi []float64
 		}
 		if cf != nil {
 			s.Stats.Conflicts++
-			s.decayActivities()
 			s.decayClauseActs()
 			conflicts++
 			lvl := s.maxAnteLevel(cf.ante)

@@ -1,7 +1,7 @@
 // Package kind implements k-induction over non-linear transition systems
 // with the CDCL(ICP) solver: the base case is a bounded model check, the
 // step case asks whether k consecutive property-satisfying states force
-// the property in the next state.  Variable range invariants strengthen
+// the property in the next state.  Both run on bmc's Unrolling.  Variable range invariants strengthen
 // the step case (they are part of the state space).  k-induction proves
 // safety only when the property is k-inductive for some small k, placing
 // it between BMC (never proves) and IC3 (discovers strengthenings).
@@ -9,12 +9,10 @@ package kind
 
 import (
 	"fmt"
-	"math"
 
+	"icpic3/internal/bmc"
 	"icpic3/internal/engine"
-	"icpic3/internal/expr"
 	"icpic3/internal/icp"
-	"icpic3/internal/interval"
 	"icpic3/internal/tnf"
 	"icpic3/internal/ts"
 )
@@ -55,98 +53,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// side is one incrementally grown unrolling (base or step).
-type side struct {
-	sys    *ts.System
-	tnfSys *tnf.System
-	solver *icp.Solver
-	steps  [][]tnf.VarID
-	badLit []tnf.Lit
-	robust []tnf.Lit // base side only
-	base   bool
-	tol    float64
-}
-
-// newSide starts an unrolling at step 0.  The base side asserts Init and
-// compiles robust violation literals next to the plain ones; the step
-// side asks only plain violations.
-func newSide(sys *ts.System, opts icp.Options, base bool, tol float64) (*side, error) {
-	u := &side{sys: sys, tnfSys: tnf.NewSystem(), base: base, tol: tol}
-	ids, err := sys.DeclareStep(u.tnfSys, 0)
-	if err != nil {
-		return nil, err
-	}
-	u.steps = append(u.steps, ids)
-	if base {
-		if err := u.tnfSys.Assert(ts.AtStep(sys.Init, 0)); err != nil {
-			return nil, err
-		}
-	}
-	u.solver = icp.New(u.tnfSys, opts)
-	return u, nil
-}
-
-// extend adds one step: Trans@k, and for the step side also Prop@k.
-func (u *side) extend(assertProp bool) error {
-	k := len(u.steps) - 1
-	ids, err := u.sys.DeclareStep(u.tnfSys, k+1)
-	if err != nil {
-		return err
-	}
-	u.steps = append(u.steps, ids)
-	if err := u.tnfSys.Assert(ts.AtStep(u.sys.Trans, k)); err != nil {
-		return err
-	}
-	if assertProp {
-		if err := u.tnfSys.Assert(ts.AtStep(u.sys.Prop, k)); err != nil {
-			return err
-		}
-	}
-	u.solver.Sync(u.tnfSys)
-	return nil
-}
-
-// bad returns the robust-violation and plain-violation literals at step
-// k.  The step side has no robust literals and returns a zero one.
-func (u *side) bad(k int) (robust, plain tnf.Lit, err error) {
-	for len(u.badLit) <= k {
-		i := len(u.badLit)
-		l, err := u.tnfSys.CompileBool(expr.Not(ts.AtStep(u.sys.Prop, i)))
-		if err != nil {
-			return tnf.Lit{}, tnf.Lit{}, err
-		}
-		u.badLit = append(u.badLit, l)
-		if u.base {
-			r, err := u.tnfSys.CompileBool(expr.Not(expr.Weaken(ts.AtStep(u.sys.Prop, i), 2*u.tol)))
-			if err != nil {
-				return tnf.Lit{}, tnf.Lit{}, err
-			}
-			u.robust = append(u.robust, r)
-		}
-	}
-	u.solver.Sync(u.tnfSys)
-	if u.base {
-		robust = u.robust[k]
-	}
-	return robust, u.badLit[k], nil
-}
-
-func (u *side) traceFromBox(box []interval.Interval, depth int) []ts.State {
-	trace := make([]ts.State, depth+1)
-	for k := 0; k <= depth; k++ {
-		st := ts.State{}
-		for i, v := range u.sys.Vars {
-			val := box[u.steps[k][i]].Mid()
-			if v.Kind != expr.KindReal {
-				val = math.Round(val)
-			}
-			st[v.Name] = val
-		}
-		trace[k] = st
-	}
-	return trace
-}
-
 // Check runs k-induction up to the configured depth.
 func Check(sys *ts.System, opts Options) engine.Result {
 	opts = opts.withDefaults()
@@ -159,7 +65,14 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		return budget.Expired() || (userStop != nil && userStop())
 	}
 	stats := map[string]int64{}
+	var base, step *bmc.Unrolling
 	finish := func(r engine.Result) engine.Result {
+		for _, u := range [...]*bmc.Unrolling{base, step} {
+			if u != nil {
+				stats["decisions"] += u.Solver.Stats.Decisions
+				stats["conflicts"] += u.Solver.Stats.Conflicts
+			}
+		}
 		r.Runtime = budget.Elapsed()
 		if r.Stats == nil {
 			r.Stats = stats
@@ -167,11 +80,12 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		return r
 	}
 
-	base, err := newSide(sys, opts.Solver, true, opts.ValidateTol)
+	var err error
+	base, err = bmc.NewUnrolling(sys, opts.Solver, true, opts.ValidateTol)
 	if err != nil {
 		return finish(engine.Result{Verdict: engine.Unknown, Note: err.Error()})
 	}
-	step, err := newSide(sys, opts.Solver, false, opts.ValidateTol)
+	step, err = bmc.NewUnrolling(sys, opts.Solver, false, opts.ValidateTol)
 	if err != nil {
 		return finish(engine.Result{Verdict: engine.Unknown, Note: err.Error()})
 	}
@@ -183,21 +97,21 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		// base case: Init ∧ Trans^k ∧ !Prop@k (robust violation first:
 		// boundary-hugging candidates cannot validate; plain violations
 		// are still checked for discrete properties)
-		badRobust, badPlain, err := base.bad(k)
+		badRobust, badPlain, err := base.Bad(k)
 		if err != nil {
 			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: err.Error(), Stats: stats})
 		}
 		opts.Progress.Tick()
-		rb := base.solver.Solve([]tnf.Lit{badRobust})
+		rb := base.Solver.Solve([]tnf.Lit{badRobust})
 		stats["baseSolves"]++
 		if rb.Status == icp.StatusUnsat {
 			opts.Progress.Tick()
-			rb = base.solver.Solve([]tnf.Lit{badPlain})
+			rb = base.Solver.Solve([]tnf.Lit{badPlain})
 			stats["baseSolves"]++
 		}
 		switch rb.Status {
 		case icp.StatusSat:
-			trace := base.traceFromBox(rb.Box, k)
+			trace := base.Trace(rb.Box, k)
 			if verr := sys.ValidateTrace(trace, opts.ValidateTol); verr == nil {
 				return finish(engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: k, Stats: stats})
 			}
@@ -216,12 +130,12 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		// already saw fail (the unrolling is still extended, so the query
 		// at SeedK sees the full induction hypothesis).
 		if k >= 1 && k >= opts.SeedK {
-			_, badS, err := step.bad(k)
+			_, badS, err := step.Bad(k)
 			if err != nil {
 				return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: err.Error(), Stats: stats})
 			}
 			opts.Progress.Tick()
-			rs := step.solver.Solve([]tnf.Lit{badS})
+			rs := step.Solver.Solve([]tnf.Lit{badS})
 			stats["stepSolves"]++
 			if rs.Status == icp.StatusUnsat {
 				return finish(engine.Result{
@@ -232,10 +146,10 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		}
 
 		if k < opts.MaxK {
-			if err := base.extend(false); err != nil {
+			if err := base.Extend(); err != nil {
 				return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: err.Error(), Stats: stats})
 			}
-			if err := step.extend(true); err != nil {
+			if err := step.Extend(); err != nil {
 				return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: err.Error(), Stats: stats})
 			}
 		}

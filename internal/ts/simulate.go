@@ -1,10 +1,8 @@
 package ts
 
 import (
-	"math"
-
-	"icpic3/internal/expr"
 	"icpic3/internal/icp"
+	"icpic3/internal/interval"
 	"icpic3/internal/tnf"
 )
 
@@ -60,15 +58,7 @@ func (s *Simulator) Step(cur State, guide State, slack float64) (State, bool) {
 	if r.Status != icp.StatusSat {
 		return nil, false
 	}
-	st := State{}
-	for i, v := range sys.Vars {
-		val := r.Box[ids1[i]].Mid()
-		if v.Kind != expr.KindReal {
-			val = math.Round(val)
-		}
-		st[v.Name] = val
-	}
-	return st, true
+	return sys.BoxState(r.Box, ids1, interval.Interval.Mid), true
 }
 
 // Run simulates up to steps transitions from start, stopping early on

@@ -203,16 +203,24 @@ func StepName(name string, step int) string {
 }
 
 // AtStep instantiates a state formula at an unrolling step: x becomes x@k
-// and x' becomes x@(k+1).  The result is simplified (constant folding and
-// conservative identities), which shrinks the TNF encoding the solvers
-// see.
+// and x' becomes x@(k+1).  The formula is simplified first (constant
+// folding and conservative identities), which shrinks the TNF encoding
+// the solvers see; simplification never looks at names, so it commutes
+// with the renaming.
 func AtStep(e *expr.Expr, k int) *expr.Expr {
-	return expr.Simplify(e.Rename(func(n string) string {
+	return RenameAt(expr.Simplify(e), k)
+}
+
+// RenameAt is AtStep without the simplification: it instantiates a
+// formula that is already simplified, so that an unrolling simplifies
+// Trans and Prop once and only renames them per step.
+func RenameAt(e *expr.Expr, k int) *expr.Expr {
+	return e.Rename(func(n string) string {
 		if strings.HasSuffix(n, "'") {
 			return StepName(strings.TrimSuffix(n, "'"), k+1)
 		}
 		return StepName(n, k)
-	}))
+	})
 }
 
 // DeclareStep declares all state variables of step k in the TNF system and
@@ -231,6 +239,21 @@ func (s *System) DeclareStep(sys *tnf.System, k int) ([]tnf.VarID, error) {
 
 // State is a concrete valuation of the state variables.
 type State map[string]float64
+
+// BoxState reads a state out of a solution box: variable i takes
+// pick(box[ids[i]]) (a midpoint or an endpoint), rounded for integral
+// variables.
+func (s *System) BoxState(box []interval.Interval, ids []tnf.VarID, pick func(interval.Interval) float64) State {
+	st := State{}
+	for i, v := range s.Vars {
+		val := pick(box[ids[i]])
+		if v.Kind != expr.KindReal {
+			val = math.Round(val)
+		}
+		st[v.Name] = val
+	}
+	return st
+}
 
 // Env returns the state as an expression environment.
 func (st State) Env() expr.Env {

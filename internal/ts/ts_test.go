@@ -302,8 +302,10 @@ prop th <= 1.2
 `
 
 // BenchmarkCompileUnroll compiles 24 steps of pendulumSrc to TNF the way
-// k-induction's step side does: per step the state variables, Trans@k,
-// Prop@k and the plain and robust violation literals.
+// the bmc and k-induction unrolling (bmc.Unrolling) does: Trans and Prop
+// simplified once, then per step the state variables, Trans@k and Prop@k
+// by renaming only, and the plain and robust violation literals over one
+// instance of Prop@k.
 func BenchmarkCompileUnroll(b *testing.B) {
 	sys, err := Parse(pendulumSrc)
 	if err != nil {
@@ -311,6 +313,7 @@ func BenchmarkCompileUnroll(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		trans, prop := expr.Simplify(sys.Trans), expr.Simplify(sys.Prop)
 		t := tnf.NewSystem()
 		if _, err := sys.DeclareStep(t, 0); err != nil {
 			b.Fatal(err)
@@ -319,16 +322,17 @@ func BenchmarkCompileUnroll(b *testing.B) {
 			if _, err := sys.DeclareStep(t, k+1); err != nil {
 				b.Fatal(err)
 			}
-			if err := t.Assert(AtStep(sys.Trans, k)); err != nil {
+			if err := t.Assert(RenameAt(trans, k)); err != nil {
 				b.Fatal(err)
 			}
-			if err := t.Assert(AtStep(sys.Prop, k)); err != nil {
+			if err := t.Assert(RenameAt(prop, k)); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := t.CompileBool(expr.Not(AtStep(sys.Prop, k))); err != nil {
+			p := RenameAt(prop, k)
+			if _, err := t.CompileBool(expr.Not(p)); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := t.CompileBool(expr.Not(expr.Weaken(AtStep(sys.Prop, k), 0.02))); err != nil {
+			if _, err := t.CompileBool(expr.Not(expr.Weaken(p, 0.02))); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,10 +1,10 @@
 # Standard checks for the icpic3 repo.  `make check` is what CI should
-# run: build, vet, icplint, the full test suite, and the race detector
-# over the concurrency-heavy packages.
+# run: build, vet, the gofmt gate, icplint, the full test suite, and the
+# race detector over the concurrency-heavy packages.
 
 GO ?= go
 
-.PHONY: all build test test-race vet lint lint-json lint-sarif check fuzz-short bench-json bench-diff bench-smoke bench-module-test reuse-smoke clean
+.PHONY: all build test test-race vet fmt-check lint lint-json lint-sarif check fuzz-short bench-json bench-diff bench-smoke bench-module-test reuse-smoke clean
 
 all: check
 
@@ -71,6 +71,13 @@ reuse-smoke:
 vet:
 	$(GO) vet ./...
 
+# Fails listing every tracked .go file that gofmt would rewrite.  Files
+# under testdata/ are analyzer fixtures with hand-aligned `// want`
+# comments, inputs rather than code, so they are left out.
+fmt-check:
+	@out=$$(git ls-files '*.go' | grep -v '\(^\|/\)testdata/' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
 # Project-specific analyzers (soundness, determinism, supervision
 # invariants — see DESIGN.md §11).  Exits nonzero on any finding.
 lint:
@@ -97,7 +104,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzSolveRetentionEquiv -fuzztime=5s ./internal/icp/
 	$(GO) test -run='^$$' -fuzz=FuzzInvTrigEquiv -fuzztime=5s ./internal/interval/
 
-check: build vet lint test test-race
+check: build vet fmt-check lint test test-race
 
 clean:
 	$(GO) clean ./...

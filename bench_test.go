@@ -49,7 +49,7 @@ func BenchmarkTable2EngineComparison(b *testing.B) {
 	names := harness.EngineNames()
 	var solved, wrong int64
 	for i := 0; i < b.N; i++ {
-		records := harness.RunSuite(suite, names, benchBudget)
+		records := harness.RunSuite(suite, names, benchBudget, 0)
 		for _, s := range harness.Summarize(records, names) {
 			solved += int64(s.SolvedSafe + s.SolvedUnsaf)
 			wrong += int64(s.Wrong)
@@ -70,7 +70,7 @@ func BenchmarkTable3Generalization(b *testing.B) {
 	}
 	var solved int64
 	for i := 0; i < b.N; i++ {
-		ab := harness.RunAblation(safe, benchBudget)
+		ab := harness.RunAblation(safe, benchBudget, 0)
 		for _, recs := range ab {
 			for _, r := range recs {
 				if r.Correct() {
@@ -101,7 +101,7 @@ func BenchmarkFig1Cactus(b *testing.B) {
 	suite := benchSuite()
 	names := harness.EngineNames()
 	for i := 0; i < b.N; i++ {
-		records := harness.RunSuite(suite, names, benchBudget)
+		records := harness.RunSuite(suite, names, benchBudget, 0)
 		series := harness.CactusSeries(records, names)
 		if len(series) != len(names) {
 			b.Fatal("missing series")
@@ -114,7 +114,7 @@ func BenchmarkFig2Scatter(b *testing.B) {
 	suite := benchSuite()
 	names := []string{"ic3-icp", "bmc-icp"}
 	for i := 0; i < b.N; i++ {
-		records := harness.RunSuite(suite, names, benchBudget)
+		records := harness.RunSuite(suite, names, benchBudget, 0)
 		pts := harness.ScatterSeries(records, "ic3-icp", "bmc-icp", benchBudget.Seconds())
 		if len(pts) != len(suite) {
 			b.Fatalf("scatter points = %d", len(pts))
@@ -132,7 +132,7 @@ func BenchmarkFig3Epsilon(b *testing.B) {
 	}
 	epss := []float64{1e-2, 1e-4, 1e-6}
 	for i := 0; i < b.N; i++ {
-		pts := harness.EpsSweep(small, epss, benchBudget)
+		pts := harness.EpsSweep(small, epss, benchBudget, 0)
 		if len(pts) != len(epss) {
 			b.Fatal("missing sweep points")
 		}
@@ -149,7 +149,7 @@ func BenchmarkFig4Frames(b *testing.B) {
 	}
 	var cubes int64
 	for i := 0; i < b.N; i++ {
-		pts := harness.FrameGrowth(vehicles, benchBudget)
+		pts := harness.FrameGrowth(vehicles, benchBudget, 0)
 		for _, p := range pts {
 			cubes += p.Cubes
 		}

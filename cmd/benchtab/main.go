@@ -99,7 +99,7 @@ func main() {
 		return
 	}
 	if *all {
-		if err := harness.ReportWorkers(w, *size, *budget, *workers); err != nil {
+		if err := harness.Report(w, *size, *budget, *workers); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -119,7 +119,7 @@ func main() {
 	case *table == 1:
 		harness.Table1(w, suite)
 	case *table == 2:
-		records := harness.RunSuiteWorkers(suite, names, *budget, *workers)
+		records := harness.RunSuite(suite, names, *budget, *workers)
 		if *csvOut {
 			if err := harness.WriteSummaryCSV(w, records, names); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -132,13 +132,13 @@ func main() {
 		safe := filter(suite, func(in benchmarks.Instance) bool {
 			return in.Expected == engine.Safe && !in.Hard
 		})
-		harness.Table3(w, harness.RunAblationWorkers(safe, *budget, *workers))
+		harness.Table3(w, harness.RunAblation(safe, *budget, *workers))
 	case *table == 4:
 		harness.Table4(w, harness.RunCircuits(benchmarks.Circuits(), 128))
 	case *fig == 1:
-		harness.Fig1(w, harness.RunSuiteWorkers(suite, names, *budget, *workers), names)
+		harness.Fig1(w, harness.RunSuite(suite, names, *budget, *workers), names)
 	case *fig == 2:
-		records := harness.RunSuiteWorkers(suite, names, *budget, *workers)
+		records := harness.RunSuite(suite, names, *budget, *workers)
 		if *csvOut {
 			if err := harness.WriteScatterCSV(w, records, "ic3-icp", "bmc-icp", budget.Seconds()); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -151,7 +151,7 @@ func main() {
 		small := filter(suite, func(in benchmarks.Instance) bool {
 			return in.Family == "poly" || in.Family == "logistic"
 		})
-		points := harness.EpsSweepWorkers(small, []float64{1e-2, 1e-3, 1e-4, 1e-5, 1e-6}, *budget, *workers)
+		points := harness.EpsSweep(small, []float64{1e-2, 1e-3, 1e-4, 1e-5, 1e-6}, *budget, *workers)
 		if *csvOut {
 			if err := harness.WriteEpsCSV(w, points); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -162,7 +162,7 @@ func main() {
 		harness.Fig3(w, points)
 	case *fig == 4:
 		vehicles := filter(suite, func(in benchmarks.Instance) bool { return in.Family == "vehicle" })
-		harness.Fig4(w, harness.FrameGrowthWorkers(vehicles, *budget, *workers))
+		harness.Fig4(w, harness.FrameGrowth(vehicles, *budget, *workers))
 	default:
 		fmt.Fprintln(os.Stderr, "benchtab: pass -all, -table N or -fig N")
 		flag.PrintDefaults()

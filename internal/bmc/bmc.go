@@ -24,12 +24,6 @@ type Options struct {
 	MaxDepth int
 	// Solver configures the ICP solver (Eps defaults to 1e-5 here).
 	Solver icp.Options
-	// ValidateTol is the tolerance for concrete counterexample validation
-	// (0 = 1000 * Eps).
-	ValidateTol float64
-	// Refinements is the number of ε-refinement rounds allowed when a
-	// candidate fails validation (0 = 2).
-	Refinements int
 	// Budget bounds the run.
 	Budget engine.Budget
 	// Progress, when non-nil, receives a heartbeat tick per solver call
@@ -44,12 +38,6 @@ func (o Options) withDefaults() Options {
 	if o.Solver.Eps <= 0 {
 		o.Solver.Eps = 1e-5
 	}
-	if o.ValidateTol <= 0 {
-		o.ValidateTol = 1000 * o.Solver.Eps
-	}
-	if o.Refinements <= 0 {
-		o.Refinements = 2
-	}
 	return o
 }
 
@@ -59,13 +47,15 @@ func (o Options) withDefaults() Options {
 // step 0 and compiles a robust violation literal next to each plain one;
 // a step unrolling has no Init and asserts Prop@k on each Extend (the
 // induction hypothesis).  Trans and Prop are simplified once, and each
-// step only renames them (ts.RenameAt).
+// step only renames them (ts.RenameAt), Prop once per step for both
+// Extend and Bad.
 type Unrolling struct {
 	Solver *icp.Solver
 
 	sys         *ts.System
 	tnfSys      *tnf.System
 	trans, prop *expr.Expr    // simplified once
+	props       []*expr.Expr  // step -> Prop@step (renamed on first use)
 	steps       [][]tnf.VarID // step -> var ids (declaration order of sys.Vars)
 	plain       []tnf.Lit     // step -> literal of !Prop@step (compiled lazily)
 	robust      []tnf.Lit     // step -> literal of !Weaken(Prop)@step (base only)
@@ -105,7 +95,7 @@ func (u *Unrolling) Extend() error {
 		return err
 	}
 	if !u.base {
-		if err := u.tnfSys.Assert(ts.RenameAt(u.prop, k)); err != nil {
+		if err := u.tnfSys.Assert(u.propAt(k)); err != nil {
 			return err
 		}
 	}
@@ -121,7 +111,7 @@ func (u *Unrolling) Extend() error {
 // has no robust literals and returns a zero one.
 func (u *Unrolling) Bad(k int) (robust, plain tnf.Lit, err error) {
 	for len(u.plain) <= k {
-		p := ts.RenameAt(u.prop, len(u.plain))
+		p := u.propAt(len(u.plain))
 		l, err := u.tnfSys.CompileBool(expr.Not(p))
 		if err != nil {
 			return tnf.Lit{}, tnf.Lit{}, err
@@ -140,6 +130,16 @@ func (u *Unrolling) Bad(k int) (robust, plain tnf.Lit, err error) {
 		robust = u.robust[k]
 	}
 	return robust, u.plain[k], nil
+}
+
+// propAt returns Prop@k.  Extend and Bad share one instance per step,
+// whichever of them asks first renames it (with kind's SeedK, Extend
+// can run ahead of Bad).
+func (u *Unrolling) propAt(k int) *expr.Expr {
+	for len(u.props) <= k {
+		u.props = append(u.props, ts.RenameAt(u.prop, len(u.props)))
+	}
+	return u.props[k]
 }
 
 // Trace reads the states of steps 0..depth out of a solution box, taking
@@ -170,7 +170,8 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		return budget.Expired() || (userStop != nil && userStop())
 	}
 
-	u, err := NewUnrolling(sys, opts.Solver, true, opts.ValidateTol)
+	tol := ts.ValidateTol(opts.Solver.Eps)
+	u, err := NewUnrolling(sys, opts.Solver, true, tol)
 	if err != nil {
 		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}
 	}
@@ -201,14 +202,14 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		switch r.Status {
 		case icp.StatusSat:
 			trace := u.Trace(r.Box, k)
-			if err := sys.ValidateTrace(trace, opts.ValidateTol); err == nil {
+			if err := sys.ValidateTrace(trace, tol); err == nil {
 				return finish(engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: k})
 			}
 			// Spurious candidate: retry this depth once at finer precision
 			// with a fresh solver, then keep searching deeper.
 			stats["spurious"]++
 			spurious++
-			if trace, ok := retryDepth(sys, opts, k, budget); ok {
+			if trace, ok := retryDepth(sys, opts, tol, k, budget); ok {
 				stats["refinedHits"]++
 				return finish(engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: k})
 			}
@@ -222,7 +223,7 @@ func Check(sys *ts.System, opts Options) engine.Result {
 			stats["solves"]++
 			if r2.Status == icp.StatusSat {
 				trace := u.Trace(r2.Box, k)
-				if err := sys.ValidateTrace(trace, opts.ValidateTol); err == nil {
+				if err := sys.ValidateTrace(trace, tol); err == nil {
 					return finish(engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: k})
 				}
 				stats["boundaryOnly"]++
@@ -243,13 +244,13 @@ func Check(sys *ts.System, opts Options) engine.Result {
 
 // retryDepth re-solves the depth-k query with a fresh solver at much finer
 // precision; it returns a validated trace on success.
-func retryDepth(sys *ts.System, opts Options, k int, budget engine.Budget) ([]ts.State, bool) {
+func retryDepth(sys *ts.System, opts Options, tol float64, k int, budget engine.Budget) ([]ts.State, bool) {
 	if budget.Expired() {
 		return nil, false
 	}
 	fine := opts.Solver
 	fine.Eps = opts.Solver.Eps / 64
-	u, err := NewUnrolling(sys, fine, true, opts.ValidateTol)
+	u, err := NewUnrolling(sys, fine, true, tol)
 	if err != nil {
 		return nil, false
 	}
@@ -267,7 +268,7 @@ func retryDepth(sys *ts.System, opts Options, k int, budget engine.Budget) ([]ts
 		return nil, false
 	}
 	trace := u.Trace(r.Box, k)
-	if err := sys.ValidateTrace(trace, opts.ValidateTol/16); err != nil {
+	if err := sys.ValidateTrace(trace, tol/16); err != nil {
 		return nil, false
 	}
 	return trace, true

@@ -54,8 +54,7 @@ func Check(sys *ts.System, res engine.Result, opts Options) error {
 		if len(res.Trace) == 0 {
 			return errors.New("certify: Unsafe verdict without a trace")
 		}
-		tol := 1000 * opts.Eps
-		if err := sys.ValidateTrace(res.Trace, tol); err != nil {
+		if err := sys.ValidateTrace(res.Trace, ts.ValidateTol(opts.Eps)); err != nil {
 			return fmt.Errorf("certify: trace replay failed: %w", err)
 		}
 		return nil

@@ -133,7 +133,7 @@ type BenchReport struct {
 	Parallel   BenchRun `json:"parallel"`
 	SpeedupX   float64  `json:"speedup_x"` // baseline wall / parallel wall
 
-	// Per-leg records, index-aligned across legs (RunSuiteWorkers gives
+	// Per-leg records, index-aligned across legs (RunSuite gives
 	// every run an index-owned slot).  Unexported so the JSON document
 	// stays an aggregate; tests use them to check that the two legs
 	// never contradict each other on a verdict.
@@ -150,7 +150,7 @@ func (r *BenchReport) Records() (baseline, parallel []RunRecord) {
 func benchRun(suite []benchmarks.Instance, perRun time.Duration, workers int) (BenchRun, []RunRecord) {
 	names := EngineNames()
 	t0 := time.Now()
-	records := RunSuiteWorkers(suite, names, perRun, workers)
+	records := RunSuite(suite, names, perRun, workers)
 	wall := time.Since(t0)
 
 	run := BenchRun{Workers: workers, WallSec: wall.Seconds()}

@@ -21,7 +21,7 @@ import (
 )
 
 // suiteSpec configures the evaluation lineup: engine defaults, except
-// the BMC and k-induction bounds.  RunSuiteWorkers fills in the engine
+// the BMC and k-induction bounds.  RunSuite fills in the engine
 // and the per-run budget.
 var suiteSpec = runner.Spec{MaxDepth: 128, MaxK: 24}
 
@@ -53,14 +53,6 @@ func (r RunRecord) Correct() bool {
 // Wrong reports a verdict contradicting ground truth (must never happen).
 func (r RunRecord) Wrong() bool {
 	return r.Result.Verdict != engine.Unknown && r.Result.Verdict != r.Expected
-}
-
-// RunSuite executes every named engine on every instance with a per-run
-// budget, fanning the grid across GOMAXPROCS workers (see
-// RunSuiteWorkers for an explicit count).  Record order is always the
-// sequential instance-major order.
-func RunSuite(instances []benchmarks.Instance, names []string, perRun time.Duration) []RunRecord {
-	return RunSuiteWorkers(instances, names, perRun, 0)
 }
 
 // --- Table I: suite statistics ------------------------------------------
@@ -189,13 +181,6 @@ func Table2(w io.Writer, records []RunRecord, names []string) {
 // GenModes returns the ablation lineup for Table III.
 func GenModes() []ic3icp.GenMode {
 	return []ic3icp.GenMode{ic3icp.GenNone, ic3icp.GenCore, ic3icp.GenCoreWiden}
-}
-
-// RunAblation runs IC3-ICP in each generalization mode over the
-// instances, fanning the grid across GOMAXPROCS workers (see
-// RunAblationWorkers).
-func RunAblation(instances []benchmarks.Instance, perRun time.Duration) map[string][]RunRecord {
-	return RunAblationWorkers(instances, perRun, 0)
 }
 
 // Table3 renders the generalization ablation.
@@ -369,12 +354,6 @@ type EpsPoint struct {
 	Time    time.Duration
 }
 
-// EpsSweep runs IC3-ICP at each precision over the instances, fanning
-// the grid across GOMAXPROCS workers (see EpsSweepWorkers).
-func EpsSweep(instances []benchmarks.Instance, epss []float64, perRun time.Duration) []EpsPoint {
-	return EpsSweepWorkers(instances, epss, perRun, 0)
-}
-
 // Fig3 renders the ε sweep.
 func Fig3(w io.Writer, points []EpsPoint) {
 	fmt.Fprintln(w, "Fig. 3: precision sweep (minimum splitting width ε)")
@@ -394,13 +373,6 @@ type FramePoint struct {
 	Time     time.Duration
 }
 
-// FrameGrowth runs IC3-ICP over a scaling family and records frame
-// counts, fanning the instances across GOMAXPROCS workers (see
-// FrameGrowthWorkers).
-func FrameGrowth(instances []benchmarks.Instance, perRun time.Duration) []FramePoint {
-	return FrameGrowthWorkers(instances, perRun, 0)
-}
-
 // Fig4 renders frame growth.
 func Fig4(w io.Writer, points []FramePoint) {
 	fmt.Fprintln(w, "Fig. 4: IC3-ICP frames and learned cubes per instance")
@@ -410,14 +382,9 @@ func Fig4(w io.Writer, points []FramePoint) {
 	}
 }
 
-// Report renders everything into one text document with the default
-// (GOMAXPROCS) worker pool.
-func Report(w io.Writer, suiteSize int, perRun time.Duration) error {
-	return ReportWorkers(w, suiteSize, perRun, 0)
-}
-
-// ReportWorkers is Report with an explicit worker count for every grid.
-func ReportWorkers(w io.Writer, suiteSize int, perRun time.Duration, workers int) error {
+// Report renders everything into one text document, running every grid
+// on workers workers (0 = GOMAXPROCS).
+func Report(w io.Writer, suiteSize int, perRun time.Duration, workers int) error {
 	suite, err := benchmarks.Suite(suiteSize)
 	if err != nil {
 		return err
@@ -430,14 +397,14 @@ func ReportWorkers(w io.Writer, suiteSize int, perRun time.Duration, workers int
 	Table1(w, suite)
 	fmt.Fprintln(w)
 
-	records := RunSuiteWorkers(suite, names, perRun, workers)
+	records := RunSuite(suite, names, perRun, workers)
 	Table2(w, records, names)
 	fmt.Fprintln(w)
 
 	safeOnly := filterInstances(suite, func(in benchmarks.Instance) bool {
 		return in.Expected == engine.Safe && !in.Hard
 	})
-	Table3(w, RunAblationWorkers(safeOnly, perRun, workers))
+	Table3(w, RunAblation(safeOnly, perRun, workers))
 	fmt.Fprintln(w)
 
 	Table4(w, RunCircuits(benchmarks.Circuits(), 128))
@@ -451,13 +418,13 @@ func ReportWorkers(w io.Writer, suiteSize int, perRun time.Duration, workers int
 	small := filterInstances(suite, func(in benchmarks.Instance) bool {
 		return in.Family == "poly" || in.Family == "logistic"
 	})
-	Fig3(w, EpsSweepWorkers(small, []float64{1e-2, 1e-3, 1e-4, 1e-5, 1e-6}, perRun, workers))
+	Fig3(w, EpsSweep(small, []float64{1e-2, 1e-3, 1e-4, 1e-5, 1e-6}, perRun, workers))
 	fmt.Fprintln(w)
 
 	vehicles := filterInstances(suite, func(in benchmarks.Instance) bool {
 		return in.Family == "vehicle"
 	})
-	Fig4(w, FrameGrowthWorkers(vehicles, perRun, workers))
+	Fig4(w, FrameGrowth(vehicles, perRun, workers))
 	return nil
 }
 

@@ -32,7 +32,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestRunSuiteAndTable2(t *testing.T) {
-	records := RunSuite(smallSuite(), EngineNames(), 20*time.Second)
+	records := RunSuite(smallSuite(), EngineNames(), 20*time.Second, 0)
 	if len(records) != 4*3 {
 		t.Fatalf("records = %d", len(records))
 	}
@@ -62,7 +62,7 @@ func TestRunSuiteAndTable2(t *testing.T) {
 
 func TestAblationAndTable3(t *testing.T) {
 	insts := []benchmarks.Instance{benchmarks.Must(benchmarks.Poly(true, 0))}
-	ab := RunAblation(insts, 5*time.Second)
+	ab := RunAblation(insts, 5*time.Second, 0)
 	if len(ab) != 3 {
 		t.Fatalf("ablation modes = %d", len(ab))
 	}
@@ -94,7 +94,7 @@ func TestCircuitsAndTable4(t *testing.T) {
 }
 
 func TestFigures(t *testing.T) {
-	records := RunSuite(smallSuite(), EngineNames(), 20*time.Second)
+	records := RunSuite(smallSuite(), EngineNames(), 20*time.Second, 0)
 
 	series := CactusSeries(records, EngineNames())
 	if len(series) != 3 {
@@ -116,7 +116,7 @@ func TestFigures(t *testing.T) {
 		t.Error("Fig2 title")
 	}
 
-	sweep := EpsSweep(smallSuite()[:1], []float64{1e-3, 1e-5}, 10*time.Second)
+	sweep := EpsSweep(smallSuite()[:1], []float64{1e-3, 1e-5}, 10*time.Second, 0)
 	if len(sweep) != 2 {
 		t.Fatalf("sweep points = %d", len(sweep))
 	}
@@ -126,7 +126,7 @@ func TestFigures(t *testing.T) {
 		t.Error("Fig3 title")
 	}
 
-	fg := FrameGrowth(smallSuite()[:2], 10*time.Second)
+	fg := FrameGrowth(smallSuite()[:2], 10*time.Second, 0)
 	if len(fg) != 2 {
 		t.Fatalf("frame growth points = %d", len(fg))
 	}
@@ -138,7 +138,7 @@ func TestFigures(t *testing.T) {
 }
 
 func TestCSVWriters(t *testing.T) {
-	records := RunSuite(smallSuite()[:2], []string{"bmc-icp"}, 20*time.Second)
+	records := RunSuite(smallSuite()[:2], []string{"bmc-icp"}, 20*time.Second, 0)
 	var buf bytes.Buffer
 	if err := WriteRecordsCSV(&buf, records); err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestCSVWriters(t *testing.T) {
 	}
 
 	buf.Reset()
-	all := RunSuite(smallSuite()[:2], []string{"ic3-icp", "bmc-icp"}, 20*time.Second)
+	all := RunSuite(smallSuite()[:2], []string{"ic3-icp", "bmc-icp"}, 20*time.Second, 0)
 	if err := WriteScatterCSV(&buf, all, "ic3-icp", "bmc-icp", 10); err != nil {
 		t.Fatal(err)
 	}

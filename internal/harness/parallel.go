@@ -54,12 +54,12 @@ func forEachParallel(n, workers int, f func(int)) {
 	wg.Wait()
 }
 
-// RunSuiteWorkers is RunSuite with an explicit worker count: the
-// (instance, engine) grid fans out over the pool, one engine run per
-// cell, and the records come back in instance-major order regardless of
-// workers.  The engines themselves are sequential; the grid is the
-// parallelism axis.
-func RunSuiteWorkers(instances []benchmarks.Instance, names []string, perRun time.Duration, workers int) []RunRecord {
+// RunSuite executes every named engine on every instance with a per-run
+// budget.  The (instance, engine) grid fans out over workers workers
+// (0 = GOMAXPROCS), one engine run per cell, and the records come back
+// in instance-major order regardless of workers.  The engines themselves
+// are sequential; the grid is the parallelism axis.
+func RunSuite(instances []benchmarks.Instance, names []string, perRun time.Duration, workers int) []RunRecord {
 	out := make([]RunRecord, len(instances)*len(names))
 	forEachParallel(len(out), workers, func(i int) {
 		in := instances[i/len(names)]
@@ -75,9 +75,10 @@ func RunSuiteWorkers(instances []benchmarks.Instance, names []string, perRun tim
 	return out
 }
 
-// RunAblationWorkers is RunAblation with an explicit worker count; the
-// (mode, instance) grid fans out over the pool.
-func RunAblationWorkers(instances []benchmarks.Instance, perRun time.Duration, workers int) map[string][]RunRecord {
+// RunAblation runs IC3-ICP in each generalization mode over the
+// instances; the (mode, instance) grid fans out over workers workers
+// (0 = GOMAXPROCS).
+func RunAblation(instances []benchmarks.Instance, perRun time.Duration, workers int) map[string][]RunRecord {
 	modes := GenModes()
 	flat := make([]RunRecord, len(modes)*len(instances))
 	forEachParallel(len(flat), workers, func(i int) {
@@ -99,10 +100,10 @@ func RunAblationWorkers(instances []benchmarks.Instance, perRun time.Duration, w
 	return out
 }
 
-// EpsSweepWorkers is EpsSweep with an explicit worker count; the
-// (eps, instance) grid fans out over the pool and is reduced per eps in
-// instance order.
-func EpsSweepWorkers(instances []benchmarks.Instance, epss []float64, perRun time.Duration, workers int) []EpsPoint {
+// EpsSweep runs IC3-ICP at each precision over the instances; the
+// (eps, instance) grid fans out over workers workers (0 = GOMAXPROCS)
+// and is reduced per eps in instance order.
+func EpsSweep(instances []benchmarks.Instance, epss []float64, perRun time.Duration, workers int) []EpsPoint {
 	flat := make([]engine.Result, len(epss)*len(instances))
 	forEachParallel(len(flat), workers, func(i int) {
 		eps := epss[i/len(instances)]
@@ -128,8 +129,9 @@ func EpsSweepWorkers(instances []benchmarks.Instance, epss []float64, perRun tim
 	return out
 }
 
-// FrameGrowthWorkers is FrameGrowth with an explicit worker count.
-func FrameGrowthWorkers(instances []benchmarks.Instance, perRun time.Duration, workers int) []FramePoint {
+// FrameGrowth runs IC3-ICP over a scaling family and records frame
+// counts; the instances fan out over workers workers (0 = GOMAXPROCS).
+func FrameGrowth(instances []benchmarks.Instance, perRun time.Duration, workers int) []FramePoint {
 	out := make([]FramePoint, len(instances))
 	forEachParallel(len(out), workers, func(i int) {
 		in := instances[i]

@@ -38,8 +38,8 @@ func keysOf(records []RunRecord) []recordKey {
 // certificate shapes are identical for 1 and 8 workers.
 func TestRunSuiteWorkersDeterminism(t *testing.T) {
 	suite := smallSuite()
-	seq := keysOf(RunSuiteWorkers(suite, EngineNames(), 20*time.Second, 1))
-	par := keysOf(RunSuiteWorkers(suite, EngineNames(), 20*time.Second, 8))
+	seq := keysOf(RunSuite(suite, EngineNames(), 20*time.Second, 1))
+	par := keysOf(RunSuite(suite, EngineNames(), 20*time.Second, 8))
 	if len(seq) != len(par) {
 		t.Fatalf("record counts differ: %d vs %d", len(seq), len(par))
 	}
@@ -53,7 +53,7 @@ func TestRunSuiteWorkersDeterminism(t *testing.T) {
 // TestRunSuiteWorkersRace drives the parallel suite runner with shared
 // instances; its value is under `go test -race`.
 func TestRunSuiteWorkersRace(t *testing.T) {
-	records := RunSuiteWorkers(smallSuite(), EngineNames(), 20*time.Second, 4)
+	records := RunSuite(smallSuite(), EngineNames(), 20*time.Second, 4)
 	for _, r := range records {
 		if r.Wrong() {
 			t.Errorf("WRONG VERDICT: %s on %s: got %v want %v",
@@ -82,8 +82,8 @@ func TestForEachParallelCoversAllIndices(t *testing.T) {
 func TestEpsSweepWorkersMatchesSequential(t *testing.T) {
 	insts := smallSuite()[:2]
 	epss := []float64{1e-3, 1e-5}
-	seq := EpsSweepWorkers(insts, epss, 10*time.Second, 1)
-	par := EpsSweepWorkers(insts, epss, 10*time.Second, 8)
+	seq := EpsSweep(insts, epss, 10*time.Second, 1)
+	par := EpsSweep(insts, epss, 10*time.Second, 8)
 	if len(seq) != len(par) {
 		t.Fatalf("point counts differ: %d vs %d", len(seq), len(par))
 	}

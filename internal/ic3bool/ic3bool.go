@@ -96,8 +96,6 @@ type Options struct {
 	// StrongGeneralize enables literal dropping by re-query after the
 	// UNSAT-core shrink.
 	StrongGeneralize bool
-	// MaxObligations bounds total proof obligations (0 = 5_000_000).
-	MaxObligations int64
 	// Budget bounds the run by wall-clock time and supports cooperative
 	// cancellation (see engine.Budget.WithDone); exhaustion yields Unknown.
 	Budget engine.Budget
@@ -110,11 +108,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxFrames <= 0 {
 		o.MaxFrames = 1000
 	}
-	if o.MaxObligations <= 0 {
-		o.MaxObligations = 5_000_000
-	}
 	return o
 }
+
+// maxObligations bounds the total proof obligations of a run.
+const maxObligations = 5_000_000
 
 // checker holds the solver state of one PDR run.
 type checker struct {
@@ -466,7 +464,7 @@ func (ch *checker) run() Result {
 			if !ok {
 				return Result{Verdict: Unsafe, Trace: trace, Frames: k, Stats: ch.stats}
 			}
-			if ch.stats.Obligations > ch.opts.MaxObligations || ch.budget.Expired() {
+			if ch.stats.Obligations > maxObligations || ch.budget.Expired() {
 				return Result{Verdict: Unknown, Frames: k, Stats: ch.stats}
 			}
 		}
@@ -523,7 +521,7 @@ func (ch *checker) block(root *obligation) (bool, []Step) {
 		ob := heap.Pop(&q).(*obligation)
 		ch.stats.Obligations++
 		ch.opts.Progress.Tick()
-		if ch.stats.Obligations > ch.opts.MaxObligations || ch.budget.Expired() {
+		if ch.stats.Obligations > maxObligations || ch.budget.Expired() {
 			return true, nil // budget: surface as Unknown upstream
 		}
 		if ch.cubeContainsInit(ob.cube) {

@@ -67,17 +67,9 @@ type Options struct {
 	MaxFrames int
 	// Solver configures the underlying CDCL(ICP) solver (Eps default 1e-5).
 	Solver icp.Options
-	// ValidateTol is the counterexample validation tolerance
-	// (0 = 1000 * Eps).
-	ValidateTol float64
 	// Generalize selects the generalization strategy (zero value
 	// GenCoreWiden).
 	Generalize GenMode
-	// WidenRounds is the number of bisection steps when widening a bound
-	// outward (0 = 8, used only by GenCoreWiden).
-	WidenRounds int
-	// MaxObligations bounds the total proof obligations (0 = 200_000).
-	MaxObligations int64
 	// SeedClauses are invariant clauses of a prior proof (typically a
 	// box-invariant certificate of a near-identical system, see
 	// internal/reuse).  Each cube is re-checked against this system's
@@ -85,8 +77,6 @@ type Options struct {
 	// F_1; clauses that are no longer inductive are dropped, so a stale
 	// or corrupted seed can slow a run but never change its verdict.
 	SeedClauses []Cube
-	// DebugTrace prints blocking activity to stdout (development aid).
-	DebugTrace bool
 	// Budget bounds the run.
 	Budget engine.Budget
 	// Progress, when non-nil, receives a heartbeat tick per solver query
@@ -102,17 +92,16 @@ func (o Options) withDefaults() Options {
 	if o.Solver.Eps <= 0 {
 		o.Solver.Eps = 1e-5
 	}
-	if o.ValidateTol <= 0 {
-		o.ValidateTol = 1000 * o.Solver.Eps
-	}
-	if o.WidenRounds <= 0 {
-		o.WidenRounds = 8
-	}
-	if o.MaxObligations <= 0 {
-		o.MaxObligations = 200_000
-	}
 	return o
 }
+
+const (
+	// widenRounds is the number of doubling and of bisection steps when
+	// widening a bound outward.
+	widenRounds = 8
+	// maxObligations bounds the total proof obligations of a run.
+	maxObligations = 200_000
+)
 
 // Bound is one literal of a state cube, in terms of the system's variable
 // names.
@@ -165,11 +154,15 @@ type Info struct {
 type checker struct {
 	sys  *ts.System
 	opts Options
+	tol  float64 // counterexample validation tolerance, ts.ValidateTol(Eps)
 
 	// steps 0 (current) and 1 (next), Trans asserted; both query
-	// solvers are compiled from tnfMain (see trigger.go)
+	// solvers are compiled from tnfMain (see trigger.go).  Every solver
+	// of the run declares step 0 first, so a state variable has the same
+	// id, its position in sys.Vars, in all of them (ts.DeclareStep), and
+	// a cube passes from one solver to another unmapped.
 	tnfMain   *tnf.System
-	curIDs    []tnf.VarID // state var ids at step 0
+	curIDs    []tnf.VarID // state var ids at step 0: 0..n-1
 	nextIDs   []tnf.VarID // state var ids at step 1
 	badLit    tnf.Lit     // !Prop over step-0 vars
 	badRobust tnf.Lit     // robust violation: !Weaken(Prop) over step-0 vars
@@ -178,17 +171,12 @@ type checker struct {
 	// init solver: step 0 only, Init asserted
 	tnfInit *tnf.System
 	init    *icp.Solver
-	initIDs []tnf.VarID
 
 	// prop solvers: step 0 only, used for widening bad boxes.
 	// prop asserts the δ-weakened property (box ∧ it UNSAT ⟺ box is
 	// robustly bad); propPlain asserts the exact property (⟺ box is bad).
-	tnfProp      *tnf.System
-	prop         *icp.Solver
-	propIDs      []tnf.VarID
-	tnfPropPlain *tnf.System
-	propPlain    *icp.Solver
-	propPlainIDs []tnf.VarID
+	prop      *icp.Solver
+	propPlain *icp.Solver
 
 	frames [][]*frameCube // per-level blocked cubes with push-trigger state
 	budget engine.Budget
@@ -212,16 +200,8 @@ type checker struct {
 	// before they ask the solver.  build() allocates it.
 	memo *consecMemo
 
-	// hot-path tables, built once in build(): position and declared
-	// domain of each step-0 state variable, so per-query literal mapping
-	// never rebuilds a map or linearly scans curIDs.
-	curIdx   map[tnf.VarID]int
-	domByVar map[tnf.VarID]interval.Interval
-
-	// scratch buffers for the property/init/primed literal mappings and
-	// the widening candidate cube.
-	propScratch   []tnf.Lit
-	initScratch   []tnf.Lit
+	// scratch buffers for the primed literal mapping and the widening
+	// candidate cube.
 	primedScratch []tnf.Lit
 	widenScratch  icpCube
 
@@ -252,7 +232,8 @@ type checker struct {
 	sim *ts.Simulator // exact point replay for counterexample repair
 }
 
-// icpCube is a cube in solver terms: literals over curIDs.
+// icpCube is a cube in solver terms: literals over curIDs, so a
+// literal's Var is also the position of its variable in sys.Vars.
 type icpCube []tnf.Lit
 
 // coreKey identifies one side of one state variable for the UNSAT-core
@@ -328,8 +309,8 @@ func checkWith(sys *ts.System, opts Options, setup func(*checker)) (engine.Resul
 		return budget.Expired() || (userStop != nil && userStop())
 	}
 
-	ch := &checker{sys: sys, opts: opts, budget: budget, stats: map[string]int64{},
-		coreHits: map[coreKey]int64{}}
+	ch := &checker{sys: sys, opts: opts, tol: ts.ValidateTol(opts.Solver.Eps), budget: budget,
+		stats: map[string]int64{}, coreHits: map[coreKey]int64{}}
 	// every reported work counter (engine.Counters) is present in the
 	// stats even when zero
 	for _, c := range engine.Counters {
@@ -396,7 +377,8 @@ func InvariantOf(cert *engine.Certificate) ([]Cube, error) {
 	return inv, nil
 }
 
-// build compiles the two solver instances.
+// build compiles tnfMain with its main query solver and the three step-0
+// side solvers.
 func (ch *checker) build() error {
 	sys := ch.sys
 	ch.memo = newConsecMemo()
@@ -430,7 +412,7 @@ func (ch *checker) build() error {
 		return err
 	}
 	ch.badLit = bad
-	badR, err := ch.tnfMain.CompileBool(expr.Not(expr.Weaken(ts.AtStep(sys.Prop, 0), 2*ch.opts.ValidateTol)))
+	badR, err := ch.tnfMain.CompileBool(expr.Not(expr.Weaken(ts.AtStep(sys.Prop, 0), 2*ch.tol)))
 	if err != nil {
 		return err
 	}
@@ -442,75 +424,47 @@ func (ch *checker) build() error {
 	ch.stats["tnfOpsPruned"] += int64(ch.tnfMain.Simplify().Pruned())
 	ch.main = ch.newQuerySolver(mainRebuildSlack, false)
 
-	ch.tnfInit = tnf.NewSystem()
-	ids, err := sys.DeclareStep(ch.tnfInit, 0)
-	if err != nil {
+	if ch.tnfInit, ch.init, err = ch.stepZero(ts.AtStep(sys.Init, 0)); err != nil {
 		return err
 	}
-	ch.initIDs = ids
-	if err := ch.tnfInit.Assert(ts.AtStep(sys.Init, 0)); err != nil {
-		return err
-	}
-	ch.stats["tnfOpsPruned"] += int64(ch.tnfInit.Simplify().Pruned())
-	ch.init = icp.New(ch.tnfInit, ch.opts.Solver)
-
 	// The prop solver asserts the δ-weakened property: a box is disjoint
 	// from it exactly when every state in the box violates Prop robustly
 	// (by margin δ), so widened bad cubes only contain validatable
 	// violations.  δ matches the robust bad-state query margin.
-	ch.tnfProp = tnf.NewSystem()
-	pids, err := sys.DeclareStep(ch.tnfProp, 0)
-	if err != nil {
+	weak := expr.Simplify(expr.Weaken(ts.AtStep(sys.Prop, 0), 2*ch.tol))
+	if _, ch.prop, err = ch.stepZero(weak); err != nil {
 		return err
 	}
-	ch.propIDs = pids
-	weak := expr.Simplify(expr.Weaken(ts.AtStep(sys.Prop, 0), 2*ch.opts.ValidateTol))
-	if err := ch.tnfProp.Assert(weak); err != nil {
+	if _, ch.propPlain, err = ch.stepZero(ts.AtStep(sys.Prop, 0)); err != nil {
 		return err
-	}
-	ch.stats["tnfOpsPruned"] += int64(ch.tnfProp.Simplify().Pruned())
-	ch.prop = icp.New(ch.tnfProp, ch.opts.Solver)
-
-	ch.tnfPropPlain = tnf.NewSystem()
-	ppids, err := sys.DeclareStep(ch.tnfPropPlain, 0)
-	if err != nil {
-		return err
-	}
-	ch.propPlainIDs = ppids
-	if err := ch.tnfPropPlain.Assert(ts.AtStep(sys.Prop, 0)); err != nil {
-		return err
-	}
-	ch.stats["tnfOpsPruned"] += int64(ch.tnfPropPlain.Simplify().Pruned())
-	ch.propPlain = icp.New(ch.tnfPropPlain, ch.opts.Solver)
-
-	// hot-path tables: step-0 id -> position / declared domain
-	ch.curIdx = make(map[tnf.VarID]int, len(ch.curIDs))
-	ch.domByVar = make(map[tnf.VarID]interval.Interval, len(ch.curIDs))
-	for i, id := range ch.curIDs {
-		ch.curIdx[id] = i
-		ch.domByVar[id] = sys.Vars[i].Dom
 	}
 	ch.buildWitness()
 	return nil
 }
 
-// mapLits rewrites cube literals onto another solver's variables using
-// the precomputed position index, appending to dst (pass a scratch
-// buffer truncated to zero to avoid per-query allocation).
-func mapLits(dst []tnf.Lit, c icpCube, ids []tnf.VarID, idx map[tnf.VarID]int) []tnf.Lit {
-	for _, l := range c {
-		dst = append(dst, tnf.Lit{Var: ids[idx[l.Var]], Dir: l.Dir, B: l.B, Strict: l.Strict})
+// stepZero compiles a side system over the step-0 state variables alone
+// with f asserted, and a solver over it.  The system declares step 0
+// first, as tnfMain does, so cube literals pass to the solver unmapped.
+func (ch *checker) stepZero(f *expr.Expr) (*tnf.System, *icp.Solver, error) {
+	t := tnf.NewSystem()
+	if _, err := ch.sys.DeclareStep(t, 0); err != nil {
+		return nil, nil, err
 	}
-	return dst
+	if err := t.Assert(f); err != nil {
+		return nil, nil, err
+	}
+	ch.stats["tnfOpsPruned"] += int64(t.Simplify().Pruned())
+	return t, icp.New(t, ch.opts.Solver), nil
 }
 
-// onProp maps cube literals onto the prop solver's variables.  The
-// returned slice is a scratch buffer valid until the next onProp /
-// entirelyBadPlain call.
-func (ch *checker) onProp(c icpCube) []tnf.Lit {
-	ch.propScratch = mapLits(ch.propScratch[:0], c, ch.propIDs, ch.curIdx)
-	//lint:allow scratchalias documented loan: consumed by Solve before the next onProp call
-	return ch.propScratch
+// onStep rewrites cube literals, which are over the step-0 ids, onto the
+// ids of another step of the same layout, appending to dst.
+func onStep(dst []tnf.Lit, c icpCube, ids []tnf.VarID) []tnf.Lit {
+	for _, l := range c {
+		l.Var = ids[l.Var]
+		dst = append(dst, l)
+	}
+	return dst
 }
 
 // entirelyBad reports whether the box is provably contained in the
@@ -521,7 +475,7 @@ func (ch *checker) entirelyBad(c icpCube) bool {
 	}
 	ch.stats["propQueries"]++
 	ch.tick()
-	r := ch.prop.Solve(ch.onProp(c))
+	r := ch.prop.Solve(c)
 	return r.Status == icp.StatusUnsat
 }
 
@@ -532,8 +486,7 @@ func (ch *checker) entirelyBadPlain(c icpCube) bool {
 	}
 	ch.stats["propQueries"]++
 	ch.tick()
-	ch.propScratch = mapLits(ch.propScratch[:0], c, ch.propPlainIDs, ch.curIdx)
-	r := ch.propPlain.Solve(ch.propScratch)
+	r := ch.propPlain.Solve(c)
 	return r.Status == icp.StatusUnsat
 }
 
@@ -559,7 +512,7 @@ func (ch *checker) widenBadCube(c icpCube) icpCube {
 // Candidate cubes are built in a pooled scratch buffer; a fresh cube is
 // materialized only when a widening step actually succeeds.
 func (ch *checker) widenCubeWith(c icpCube, test func(icpCube) bool) icpCube {
-	rounds := ch.opts.WidenRounds
+	rounds := widenRounds
 	for i := 0; i < len(c); i++ {
 		// try dropping the literal
 		if len(c) > 1 {
@@ -573,10 +526,7 @@ func (ch *checker) widenCubeWith(c icpCube, test func(icpCube) bool) icpCube {
 			}
 		}
 		l := c[i]
-		dom, ok := ch.domByVar[l.Var]
-		if !ok {
-			dom = interval.Entire()
-		}
+		dom := ch.sys.Vars[l.Var].Dom
 		limit := dom.Hi
 		if l.Dir == tnf.DirGe {
 			limit = dom.Lo
@@ -744,9 +694,6 @@ func (ch *checker) promoteInductive(c icpCube) bool {
 	ch.subsumeFrames(g, -1)
 	ch.markTriggered(g, 1, -1)
 	ch.stats["infCubes"]++
-	if ch.opts.DebugTrace {
-		fmt.Printf("promote F_inf: %s\n", ch.exportCube(g))
-	}
 	return true
 }
 
@@ -799,17 +746,9 @@ func (ch *checker) boxCube(box []interval.Interval, ids []tnf.VarID) icpCube {
 // primed maps cube literals onto the next-state variables.  The returned
 // slice is a scratch buffer valid until the next primed call.
 func (ch *checker) primed(c icpCube) []tnf.Lit {
-	ch.primedScratch = mapLits(ch.primedScratch[:0], c, ch.nextIDs, ch.curIdx)
+	ch.primedScratch = onStep(ch.primedScratch[:0], c, ch.nextIDs)
 	//lint:allow scratchalias documented loan: consumed by Solve before the next primed call
 	return ch.primedScratch
-}
-
-// onInit maps cube literals onto the init solver's variables (scratch,
-// valid until the next onInit call).
-func (ch *checker) onInit(c icpCube) []tnf.Lit {
-	ch.initScratch = mapLits(ch.initScratch[:0], c, ch.initIDs, ch.curIdx)
-	//lint:allow scratchalias documented loan: consumed by Solve before the next onInit call
-	return ch.initScratch
 }
 
 // negCube returns the clause ¬cube over the main solver's current vars
@@ -828,7 +767,7 @@ func (ch *checker) negCube(c icpCube) tnf.Clause {
 func (ch *checker) initIntersects(c icpCube) (bool, *icp.Result) {
 	ch.stats["initQueries"]++
 	ch.tick()
-	r := ch.init.Solve(ch.onInit(c))
+	r := ch.init.Solve(c)
 	if r.Status == icp.StatusUnsat {
 		return false, &r
 	}
@@ -890,9 +829,6 @@ func (ch *checker) consecution(c icpCube, frame int) (icp.Result, icpCube) {
 // those frames are re-armed when the clause might refute their witness.
 func (ch *checker) addBlockedCube(c icpCube, level int) {
 	ch.stats["blockedCubes"]++
-	if ch.opts.DebugTrace {
-		fmt.Printf("block@%d: %s\n", level, ch.exportCube(c))
-	}
 	// the new cube dominates anything it subsumes at its own level or
 	// below (its clause is active wherever theirs are)
 	ch.subsumeFrames(c, level)
@@ -903,13 +839,9 @@ func (ch *checker) addBlockedCube(c icpCube, level int) {
 
 // exportCube renders an icpCube with variable names.
 func (ch *checker) exportCube(c icpCube) Cube {
-	name := make(map[tnf.VarID]string, len(ch.curIDs))
-	for i, id := range ch.curIDs {
-		name[id] = ch.sys.Vars[i].Name
-	}
 	out := make(Cube, len(c))
 	for i, l := range c {
-		out[i] = Bound{Var: name[l.Var], Le: l.Dir == tnf.DirLe, B: l.B, Strict: l.Strict}
+		out[i] = Bound{Var: ch.sys.Vars[l.Var].Name, Le: l.Dir == tnf.DirLe, B: l.B, Strict: l.Strict}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Var != out[j].Var {
@@ -941,8 +873,8 @@ func (ch *checker) run(info *Info) engine.Result {
 	ch.stats["initQueries"]++
 	r0 := ch.init.Solve([]tnf.Lit{badInit})
 	if r0.Status == icp.StatusSat {
-		trace := []ts.State{ch.sys.BoxState(r0.Box, ch.initIDs, interval.Interval.Mid)}
-		if verr := ch.sys.ValidateTrace(trace, ch.opts.ValidateTol); verr == nil {
+		trace := []ts.State{ch.sys.BoxState(r0.Box, ch.curIDs, interval.Interval.Mid)}
+		if verr := ch.sys.ValidateTrace(trace, ch.tol); verr == nil {
 			return engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: 0}
 		}
 		return engine.Result{Verdict: engine.Unknown, Note: "0-step candidate failed validation"}
@@ -990,9 +922,6 @@ func (ch *checker) run(info *Info) engine.Result {
 				return engine.Result{Verdict: engine.Unknown, Depth: k, Note: "solver budget (bad query)"}
 			}
 			bad := ch.widenBadCube(ch.boxCube(r.Box, ch.curIDs))
-			if ch.opts.DebugTrace {
-				fmt.Printf("getBad k=%d cube=%s\n", k, ch.exportCube(bad))
-			}
 			root := &obligation{cube: bad, point: ch.sys.BoxState(r.Box, ch.curIDs, interval.Interval.Mid), frame: k, depth: 0}
 			verdict, res := ch.block(root, k)
 			if verdict != engine.Safe { // Unsafe or Unknown bubble up
@@ -1052,10 +981,7 @@ func (ch *checker) block(root *obligation, k int) (engine.Verdict, engine.Result
 		ob := heap.Pop(&q).(*obligation)
 		ch.stats["obligations"]++
 		ch.tick()
-		if ch.opts.DebugTrace {
-			fmt.Printf("pop frame=%d depth=%d cube=%s\n", ob.frame, ob.depth, ch.exportCube(ob.cube))
-		}
-		if ch.stats["obligations"] > ch.opts.MaxObligations {
+		if ch.stats["obligations"] > maxObligations {
 			return engine.Unknown, engine.Result{Verdict: engine.Unknown, Note: "obligation budget"}
 		}
 
@@ -1112,20 +1038,17 @@ func (ch *checker) candidateCex(ob *obligation) (engine.Verdict, engine.Result) 
 	// the init box are kept as alternative starts for trace repair.
 	startVariants := []ts.State{trace[0]}
 	if ok, r := ch.initIntersects(ob.cube); ok && r.Status == icp.StatusSat {
-		trace[0] = ch.sys.BoxState(r.Box, ch.initIDs, interval.Interval.Mid)
+		trace[0] = ch.sys.BoxState(r.Box, ch.curIDs, interval.Interval.Mid)
 		startVariants = []ts.State{trace[0]}
 		startVariants = append(startVariants,
-			ch.sys.BoxState(r.Box, ch.initIDs, func(b interval.Interval) float64 { return b.Lo }),
-			ch.sys.BoxState(r.Box, ch.initIDs, func(b interval.Interval) float64 { return b.Hi }))
+			ch.sys.BoxState(r.Box, ch.curIDs, func(b interval.Interval) float64 { return b.Lo }),
+			ch.sys.BoxState(r.Box, ch.curIDs, func(b interval.Interval) float64 { return b.Hi }))
 	}
-	if err := ch.sys.ValidateTrace(trace, ch.opts.ValidateTol); err == nil {
+	if err := ch.sys.ValidateTrace(trace, ch.tol); err == nil {
 		return engine.Unsafe, engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: len(trace) - 1}
 	}
 	for _, start := range startVariants {
 		cand := append([]ts.State{start}, trace[1:]...)
-		if ch.opts.DebugTrace {
-			fmt.Printf("repair attempt from %v over %v\n", start, trace)
-		}
 		if repaired, ok := ch.repairTrace(cand); ok {
 			ch.stats["repairedCex"]++
 			return engine.Unsafe, engine.Result{Verdict: engine.Unsafe, Trace: repaired, Depth: len(repaired) - 1}
@@ -1149,7 +1072,7 @@ func (ch *checker) repairTrace(cand []ts.State) ([]ts.State, bool) {
 	}
 	out := []ts.State{cand[0]}
 	cur := cand[0]
-	slack := math.Max(ch.opts.ValidateTol*10, 1e-6)
+	slack := math.Max(ch.tol*10, 1e-6)
 	for i := 1; i < len(cand); i++ {
 		next, ok := ch.stepFrom(cur, cand[i], slack)
 		if !ok {
@@ -1162,7 +1085,7 @@ func (ch *checker) repairTrace(cand []ts.State) ([]ts.State, bool) {
 		out = append(out, next)
 		cur = next
 	}
-	if err := ch.sys.ValidateTrace(out, ch.opts.ValidateTol); err == nil {
+	if err := ch.sys.ValidateTrace(out, ch.tol); err == nil {
 		return out, true
 	}
 	// Overshoot: the exact replay may reach the violation a few steps
@@ -1174,8 +1097,8 @@ func (ch *checker) repairTrace(cand []ts.State) ([]ts.State, bool) {
 		}
 		out = append(out, next)
 		cur = next
-		if v, err := ch.sys.Prop.EvalApprox(cur.Env(), ch.opts.ValidateTol); err == nil && v == 0 {
-			if err := ch.sys.ValidateTrace(out, ch.opts.ValidateTol); err == nil {
+		if v, err := ch.sys.Prop.EvalApprox(cur.Env(), ch.tol); err == nil && v == 0 {
+			if err := ch.sys.ValidateTrace(out, ch.tol); err == nil {
 				ch.stats["overshoot"]++
 				return out, true
 			}
@@ -1226,10 +1149,7 @@ func (ch *checker) generalize(c, coreCube icpCube, frame int) icpCube {
 			continue
 		}
 		l := g[i]
-		dom, ok := ch.domByVar[l.Var]
-		if !ok {
-			dom = interval.Entire()
-		}
+		dom := ch.sys.Vars[l.Var].Dom
 		var limit float64
 		if l.Dir == tnf.DirLe {
 			limit = dom.Hi
@@ -1293,11 +1213,7 @@ func (ch *checker) widenLit(g icpCube, i int, limit float64, frame int) (tnf.Lit
 		wl := tnf.Lit{Var: l.Var, Dir: l.Dir, B: b, Strict: strict}
 		cand := append(icpCube{}, g...)
 		cand[i] = wl
-		ok := ch.blockedAndSeparate(cand, frame)
-		if ch.opts.DebugTrace {
-			fmt.Printf("  widen try %s strict=%v -> %v\n", wl, strict, ok)
-		}
-		return ok
+		return ch.blockedAndSeparate(cand, frame)
 	}
 	// witnessEdge inspects the successor box of the last failed try for
 	// the near edge of the obstruction along l.Var: for an upper-bound
@@ -1325,7 +1241,7 @@ func (ch *checker) widenLit(g icpCube, i int, limit float64, frame int) (tnf.Lit
 	if limit < good {
 		dir = -1
 	}
-	rounds := ch.opts.WidenRounds
+	rounds := widenRounds
 	// size the first step so the doubling phase can span the whole range
 	// within its round budget
 	span := math.Abs(limit - good)

@@ -38,16 +38,11 @@ func (ch *checker) seedFrames() error {
 	}
 	ch.stats["seedCandidates"] = int64(len(seeds))
 
-	name2idx := make(map[string]int, len(ch.sys.Vars))
-	for i, v := range ch.sys.Vars {
-		name2idx[v.Name] = i
-	}
-
 	// Convert to solver cubes over the current-state ids.  A cube naming
 	// an unknown variable, or with no literals, is stale by construction.
 	cands := make([]icpCube, 0, len(seeds))
 	for _, c := range seeds {
-		cube, ok := ch.importCube(c, name2idx)
+		cube, ok := ch.importCube(c)
 		if !ok {
 			continue
 		}
@@ -70,10 +65,11 @@ func (ch *checker) seedFrames() error {
 
 	// Obligation 2: relative consecution on a fresh solver.  Each ¬c is
 	// guarded by its own activation literal, so dropping a clause is one
-	// retired assumption, not a solver rebuild.
+	// retired assumption, not a solver rebuild.  The system declares
+	// step 0 first, as tnfMain does, so the cubes' literals are its
+	// step-0 literals.
 	tnfSeed := tnf.NewSystem()
-	curIDs, err := ch.sys.DeclareStep(tnfSeed, 0)
-	if err != nil {
+	if _, err := ch.sys.DeclareStep(tnfSeed, 0); err != nil {
 		return err
 	}
 	nextIDs, err := ch.sys.DeclareStep(tnfSeed, 1)
@@ -88,17 +84,11 @@ func (ch *checker) seedFrames() error {
 	}
 	solver := icp.New(tnfSeed, ch.opts.Solver)
 
-	curIdx := make(map[tnf.VarID]int, len(curIDs))
-	for i, id := range ch.curIDs {
-		curIdx[id] = i
-	}
 	acts := make([]tnf.VarID, len(cands))
-	var lits []tnf.Lit
 	for i, cube := range cands {
 		acts[i] = solver.AddBoolVar(fmt.Sprintf(".seed%d", i))
 		cl := tnf.Clause{tnf.MkLe(acts[i], 0)}
-		lits = mapLits(lits[:0], cube, curIDs, curIdx)
-		for _, l := range lits {
+		for _, l := range cube {
 			cl = append(cl, tnfSeed.NegLit(l))
 		}
 		solver.AddClause(cl)
@@ -125,7 +115,7 @@ func (ch *checker) seedFrames() error {
 					assumps = append(assumps, tnf.MkGe(a, 1))
 				}
 			}
-			assumps = mapLits(assumps, cube, nextIDs, curIdx)
+			assumps = onStep(assumps, cube, nextIDs)
 			r := solver.Solve(assumps)
 			if r.Status != icp.StatusUnsat {
 				// SAT or Unknown: not provably inductive any more — drop,
@@ -145,22 +135,19 @@ func (ch *checker) seedFrames() error {
 	}
 	ch.stats["seedInstalled"] = installed
 	ch.stats["seedDropped"] = int64(len(seeds)) - installed
-	if ch.opts.DebugTrace {
-		fmt.Printf("seed: %d/%d prior clauses installed at F_1\n", installed, len(seeds))
-	}
 	return nil
 }
 
 // importCube converts a named-bound cube into solver literals over the
 // current-state ids; ok is false for cubes referencing unknown
 // variables or carrying no literals (stale certificates).
-func (ch *checker) importCube(c Cube, name2idx map[string]int) (icpCube, bool) {
+func (ch *checker) importCube(c Cube) (icpCube, bool) {
 	if len(c) == 0 {
 		return nil, false
 	}
 	cube := make(icpCube, len(c))
 	for i, b := range c {
-		idx, ok := name2idx[b.Var]
+		idx, ok := ch.sys.VarIndex(b.Var)
 		if !ok {
 			return nil, false
 		}

@@ -74,7 +74,7 @@ func (ch *checker) steppedInto(c icpCube, lo, hi []float64) bool {
 		}
 	}
 	for _, l := range c {
-		if !litHoldsOn(l, succ[ch.curIdx[l.Var]]) {
+		if !litHoldsOn(l, succ[l.Var]) {
 			return false
 		}
 	}
@@ -95,7 +95,7 @@ func (ch *checker) steppedInto(c icpCube, lo, hi []float64) bool {
 // violates some literal of cube c exactly: it satisfies the clause ¬c.
 func (ch *checker) outside(c icpCube, s []float64) bool {
 	for _, l := range c {
-		if !litHoldsOn(l, interval.Point(s[ch.curIdx[l.Var]])) {
+		if !litHoldsOn(l, interval.Point(s[l.Var])) {
 			return true
 		}
 	}

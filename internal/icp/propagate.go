@@ -523,15 +523,16 @@ func (s *Solver) applyContraction(v tnf.VarID, nd interval.Interval, ci int32, a
 }
 
 // contractionThreshold computes the minimal progress demanded for a
-// contraction of a domain of width w.
+// contraction of a domain of width w: 5% of w, and at least Eps/8.
 func (s *Solver) contractionThreshold(cur interval.Interval) float64 {
+	minProgress := s.opts.Eps / 8
 	w := cur.Width()
 	if w == 0 {
-		return s.opts.MinProgress
+		return minProgress
 	}
-	t := s.opts.ProgressFrac * w
-	if t < s.opts.MinProgress || t != t /* NaN */ {
-		t = s.opts.MinProgress
+	t := 0.05 * w
+	if t < minProgress || t != t /* NaN */ {
+		t = minProgress
 	}
 	if t > 1e6 { // unbounded domains: any finite bound is progress
 		t = 1e6

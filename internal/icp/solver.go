@@ -60,16 +60,6 @@ type Options struct {
 	// Eps is the minimal splitting width: real variables with domains no
 	// wider than Eps are not split further.  Default 1e-4.
 	Eps float64
-	// ProgressFrac is the minimal relative progress a contraction must
-	// achieve to be recorded.  Default 0.05.
-	ProgressFrac float64
-	// MinProgress is the minimal absolute progress for contraction.
-	// Default Eps/8.
-	MinProgress float64
-	// MaxConflicts bounds the conflicts per Solve call (0 = default 200k).
-	MaxConflicts int64
-	// MaxDecisions bounds the decisions per Solve call (0 = default 2M).
-	MaxDecisions int64
 	// Stop, when non-nil, is polled periodically during Solve; returning
 	// true aborts the search with StatusUnknown (used for wall-clock
 	// budgets by the engines).
@@ -91,21 +81,16 @@ type Options struct {
 	NoPrefixRetention bool
 }
 
+// Per-Solve search budgets: a Solve call that exceeds either answers
+// StatusUnknown.
+const (
+	maxConflicts = 200_000
+	maxDecisions = 2_000_000
+)
+
 func (o Options) withDefaults() Options {
 	if o.Eps <= 0 {
 		o.Eps = 1e-4
-	}
-	if o.ProgressFrac <= 0 {
-		o.ProgressFrac = 0.05
-	}
-	if o.MinProgress <= 0 {
-		o.MinProgress = o.Eps / 8
-	}
-	if o.MaxConflicts <= 0 {
-		o.MaxConflicts = 200_000
-	}
-	if o.MaxDecisions <= 0 {
-		o.MaxDecisions = 2_000_000
 	}
 	if o.ReduceInterval <= 0 {
 		o.ReduceInterval = 2048
@@ -1117,7 +1102,7 @@ func (s *Solver) SolveAccept(assumptions []tnf.Lit, accept func(lo, hi []float64
 				s.retainOnExit()
 				return Result{Status: StatusUnsat, Core: core}
 			}
-			if conflicts > s.opts.MaxConflicts {
+			if conflicts > maxConflicts {
 				s.retainOnExit()
 				return Result{Status: StatusUnknown}
 			}
@@ -1220,7 +1205,7 @@ func (s *Solver) SolveAccept(assumptions []tnf.Lit, accept func(lo, hi []float64
 			return Result{Status: StatusSat, Box: box}
 		}
 		decisions++
-		if decisions > s.opts.MaxDecisions {
+		if decisions > maxDecisions {
 			s.retainOnExit()
 			return Result{Status: StatusUnknown}
 		}

@@ -23,9 +23,6 @@ type Options struct {
 	MaxK int
 	// Solver configures the ICP solver (Eps defaults to 1e-5).
 	Solver icp.Options
-	// ValidateTol is the counterexample validation tolerance
-	// (0 = 1000 * Eps).
-	ValidateTol float64
 	// SeedK, when > 0, is a prior proof's induction depth (see
 	// internal/reuse): step-case queries below it are skipped, since a
 	// near-identical system already failed them.  Base cases still run
@@ -46,9 +43,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Solver.Eps <= 0 {
 		o.Solver.Eps = 1e-5
-	}
-	if o.ValidateTol <= 0 {
-		o.ValidateTol = 1000 * o.Solver.Eps
 	}
 	return o
 }
@@ -80,12 +74,13 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		return r
 	}
 
+	tol := ts.ValidateTol(opts.Solver.Eps)
 	var err error
-	base, err = bmc.NewUnrolling(sys, opts.Solver, true, opts.ValidateTol)
+	base, err = bmc.NewUnrolling(sys, opts.Solver, true, tol)
 	if err != nil {
 		return finish(engine.Result{Verdict: engine.Unknown, Note: err.Error()})
 	}
-	step, err = bmc.NewUnrolling(sys, opts.Solver, false, opts.ValidateTol)
+	step, err = bmc.NewUnrolling(sys, opts.Solver, false, tol)
 	if err != nil {
 		return finish(engine.Result{Verdict: engine.Unknown, Note: err.Error()})
 	}
@@ -112,7 +107,7 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		switch rb.Status {
 		case icp.StatusSat:
 			trace := base.Trace(rb.Box, k)
-			if verr := sys.ValidateTrace(trace, opts.ValidateTol); verr == nil {
+			if verr := sys.ValidateTrace(trace, tol); verr == nil {
 				return finish(engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: k, Stats: stats})
 			}
 			// Spurious base-case candidate (boundary artifact): the step

@@ -89,8 +89,6 @@ type Config struct {
 	// a prior certificate is considered close enough to seed from
 	// (0 = 0.25; see reuse.Diff).
 	ReuseMaxDist float64
-	// ReuseStoreSize bounds the certificate store in entries (0 = 512).
-	ReuseStoreSize int
 	// SkipCertify disables independent re-checking of decisive results.
 	// By default every Safe verdict's certificate is re-verified with
 	// fresh solvers and every Unsafe trace is replayed before the result
@@ -320,12 +318,12 @@ func New(cfg Config) *Service {
 		queue:    make(chan *job, cfg.QueueDepth),
 	}
 	if cfg.Reuse {
-		store, err := reuse.Open(cfg.CacheDir, cfg.ReuseStoreSize)
+		store, err := reuse.Open(cfg.CacheDir, 0)
 		if err != nil {
 			// degrade to a memory-only cache rather than refuse to start:
 			// reuse is an optimization, the persistence dir is not vital
 			s.logf("service: %v, certificate cache is memory-only", err)
-			store, _ = reuse.Open("", cfg.ReuseStoreSize)
+			store, _ = reuse.Open("", 0)
 		}
 		s.store = store
 	}

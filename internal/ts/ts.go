@@ -224,7 +224,11 @@ func RenameAt(e *expr.Expr, k int) *expr.Expr {
 }
 
 // DeclareStep declares all state variables of step k in the TNF system and
-// returns their ids in declaration order.
+// returns their ids in declaration order.  The layout is fixed: on a fresh
+// tnf.System, step 0 gets ids 0..n-1 (variable i of s.Vars gets id i), and
+// a step 1 declared next gets n..2n-1.  The IC3 engine relies on it: all
+// its solvers declare step 0 first, so a cube over the step-0 ids means
+// the same box in every one of them.
 func (s *System) DeclareStep(sys *tnf.System, k int) ([]tnf.VarID, error) {
 	ids := make([]tnf.VarID, len(s.Vars))
 	for i, v := range s.Vars {
@@ -304,6 +308,10 @@ func (s *System) CheckProp(st State, tol float64) (bool, error) {
 	}
 	return v != 0, nil
 }
+
+// ValidateTol is the counterexample validation tolerance at solver
+// precision eps, one rule for every engine and the certifier.
+func ValidateTol(eps float64) float64 { return 1000 * eps }
 
 // ValidateTrace replays a trace: trace[0] must satisfy Init, every
 // consecutive pair must satisfy Trans, and the final state must violate

@@ -101,6 +101,42 @@ func TestDeclareStep(t *testing.T) {
 	}
 }
 
+// TestDeclareStepLayout pins the id layout that lets IC3's solvers share
+// cubes unmapped: on a fresh system step 0 gets ids 0..n-1 in declaration
+// order and a step 1 declared next gets n..2n-1, whatever the variable
+// kinds.
+func TestDeclareStepLayout(t *testing.T) {
+	s := New("mixed")
+	if err := s.AddReal("x", -1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddInt("n", 0, 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddBool("b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddReal("y", 0, 5); err != nil {
+		t.Fatal(err)
+	}
+	sys := tnf.NewSystem()
+	n := len(s.Vars)
+	for k := 0; k < 2; k++ {
+		ids, err := s.DeclareStep(sys, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range ids {
+			if want := tnf.VarID(k*n + i); id != want {
+				t.Errorf("step %d: %s has id %d, want %d", k, s.Vars[i].Name, id, want)
+			}
+			if got, want := sys.VarName(id), StepName(s.Vars[i].Name, k); got != want {
+				t.Errorf("id %d is %s, want %s", id, got, want)
+			}
+		}
+	}
+}
+
 func TestCheckers(t *testing.T) {
 	s := counterSystem(t)
 	if ok, err := s.CheckInit(State{"x": 0.5}, 1e-9); err != nil || !ok {
@@ -304,8 +340,8 @@ prop th <= 1.2
 // BenchmarkCompileUnroll compiles 24 steps of pendulumSrc to TNF the way
 // the bmc and k-induction unrolling (bmc.Unrolling) does: Trans and Prop
 // simplified once, then per step the state variables, Trans@k and Prop@k
-// by renaming only, and the plain and robust violation literals over one
-// instance of Prop@k.
+// by renaming only, and the plain and robust violation literals over the
+// same instance of Prop@k.
 func BenchmarkCompileUnroll(b *testing.B) {
 	sys, err := Parse(pendulumSrc)
 	if err != nil {
@@ -325,10 +361,10 @@ func BenchmarkCompileUnroll(b *testing.B) {
 			if err := t.Assert(RenameAt(trans, k)); err != nil {
 				b.Fatal(err)
 			}
-			if err := t.Assert(RenameAt(prop, k)); err != nil {
+			p := RenameAt(prop, k)
+			if err := t.Assert(p); err != nil {
 				b.Fatal(err)
 			}
-			p := RenameAt(prop, k)
 			if _, err := t.CompileBool(expr.Not(p)); err != nil {
 				b.Fatal(err)
 			}

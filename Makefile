@@ -1,10 +1,11 @@
 # Standard checks for the icpic3 repo.  `make check` is what CI should
-# run: build, vet, the gofmt gate, icplint, the full test suite, and the
-# race detector over the concurrency-heavy packages.
+# run: build, vet (of the root module and of the bench module), the
+# gofmt gate, icplint, the full test suite, and the race detector over
+# the concurrency-heavy packages.
 
 GO ?= go
 
-.PHONY: all build test test-race vet fmt-check lint lint-json lint-sarif check fuzz-short bench-json bench-diff bench-smoke bench-module-test reuse-smoke clean
+.PHONY: all build test test-race vet bench-vet fmt-check lint lint-json lint-sarif check fuzz-short bench-json bench-diff bench-smoke bench-module-test reuse-smoke clean
 
 all: check
 
@@ -71,6 +72,12 @@ reuse-smoke:
 vet:
 	$(GO) vet ./...
 
+# The repository benchmark (bench/) is a module of its own that imports
+# the engine, certify and service APIs, so `go vet ./...` at the root
+# neither builds nor vets it.  vet type-checks and compiles it.
+bench-vet:
+	cd bench && $(GO) vet .
+
 # Fails listing every tracked .go file that gofmt would rewrite.  Files
 # under testdata/ are analyzer fixtures with hand-aligned `// want`
 # comments, inputs rather than code, so they are left out.
@@ -104,7 +111,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzSolveRetentionEquiv -fuzztime=5s ./internal/icp/
 	$(GO) test -run='^$$' -fuzz=FuzzInvTrigEquiv -fuzztime=5s ./internal/interval/
 
-check: build vet fmt-check lint test test-race
+check: build vet bench-vet fmt-check lint test test-race
 
 clean:
 	$(GO) clean ./...

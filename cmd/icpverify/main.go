@@ -40,7 +40,6 @@ import (
 
 	"icpic3/internal/certify"
 	"icpic3/internal/engine"
-	"icpic3/internal/ic3icp"
 	"icpic3/internal/runner"
 	"icpic3/internal/ts"
 )
@@ -56,7 +55,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	var (
 		engineName = fs.String("engine", "ic3", "engine: "+strings.Join(runner.Names(), " | ")+" | all")
 		timeout    = fs.Duration("timeout", 60*time.Second, "per-engine wall-clock budget")
-		eps        = fs.Float64("eps", 1e-5, "minimum splitting width of the ICP solver")
+		eps        = fs.Float64("eps", engine.DefaultEps, "minimum splitting width of the ICP solver")
 		depth      = fs.Int("depth", 128, "maximum BMC unrolling depth")
 		maxK       = fs.Int("k", 24, "maximum k-induction depth")
 		gen        = fs.String("gen", "core+widen", "IC3 generalization: none | core | core+widen")
@@ -130,12 +129,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		// A Safe IC3 proof carries its invariant as a box certificate.
 		var invariant []string
-		if res.Verdict == engine.Safe {
-			cubes, _ := ic3icp.InvariantOf(res.Certificate)
-			for _, c := range cubes {
+		if cert := res.Certificate; res.Verdict == engine.Safe && cert != nil && cert.Kind == engine.CertBoxInvariant {
+			for _, c := range cert.Cubes {
 				invariant = append(invariant, c.String())
 			}
-			if *showInv && cubes != nil {
+			if *showInv {
 				fmt.Fprintln(stdout, "inductive invariant (negated blocked cubes, conjoined with prop):")
 				for _, c := range invariant {
 					fmt.Fprintf(stdout, "  !(%s)\n", c)

@@ -17,13 +17,14 @@ init x >= 0 and x <= 6
 trans x' = x / 2
 prop x <= 8
 `)
-	res, info := icpic3.CheckIC3Full(sys, icpic3.IC3Options{
+	res := icpic3.CheckIC3(sys, icpic3.IC3Options{
 		Budget: icpic3.Budget{Timeout: 30 * time.Second},
 	})
 	fmt.Println(res.Verdict)
-	fmt.Println("invariant cubes:", len(info.Invariant))
+	inv := res.Certificate.Cubes
+	fmt.Println("invariant cubes:", len(inv))
 	// independently certify the proof
-	fmt.Println("certified:", icpic3.VerifyInvariant(sys, info.Invariant) == nil)
+	fmt.Println("certified:", icpic3.VerifyInvariant(sys, inv) == nil)
 	// Output:
 	// safe
 	// invariant cubes: 1

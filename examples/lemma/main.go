@@ -39,11 +39,11 @@ func main() {
 	fmt.Print(model)
 	fmt.Println()
 
-	res, info := icpic3.CheckIC3Full(sys, icpic3.IC3Options{Budget: budget})
+	res := icpic3.CheckIC3(sys, icpic3.IC3Options{Budget: budget})
 	fmt.Printf("ic3-icp : %-8s in %v\n", res.Verdict, res.Runtime.Round(time.Millisecond))
 	if res.Verdict == icpic3.Safe {
 		fmt.Println("  learned lemmas (blocked cubes):")
-		for _, cube := range info.Invariant {
+		for _, cube := range res.Certificate.Cubes {
 			fmt.Printf("    not(%s)\n", cube)
 		}
 	}

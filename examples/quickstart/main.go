@@ -28,12 +28,12 @@ prop x <= 8
 
 	budget := icpic3.Budget{Timeout: 30 * time.Second}
 
-	res, info := icpic3.CheckIC3Full(sys, icpic3.IC3Options{Budget: budget})
+	res := icpic3.CheckIC3(sys, icpic3.IC3Options{Budget: budget})
 	fmt.Printf("ic3-icp : %-8s depth=%d  time=%v\n", res.Verdict, res.Depth,
 		res.Runtime.Round(time.Millisecond))
 	if res.Verdict == icpic3.Safe {
 		fmt.Println("  inductive invariant = prop AND the negation of:")
-		for _, cube := range info.Invariant {
+		for _, cube := range res.Certificate.Cubes {
 			fmt.Printf("    %s\n", cube)
 		}
 	}

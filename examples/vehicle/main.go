@@ -40,14 +40,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, info := icpic3.CheckIC3Full(sys, icpic3.IC3Options{Budget: budget})
+		res := icpic3.CheckIC3(sys, icpic3.IC3Options{Budget: budget})
 		fmt.Printf("%5g %6.1f %6g  %-8s %6d  %v\n",
-			tc.power, 10*math.Sqrt(tc.power), tc.bound, res.Verdict, info.Frames,
+			tc.power, 10*math.Sqrt(tc.power), tc.bound, res.Verdict, res.Stats["frames"],
 			res.Runtime.Round(time.Millisecond))
-		if res.Verdict == icpic3.Safe && len(info.Invariant) > 0 {
-			fmt.Printf("       invariant: prop AND not(%s)", info.Invariant[0])
-			if len(info.Invariant) > 1 {
-				fmt.Printf(" ... (%d cubes)", len(info.Invariant))
+		if inv := res.Certificate; res.Verdict == icpic3.Safe && len(inv.Cubes) > 0 {
+			fmt.Printf("       invariant: prop AND not(%s)", inv.Cubes[0])
+			if len(inv.Cubes) > 1 {
+				fmt.Printf(" ... (%d cubes)", len(inv.Cubes))
 			}
 			fmt.Println()
 		}

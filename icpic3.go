@@ -26,6 +26,7 @@ package icpic3
 import (
 	"icpic3/internal/aig"
 	"icpic3/internal/bmc"
+	"icpic3/internal/certify"
 	"icpic3/internal/engine"
 	"icpic3/internal/ic3bool"
 	"icpic3/internal/ic3icp"
@@ -34,9 +35,6 @@ import (
 	"icpic3/internal/runner"
 	"icpic3/internal/ts"
 )
-
-// icpOptions returns the default solver configuration used by the façade.
-func icpOptions() icp.Options { return icp.Options{} }
 
 // System is a symbolic transition system (see package-internal ts).
 type System = ts.System
@@ -63,7 +61,8 @@ func NewSimulator(sys *System, eps float64) *Simulator {
 type Witness = engine.Witness
 
 // NewWitness assembles a witness from a result; invariant strings may be
-// nil (they come from IC3Info.Invariant for Safe verdicts).
+// nil (for a Safe IC3 verdict they are the strings of its
+// Certificate.Cubes).
 func NewWitness(systemName string, res Result, invariant []string) Witness {
 	return engine.NewWitness(systemName, res, invariant)
 }
@@ -90,9 +89,6 @@ type Budget = engine.Budget
 // IC3Options configures the ICP-augmented IC3 engine.
 type IC3Options = ic3icp.Options
 
-// IC3Info carries IC3-specific output (invariant cubes, frame count).
-type IC3Info = ic3icp.Info
-
 // GenMode selects the IC3 generalization strategy (ablation knob).
 type GenMode = ic3icp.GenMode
 
@@ -107,22 +103,18 @@ const (
 )
 
 // CheckIC3 model-checks AG Prop with the ICP-augmented IC3 engine — the
-// paper's contribution.
+// paper's contribution.  A Safe result carries the inductive invariant
+// as res.Certificate.Cubes, and res.Stats["frames"] counts the frames.
 func CheckIC3(sys *System, opts IC3Options) Result { return ic3icp.Check(sys, opts) }
 
-// CheckIC3Full is CheckIC3 returning the invariant and frame detail.
-func CheckIC3Full(sys *System, opts IC3Options) (Result, *IC3Info) {
-	return ic3icp.CheckFull(sys, opts)
-}
-
 // InvariantCube is one blocked box of an IC3 invariant.
-type InvariantCube = ic3icp.Cube
+type InvariantCube = engine.Cube
 
 // VerifyInvariant independently certifies that Prop plus the negated cubes
 // form a safe inductive invariant of the system (sound UNSAT checks with
 // fresh solvers).  A nil return is a proof certificate.
 func VerifyInvariant(sys *System, invariant []InvariantCube) error {
-	return ic3icp.VerifyInvariant(sys, invariant, icpOptions())
+	return certify.BoxInvariant(sys, invariant, icp.Options{})
 }
 
 // BMCOptions configures the bounded model checking baseline.

@@ -20,11 +20,11 @@ prop x <= 8
 	}
 	budget := icpic3.Budget{Timeout: 30 * time.Second}
 
-	res, info := icpic3.CheckIC3Full(sys, icpic3.IC3Options{Budget: budget})
+	res := icpic3.CheckIC3(sys, icpic3.IC3Options{Budget: budget})
 	if res.Verdict != icpic3.Safe {
 		t.Fatalf("ic3: %v (%s)", res.Verdict, res.Note)
 	}
-	if len(info.Invariant) == 0 {
+	if len(res.Certificate.Cubes) == 0 {
 		t.Error("no invariant reported")
 	}
 	if r := icpic3.CheckKInduction(sys, icpic3.KInductionOptions{Budget: budget}); r.Verdict != icpic3.Safe {

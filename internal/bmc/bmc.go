@@ -22,7 +22,8 @@ import (
 type Options struct {
 	// MaxDepth bounds the unrolling depth (0 = 64).
 	MaxDepth int
-	// Solver configures the ICP solver (Eps defaults to 1e-5 here).
+	// Solver configures the ICP solver (Eps defaults to
+	// engine.DefaultEps here).
 	Solver icp.Options
 	// Budget bounds the run.
 	Budget engine.Budget
@@ -36,7 +37,7 @@ func (o Options) withDefaults() Options {
 		o.MaxDepth = 64
 	}
 	if o.Solver.Eps <= 0 {
-		o.Solver.Eps = 1e-5
+		o.Solver.Eps = engine.DefaultEps
 	}
 	return o
 }

@@ -13,10 +13,7 @@ import (
 	"errors"
 	"fmt"
 
-	"icpic3/internal/aig"
 	"icpic3/internal/engine"
-	"icpic3/internal/ic3bool"
-	"icpic3/internal/ic3icp"
 	"icpic3/internal/icp"
 	"icpic3/internal/kind"
 	"icpic3/internal/ts"
@@ -24,7 +21,8 @@ import (
 
 // Options configures a certification run.
 type Options struct {
-	// Eps is the ICP splitting width for invariant re-checking (0 = 1e-5).
+	// Eps is the ICP splitting width for invariant re-checking (0 =
+	// engine.DefaultEps).
 	Eps float64
 	// Budget bounds the re-check (zero value = unbounded); a budgeted-out
 	// check fails with a "certification undecided" error, never by
@@ -34,7 +32,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Eps <= 0 {
-		o.Eps = 1e-5
+		o.Eps = engine.DefaultEps
 	}
 	return o
 }
@@ -66,12 +64,8 @@ func Check(sys *ts.System, res engine.Result, opts Options) error {
 	}
 	switch cert.Kind {
 	case engine.CertBoxInvariant:
-		inv, err := ic3icp.InvariantOf(cert)
-		if err != nil {
-			return err
-		}
 		solver := icp.Options{Eps: opts.Eps, Stop: budget.Expired}
-		if err := ic3icp.VerifyInvariant(sys, inv, solver); err != nil {
+		if err := BoxInvariant(sys, cert.Cubes, solver); err != nil {
 			return fmt.Errorf("certify: %w", err)
 		}
 		return nil
@@ -99,17 +93,4 @@ func Check(sys *ts.System, res engine.Result, opts Options) error {
 		return nil
 	}
 	return fmt.Errorf("certify: unknown certificate kind %q", cert.Kind)
-}
-
-// CheckCircuit re-verifies a Safe result of the Boolean engine against
-// its circuit using a fresh SAT solver.
-func CheckCircuit(c *aig.Circuit, cert *engine.Certificate) error {
-	inv, err := ic3bool.InvariantOf(cert)
-	if err != nil {
-		return err
-	}
-	if err := ic3bool.VerifyInvariant(c, inv); err != nil {
-		return fmt.Errorf("certify: %w", err)
-	}
-	return nil
 }

@@ -1,13 +1,12 @@
-package certify
+package certify_test
 
 import (
 	"strings"
 	"testing"
 
-	"icpic3/internal/aig"
 	"icpic3/internal/bmc"
+	"icpic3/internal/certify"
 	"icpic3/internal/engine"
-	"icpic3/internal/ic3bool"
 	"icpic3/internal/ic3icp"
 	"icpic3/internal/kind"
 	"icpic3/internal/ts"
@@ -50,7 +49,7 @@ func TestCheckSafeIC3Certificate(t *testing.T) {
 	if res.Certificate.Kind != engine.CertBoxInvariant {
 		t.Fatalf("certificate kind = %q", res.Certificate.Kind)
 	}
-	if err := Check(sys, res, Options{}); err != nil {
+	if err := certify.Check(sys, res, certify.Options{}); err != nil {
 		t.Errorf("valid certificate rejected: %v", err)
 	}
 }
@@ -62,8 +61,8 @@ func TestCheckRejectsCorruptedCertificate(t *testing.T) {
 		t.Fatalf("verdict = %v (%s)", res.Verdict, res.Note)
 	}
 	// An empty cube blocks the whole state space, so Init ⊆ Inv must fail.
-	res.Certificate.Cubes = append(res.Certificate.Cubes, []engine.CertBound{})
-	if err := Check(sys, res, Options{}); err == nil {
+	res.Certificate.Cubes = append(res.Certificate.Cubes, engine.Cube{})
+	if err := certify.Check(sys, res, certify.Options{}); err == nil {
 		t.Error("corrupted certificate accepted")
 	}
 }
@@ -71,7 +70,7 @@ func TestCheckRejectsCorruptedCertificate(t *testing.T) {
 func TestCheckRejectsSafeWithoutCertificate(t *testing.T) {
 	sys := mustParse(t, safeSrc)
 	res := engine.Result{Verdict: engine.Safe}
-	if err := Check(sys, res, Options{}); err == nil {
+	if err := certify.Check(sys, res, certify.Options{}); err == nil {
 		t.Error("bare Safe verdict accepted without a certificate")
 	}
 }
@@ -82,7 +81,7 @@ func TestCheckUnsafeTraceReplay(t *testing.T) {
 	if res.Verdict != engine.Unsafe {
 		t.Fatalf("verdict = %v (%s)", res.Verdict, res.Note)
 	}
-	if err := Check(sys, res, Options{}); err != nil {
+	if err := certify.Check(sys, res, certify.Options{}); err != nil {
 		t.Errorf("genuine counterexample rejected: %v", err)
 	}
 	// Corrupt the trace: the replay must now fail.
@@ -93,12 +92,12 @@ func TestCheckUnsafeTraceReplay(t *testing.T) {
 		last[k] = v + 17
 	}
 	bad.Trace[len(bad.Trace)-1] = last
-	if err := Check(sys, bad, Options{}); err == nil {
+	if err := certify.Check(sys, bad, certify.Options{}); err == nil {
 		t.Error("corrupted trace accepted")
 	}
 	empty := res
 	empty.Trace = nil
-	if err := Check(sys, empty, Options{}); err == nil {
+	if err := certify.Check(sys, empty, certify.Options{}); err == nil {
 		t.Error("Unsafe without trace accepted")
 	}
 }
@@ -112,7 +111,7 @@ func TestCheckKInductionCertificate(t *testing.T) {
 	if res.Certificate == nil || res.Certificate.Kind != engine.CertKInduction {
 		t.Fatalf("certificate = %+v", res.Certificate)
 	}
-	if err := Check(sys, res, Options{}); err != nil {
+	if err := certify.Check(sys, res, certify.Options{}); err != nil {
 		t.Errorf("k-induction certificate rejected: %v", err)
 	}
 	// Claiming a smaller K than the real induction depth must fail
@@ -121,7 +120,7 @@ func TestCheckKInductionCertificate(t *testing.T) {
 	if res.Certificate.K > 0 {
 		shallow := res
 		shallow.Certificate = &engine.Certificate{Kind: engine.CertKInduction, K: 0}
-		if err := Check(sys, shallow, Options{}); err == nil {
+		if err := certify.Check(sys, shallow, certify.Options{}); err == nil {
 			t.Error("under-claimed induction depth accepted")
 		}
 	}
@@ -144,12 +143,12 @@ func TestCheckRejectsShallowKInduction(t *testing.T) {
 	if res.Verdict != engine.Safe || res.Certificate == nil || res.Certificate.K != 2 {
 		t.Fatalf("kind: %v at depth %d (%s), certificate %+v", res.Verdict, res.Depth, res.Note, res.Certificate)
 	}
-	if err := Check(sys, res, Options{}); err != nil {
+	if err := certify.Check(sys, res, certify.Options{}); err != nil {
 		t.Errorf("2-induction certificate rejected: %v", err)
 	}
 	shallow := res
 	shallow.Certificate = &engine.Certificate{Kind: engine.CertKInduction, K: 1}
-	if err := Check(sys, shallow, Options{}); err == nil {
+	if err := certify.Check(sys, shallow, certify.Options{}); err == nil {
 		t.Error("1-induction claim accepted for a property that is only 2-inductive")
 	}
 }
@@ -164,7 +163,7 @@ func TestCheckRejectsKInductionOnUnsafe(t *testing.T) {
 		Verdict:     engine.Safe,
 		Certificate: &engine.Certificate{Kind: engine.CertKInduction, K: 6},
 	}
-	err := Check(sys, forged, Options{})
+	err := certify.Check(sys, forged, certify.Options{})
 	if err == nil || !strings.Contains(err.Error(), "re-check: unsafe") {
 		t.Errorf("k-induction certificate on an unsafe system: err = %v", err)
 	}
@@ -172,7 +171,7 @@ func TestCheckRejectsKInductionOnUnsafe(t *testing.T) {
 
 func TestCheckUnknownPassesVacuously(t *testing.T) {
 	sys := mustParse(t, safeSrc)
-	if err := Check(sys, engine.Result{Verdict: engine.Unknown}, Options{}); err != nil {
+	if err := certify.Check(sys, engine.Result{Verdict: engine.Unknown}, certify.Options{}); err != nil {
 		t.Errorf("Unknown should certify vacuously: %v", err)
 	}
 }
@@ -183,24 +182,8 @@ func TestCheckUnknownCertificateKind(t *testing.T) {
 		Verdict:     engine.Safe,
 		Certificate: &engine.Certificate{Kind: "made-up"},
 	}
-	err := Check(sys, res, Options{})
+	err := certify.Check(sys, res, certify.Options{})
 	if err == nil || !strings.Contains(err.Error(), "made-up") {
 		t.Errorf("unknown certificate kind: err = %v", err)
-	}
-}
-
-func TestCheckCircuit(t *testing.T) {
-	c := aig.SafeCounter(4)
-	res := ic3bool.Check(c, ic3bool.Options{})
-	if res.Verdict != ic3bool.Safe {
-		t.Fatalf("verdict = %v", res.Verdict)
-	}
-	cert := res.Certificate()
-	if err := CheckCircuit(c, cert); err != nil {
-		t.Errorf("valid circuit certificate rejected: %v", err)
-	}
-	cert.Cubes = append(cert.Cubes, []engine.CertBound{})
-	if err := CheckCircuit(c, cert); err == nil {
-		t.Error("corrupted circuit certificate accepted")
 	}
 }

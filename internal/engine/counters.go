@@ -23,6 +23,8 @@ var Counters = [...]Counter{
 	{"pushSkippedTriggered", "push attempts skipped as dormant by triggered pushing", 0},
 	{"solverRebuilds", "frame-solver slack rebuilds (activation-var GC)", 0},
 	{"ctgBlocked", "counterexamples-to-generalization blocked", 0},
+	{"frames", "IC3 frames open when the run ended", 0},
+	{"obligations", "IC3 proof obligations popped from the queue", 0},
 	{"prefixKeptLevels", "assumption-prefix trail levels kept across Solve calls", 0},
 	{"trailEventsSaved", "trail events not redone thanks to prefix retention", 0},
 	{"consecCacheHits", "consecution queries served from the UNSAT memo", 0},

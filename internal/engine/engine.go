@@ -53,14 +53,15 @@ type Result struct {
 	Certificate *Certificate
 }
 
+// DefaultEps is the ICP splitting width every engine, the certifier and
+// the service use when a caller leaves ε zero.
+const DefaultEps = 1e-5
+
 // Certificate kinds.
 const (
 	// CertBoxInvariant: Cubes are interval boxes over the state variables;
 	// the inductive invariant is Prop ∧ ⋀_c ¬c (produced by ic3icp).
 	CertBoxInvariant = "box-invariant"
-	// CertBoolInvariant: Cubes are latch-literal cubes of a Boolean
-	// circuit, encoded as 0/1 bounds on variables "l<idx>" (ic3bool).
-	CertBoolInvariant = "bool-invariant"
 	// CertKInduction: the property is K-inductive (produced by kind).
 	CertKInduction = "k-induction"
 )
@@ -72,7 +73,7 @@ type Certificate struct {
 	// Kind is one of the Cert* constants.
 	Kind string `json:"kind"`
 	// Cubes holds the blocked cubes of an invariant certificate.
-	Cubes [][]CertBound `json:"cubes,omitempty"`
+	Cubes []Cube `json:"cubes,omitempty"`
 	// K is the induction depth of a CertKInduction certificate.
 	K int `json:"k,omitempty"`
 }
@@ -84,6 +85,36 @@ type CertBound struct {
 	Le     bool    `json:"le"` // true: Var <= B (< when Strict); false: Var >= B (>)
 	B      float64 `json:"b"`
 	Strict bool    `json:"strict,omitempty"`
+}
+
+func (b CertBound) String() string {
+	op := "<="
+	if b.Le {
+		if b.Strict {
+			op = "<"
+		}
+	} else {
+		op = ">="
+		if b.Strict {
+			op = ">"
+		}
+	}
+	return fmt.Sprintf("%s%s%g", b.Var, op, b.B)
+}
+
+// Cube is a box: a conjunction of bounds.  A box invariant is Prop ∧
+// ⋀_c ¬c over its cubes.
+type Cube []CertBound
+
+func (c Cube) String() string {
+	s := ""
+	for i, b := range c {
+		if i > 0 {
+			s += " & "
+		}
+		s += b.String()
+	}
+	return s
 }
 
 func (r Result) String() string {

@@ -58,3 +58,14 @@ func TestBudgetUnstartedWithTimeout(t *testing.T) {
 		t.Error("unstarted budget never expires")
 	}
 }
+
+func TestBoundAndCubeString(t *testing.T) {
+	b := CertBound{Var: "x", Le: true, B: 2}
+	if b.String() != "x<=2" {
+		t.Errorf("CertBound = %q", b.String())
+	}
+	c := Cube{{Var: "x", Le: false, B: 1}, {Var: "y", Le: true, B: 3}}
+	if c.String() != "x>=1 & y<=3" {
+		t.Errorf("Cube = %q", c.String())
+	}
+}

@@ -162,5 +162,5 @@ func CorruptResult(name string, res *Result) {
 	if res.Certificate == nil {
 		res.Certificate = &Certificate{Kind: CertBoxInvariant}
 	}
-	res.Certificate.Cubes = append(res.Certificate.Cubes, []CertBound{})
+	res.Certificate.Cubes = append(res.Certificate.Cubes, Cube{})
 }

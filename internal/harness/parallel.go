@@ -138,7 +138,7 @@ func FrameGrowth(instances []benchmarks.Instance, perRun time.Duration, workers 
 		res := runner.Check(in.Sys, runner.Spec{Engine: "ic3", Budget: engine.Budget{Timeout: perRun}})
 		out[i] = FramePoint{
 			Instance: in.Name,
-			Frames:   res.Depth,
+			Frames:   int(res.Stats["frames"]),
 			Cubes:    res.Stats["blockedCubes"],
 			Time:     res.Runtime,
 		}

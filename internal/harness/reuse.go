@@ -15,7 +15,6 @@ import (
 	"icpic3/internal/benchmarks"
 	"icpic3/internal/engine"
 	"icpic3/internal/expr"
-	"icpic3/internal/ic3icp"
 	"icpic3/internal/reuse"
 	"icpic3/internal/runner"
 	"icpic3/internal/ts"
@@ -125,20 +124,18 @@ func ReuseBench(instances []benchmarks.Instance, perRun time.Duration) (*ReuseRe
 	for _, w := range work {
 		pt := ReusePoint{Instance: w.name}
 		rep.Lookups++
-		var seeds []ic3icp.Cube
+		var seed *engine.Certificate
 		if m, ok := store.Lookup(w.mutated, 0); ok {
 			// a hit is "the store offered a certificate" — a proof that
 			// closed without learned clauses seeds nothing but still hits
 			pt.Hit = true
 			pt.Match = m.Describe()
 			rep.Hits++
-			if inv, err := ic3icp.InvariantOf(m.Entry.Cert); err == nil {
-				seeds = inv
-			}
+			seed = m.Entry.Cert
 		}
 		cold := runner.Check(w.mutated, runner.Spec{Engine: "ic3", Budget: engine.Budget{Timeout: perRun}})
 		seeded := runner.Check(w.mutated, runner.Spec{
-			Engine: "ic3", SeedClauses: seeds, Budget: engine.Budget{Timeout: perRun},
+			Engine: "ic3", Seed: seed, Budget: engine.Budget{Timeout: perRun},
 		})
 		pt.ColdVerdict, pt.SeededVerdict = cold.Verdict, seeded.Verdict
 		pt.ColdSec, pt.SeededSec = cold.Runtime.Seconds(), seeded.Runtime.Seconds()

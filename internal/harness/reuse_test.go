@@ -35,10 +35,7 @@ func TestReuseSeededVerdictIdentity(t *testing.T) {
 			if cold.Verdict != engine.Safe || cold.Certificate == nil {
 				return // no prior proof to reuse
 			}
-			seeds, err := ic3icp.InvariantOf(cold.Certificate)
-			if err != nil {
-				t.Fatal(err)
-			}
+			seeds := cold.Certificate.Cubes
 
 			// same system, seeded with its own proof
 			seeded := ic3icp.Check(in.Sys, ic3icp.Options{SeedClauses: seeds, Budget: budget()})
@@ -93,14 +90,11 @@ prop x <= 8
 	disarm := engine.InjectFault(sys.Name, engine.FaultBadCert)
 	engine.CorruptResult(sys.Name, &cold)
 	disarm()
-	seeds, err := ic3icp.InvariantOf(cold.Certificate)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seeds := cold.Certificate.Cubes
 	nCorrupt := 1 // the injected whole-state-space cube
 	seeds = append(seeds,
-		ic3icp.Cube{{Var: "gone", Le: true, B: 1}}, // variable that no longer exists
-		ic3icp.Cube{{Var: "x", Le: true, B: 9}},    // swallows Init
+		engine.Cube{{Var: "gone", Le: true, B: 1}}, // variable that no longer exists
+		engine.Cube{{Var: "x", Le: true, B: 9}},    // swallows Init
 	)
 	nCorrupt += 2
 
@@ -118,7 +112,7 @@ prop x <= 8
 
 	// a fully corrupted certificate (no genuine clause at all) must also
 	// drop everything and keep the verdict
-	allBad := []ic3icp.Cube{
+	allBad := []engine.Cube{
 		{{Var: "gone", Le: true, B: 1}},
 		{{Var: "x", Le: true, B: 9}},
 		{},

@@ -2,58 +2,10 @@ package ic3bool
 
 import (
 	"fmt"
-	"strconv"
 
 	"icpic3/internal/aig"
-	"icpic3/internal/engine"
 	"icpic3/internal/sat"
 )
-
-// Certificate packages the invariant of a Safe result in the
-// engine-neutral certificate form: each latch literal l<idx>=v becomes a
-// 0/1 bound on the variable "l<idx>".
-func (r Result) Certificate() *engine.Certificate {
-	if r.Verdict != Safe {
-		return nil
-	}
-	cert := &engine.Certificate{Kind: engine.CertBoolInvariant}
-	for _, cube := range r.Invariant {
-		bounds := make([]engine.CertBound, len(cube))
-		for i, l := range cube {
-			// l true  -> l<idx> >= 1;  l false -> l<idx> <= 0
-			bounds[i] = engine.CertBound{Var: "l" + strconv.Itoa(l.Idx), Le: !l.Val}
-			if l.Val {
-				bounds[i].B = 1
-			}
-		}
-		cert.Cubes = append(cert.Cubes, bounds)
-	}
-	return cert
-}
-
-// InvariantOf recovers the latch-cube clause set from a bool-invariant
-// certificate (the inverse of Result.Certificate).
-func InvariantOf(cert *engine.Certificate) ([]Cube, error) {
-	if cert == nil || cert.Kind != engine.CertBoolInvariant {
-		return nil, fmt.Errorf("ic3bool: not a %s certificate", engine.CertBoolInvariant)
-	}
-	inv := make([]Cube, len(cert.Cubes))
-	for i, bounds := range cert.Cubes {
-		c := make(Cube, len(bounds))
-		for j, b := range bounds {
-			if len(b.Var) < 2 || b.Var[0] != 'l' {
-				return nil, fmt.Errorf("ic3bool: certificate bound on non-latch variable %q", b.Var)
-			}
-			idx, err := strconv.Atoi(b.Var[1:])
-			if err != nil {
-				return nil, fmt.Errorf("ic3bool: certificate bound on non-latch variable %q", b.Var)
-			}
-			c[j] = LatchLit{Idx: idx, Val: !b.Le}
-		}
-		inv[i] = c
-	}
-	return inv, nil
-}
 
 // VerifyInvariant independently certifies a Safe verdict of the Boolean
 // engine: Inv = ¬Bad ∧ ⋀ ¬cube must contain the initial state and be

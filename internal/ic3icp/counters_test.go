@@ -10,7 +10,7 @@ import (
 )
 
 // TestCountersWrittenByEngine checks that this package writes every
-// engine.Counters key as a literal stats["<key>"].  CheckFull seeds each
+// engine.Counters key as a literal stats["<key>"].  Check seeds each
 // schema key with zero, so a key misspelt in the schema (or renamed
 // here) would otherwise show up as a present but silent zero.
 func TestCountersWrittenByEngine(t *testing.T) {

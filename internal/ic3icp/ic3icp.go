@@ -65,18 +65,19 @@ func (g GenMode) String() string {
 type Options struct {
 	// MaxFrames bounds the number of frames (0 = 200).
 	MaxFrames int
-	// Solver configures the underlying CDCL(ICP) solver (Eps default 1e-5).
+	// Solver configures the underlying CDCL(ICP) solver (Eps default
+	// engine.DefaultEps).
 	Solver icp.Options
 	// Generalize selects the generalization strategy (zero value
 	// GenCoreWiden).
 	Generalize GenMode
-	// SeedClauses are invariant clauses of a prior proof (typically a
-	// box-invariant certificate of a near-identical system, see
+	// SeedClauses are the cubes of a prior proof's box-invariant
+	// certificate (typically of a near-identical system, see
 	// internal/reuse).  Each cube is re-checked against this system's
 	// Init/Trans with fresh solvers before its negation is installed at
 	// F_1; clauses that are no longer inductive are dropped, so a stale
 	// or corrupted seed can slow a run but never change its verdict.
-	SeedClauses []Cube
+	SeedClauses []engine.Cube
 	// Budget bounds the run.
 	Budget engine.Budget
 	// Progress, when non-nil, receives a heartbeat tick per solver query
@@ -90,7 +91,7 @@ func (o Options) withDefaults() Options {
 		o.MaxFrames = 200
 	}
 	if o.Solver.Eps <= 0 {
-		o.Solver.Eps = 1e-5
+		o.Solver.Eps = engine.DefaultEps
 	}
 	return o
 }
@@ -102,53 +103,6 @@ const (
 	// maxObligations bounds the total proof obligations of a run.
 	maxObligations = 200_000
 )
-
-// Bound is one literal of a state cube, in terms of the system's variable
-// names.
-type Bound struct {
-	Var    string
-	Le     bool // true: Var <= B (or < B when Strict); false: Var >= B (> B)
-	B      float64
-	Strict bool
-}
-
-func (b Bound) String() string {
-	op := "<="
-	if b.Le {
-		if b.Strict {
-			op = "<"
-		}
-	} else {
-		op = ">="
-		if b.Strict {
-			op = ">"
-		}
-	}
-	return fmt.Sprintf("%s%s%g", b.Var, op, b.B)
-}
-
-// Cube is a box: a conjunction of bounds.
-type Cube []Bound
-
-func (c Cube) String() string {
-	s := ""
-	for i, b := range c {
-		if i > 0 {
-			s += " & "
-		}
-		s += b.String()
-	}
-	return s
-}
-
-// Info carries IC3-specific detail beyond the engine result.
-type Info struct {
-	// Invariant holds the blocked cubes of the invariant frame (Safe):
-	// the inductive invariant is Prop ∧ ∧_c ¬c over the variable ranges.
-	Invariant []Cube
-	// Frames is the number of frames at termination.
-	Frames int
-}
 
 // checker is the per-run state.
 type checker struct {
@@ -276,33 +230,22 @@ func (q *obQueue) Pop() interface{} {
 	return x
 }
 
-// Check model-checks AG Prop on the system.
+// Check model-checks AG Prop on the system.  A Safe result carries the
+// inductive invariant as its box-invariant Certificate.
 func Check(sys *ts.System, opts Options) engine.Result {
-	res, _ := CheckFull(sys, opts)
+	res, _ := checkWith(sys, opts, nil)
 	return res
 }
 
-// CheckFull is Check returning IC3-specific detail.
-func CheckFull(sys *ts.System, opts Options) (engine.Result, *Info) {
-	res, info, _ := checkFull(sys, opts)
-	return res, info
-}
-
-// checkFull is CheckFull also returning the finished checker (nil if the
+// checkWith is Check with a setup hook run on the built checker before
+// the search starts; it also returns the finished checker (nil if the
 // system did not validate), whose query solvers hold the run's solver
 // totals.
-func checkFull(sys *ts.System, opts Options) (engine.Result, *Info, *checker) {
-	return checkWith(sys, opts, nil)
-}
-
-// checkWith is checkFull with a setup hook run on the built checker
-// before the search starts.
-func checkWith(sys *ts.System, opts Options, setup func(*checker)) (engine.Result, *Info, *checker) {
+func checkWith(sys *ts.System, opts Options, setup func(*checker)) (engine.Result, *checker) {
 	opts = opts.withDefaults()
 	budget := opts.Budget.Start()
-	info := &Info{}
 	if err := sys.Validate(); err != nil {
-		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}, info, nil
+		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}, nil
 	}
 	userStop := opts.Solver.Stop
 	opts.Solver.Stop = func() bool {
@@ -317,12 +260,12 @@ func checkWith(sys *ts.System, opts Options, setup func(*checker)) (engine.Resul
 		ch.stats[c.Key] = 0
 	}
 	if err := ch.build(); err != nil {
-		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}, info, ch
+		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}, ch
 	}
 	if setup != nil {
 		setup(ch)
 	}
-	res := ch.run(info)
+	res := ch.run()
 	res.Runtime = budget.Elapsed()
 	// surface the query solvers' hot-path counters next to the IC3 ones
 	// (each solver's total carries what its earlier rebuilds absorbed)
@@ -340,41 +283,7 @@ func checkWith(sys *ts.System, opts Options, setup func(*checker)) (engine.Resul
 		ch.stats["infDecisions"] = ch.inf.total.Decisions
 	}
 	res.Stats = ch.stats
-	if res.Verdict == engine.Safe {
-		res.Certificate = CertificateOf(info.Invariant)
-	}
-	return res, info, ch
-}
-
-// CertificateOf packages an invariant clause set as an engine-neutral
-// certificate that internal/certify can re-check with fresh solvers.
-func CertificateOf(invariant []Cube) *engine.Certificate {
-	cert := &engine.Certificate{Kind: engine.CertBoxInvariant}
-	for _, c := range invariant {
-		bounds := make([]engine.CertBound, len(c))
-		for i, b := range c {
-			bounds[i] = engine.CertBound{Var: b.Var, Le: b.Le, B: b.B, Strict: b.Strict}
-		}
-		cert.Cubes = append(cert.Cubes, bounds)
-	}
-	return cert
-}
-
-// InvariantOf is the inverse of CertificateOf: it recovers the clause
-// set of a box-invariant certificate.
-func InvariantOf(cert *engine.Certificate) ([]Cube, error) {
-	if cert == nil || cert.Kind != engine.CertBoxInvariant {
-		return nil, fmt.Errorf("ic3icp: not a %s certificate", engine.CertBoxInvariant)
-	}
-	inv := make([]Cube, len(cert.Cubes))
-	for i, bounds := range cert.Cubes {
-		c := make(Cube, len(bounds))
-		for j, b := range bounds {
-			c[j] = Bound{Var: b.Var, Le: b.Le, B: b.B, Strict: b.Strict}
-		}
-		inv[i] = c
-	}
-	return inv, nil
+	return res, ch
 }
 
 // build compiles tnfMain with its main query solver and the three step-0
@@ -838,10 +747,10 @@ func (ch *checker) addBlockedCube(c icpCube, level int) {
 }
 
 // exportCube renders an icpCube with variable names.
-func (ch *checker) exportCube(c icpCube) Cube {
-	out := make(Cube, len(c))
+func (ch *checker) exportCube(c icpCube) engine.Cube {
+	out := make(engine.Cube, len(c))
 	for i, l := range c {
-		out[i] = Bound{Var: ch.sys.Vars[l.Var].Name, Le: l.Dir == tnf.DirLe, B: l.B, Strict: l.Strict}
+		out[i] = engine.CertBound{Var: ch.sys.Vars[l.Var].Name, Le: l.Dir == tnf.DirLe, B: l.B, Strict: l.Strict}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Var != out[j].Var {
@@ -852,8 +761,25 @@ func (ch *checker) exportCube(c icpCube) Cube {
 	return out
 }
 
+// safe is the Safe result at frame k.  Its certificate holds the cubes
+// blocked in frames, then the F_∞ cubes: their unguarded clauses take
+// part in every query, so they are conjuncts of the invariant too, and
+// without them the exported clause set need not be inductive on its own.
+func (ch *checker) safe(k int, frames [][]*frameCube) engine.Result {
+	cert := &engine.Certificate{Kind: engine.CertBoxInvariant}
+	for _, frame := range frames {
+		for _, fc := range frame {
+			cert.Cubes = append(cert.Cubes, ch.exportCube(fc.cube))
+		}
+	}
+	for _, c := range ch.infCubes {
+		cert.Cubes = append(cert.Cubes, ch.exportCube(c))
+	}
+	return engine.Result{Verdict: engine.Safe, Depth: k, Certificate: cert}
+}
+
 // run executes the main IC3 loop.
-func (ch *checker) run(info *Info) engine.Result {
+func (ch *checker) run() engine.Result {
 	// Compile the remaining tnf-level content FIRST and sync it, so that
 	// tnf variable ids and solver variable ids stay aligned; from here on
 	// new variables enter only through Solver.AddBoolVar (activation and
@@ -897,9 +823,9 @@ func (ch *checker) run(info *Info) engine.Result {
 	}
 
 	k := 1
+	defer func() { ch.stats["frames"] = int64(k) }()
 	for k < ch.opts.MaxFrames {
 		if ch.budget.Expired() {
-			info.Frames = k
 			return engine.Result{Verdict: engine.Unknown, Depth: k, Note: "timeout"}
 		}
 		// block all bad states in F_k.  Robustly violating states are
@@ -918,25 +844,18 @@ func (ch *checker) run(info *Info) engine.Result {
 				break
 			}
 			if r.Status == icp.StatusUnknown {
-				info.Frames = k
 				return engine.Result{Verdict: engine.Unknown, Depth: k, Note: "solver budget (bad query)"}
 			}
 			bad := ch.widenBadCube(ch.boxCube(r.Box, ch.curIDs))
 			root := &obligation{cube: bad, point: ch.sys.BoxState(r.Box, ch.curIDs, interval.Interval.Mid), frame: k, depth: 0}
 			verdict, res := ch.block(root, k)
 			if verdict != engine.Safe { // Unsafe or Unknown bubble up
-				info.Frames = k
-				res.Depth = max(res.Depth, 0)
 				return res
 			}
 			if ch.provedByInf {
 				// the F_∞ clauses alone exclude all violations: Prop plus
 				// their conjunction is a safe inductive invariant
-				for _, c := range ch.infCubes {
-					info.Invariant = append(info.Invariant, ch.exportCube(c))
-				}
-				info.Frames = k
-				return engine.Result{Verdict: engine.Safe, Depth: k}
+				return ch.safe(k, nil)
 			}
 		}
 
@@ -944,26 +863,11 @@ func (ch *checker) run(info *Info) engine.Result {
 		// clause, merged at a per-frame barrier in clause order (push.go).
 		ch.newFrame()
 		if i, fixed := ch.pushFrames(k); fixed {
-			// F_i == F_{i+1}: inductive invariant.  The unguarded F_∞
-			// clauses take part in every query, so they are conjuncts of
-			// the invariant too — without them the exported clause set
-			// need not be inductive on its own.
-			for j := i + 1; j < len(ch.frames); j++ {
-				for _, fc := range ch.frames[j] {
-					info.Invariant = append(info.Invariant, ch.exportCube(fc.cube))
-				}
-			}
-			for _, c := range ch.infCubes {
-				info.Invariant = append(info.Invariant, ch.exportCube(c))
-			}
-			info.Frames = k
-			ch.stats["frames"] = int64(k)
-			return engine.Result{Verdict: engine.Safe, Depth: k}
+			// F_i == F_{i+1}: inductive invariant
+			return ch.safe(k, ch.frames[i+1:])
 		}
 		k++
-		ch.stats["frames"] = int64(k)
 	}
-	info.Frames = k
 	return engine.Result{Verdict: engine.Unknown, Depth: k, Note: "frame budget"}
 }
 

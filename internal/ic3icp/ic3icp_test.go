@@ -19,9 +19,9 @@ func mustParse(t *testing.T, src string) *ts.System {
 
 // checkInvariantOnSamples verifies the reported invariant cubes are
 // disjoint from a sampled set of reachable states.
-func checkInvariantOnSamples(t *testing.T, sys *ts.System, info *Info, traces [][]ts.State) {
+func checkInvariantOnSamples(t *testing.T, sys *ts.System, res engine.Result, traces [][]ts.State) {
 	t.Helper()
-	inCube := func(st ts.State, c Cube) bool {
+	inCube := func(st ts.State, c engine.Cube) bool {
 		for _, b := range c {
 			v := st[b.Var]
 			if b.Le {
@@ -38,7 +38,7 @@ func checkInvariantOnSamples(t *testing.T, sys *ts.System, info *Info, traces []
 	}
 	for _, tr := range traces {
 		for _, st := range tr {
-			for _, c := range info.Invariant {
+			for _, c := range res.Certificate.Cubes {
 				if inCube(st, c) {
 					t.Errorf("reachable state %v inside blocked cube %v", st, c)
 				}
@@ -66,12 +66,12 @@ init x >= 0 and x <= 6
 trans x' = x / 2
 prop x <= 8
 `)
-	res, info := CheckFull(sys, Options{})
+	res := Check(sys, Options{})
 	if res.Verdict != engine.Safe {
 		t.Fatalf("verdict = %v (%s)", res.Verdict, res.Note)
 	}
 	tr := simulate(ts.State{"x": 6}, 10, func(s ts.State) ts.State { return ts.State{"x": s["x"] / 2} })
-	checkInvariantOnSamples(t, sys, info, [][]ts.State{tr})
+	checkInvariantOnSamples(t, sys, res, [][]ts.State{tr})
 }
 
 func TestUnsafeCounter(t *testing.T) {
@@ -116,14 +116,14 @@ init x >= 0.1 and x <= 0.4
 trans x' = 2.5 * x * (1 - x)
 prop x <= 0.9
 `)
-	res, info := CheckFull(sys, Options{})
+	res := Check(sys, Options{})
 	if res.Verdict != engine.Safe {
 		t.Fatalf("verdict = %v (%s)", res.Verdict, res.Note)
 	}
 	tr := simulate(ts.State{"x": 0.3}, 30, func(s ts.State) ts.State {
 		return ts.State{"x": 2.5 * s["x"] * (1 - s["x"])}
 	})
-	checkInvariantOnSamples(t, sys, info, [][]ts.State{tr})
+	checkInvariantOnSamples(t, sys, res, [][]ts.State{tr})
 }
 
 func TestNonlinearQuadUnsafe(t *testing.T) {
@@ -302,29 +302,18 @@ init x <= 1
 trans x' = x / 2
 prop x <= 9
 `)
-	res, info := CheckFull(sys, Options{})
+	res := Check(sys, Options{})
 	if res.Verdict != engine.Safe {
 		t.Fatalf("verdict = %v", res.Verdict)
 	}
 	if res.Stats["queries"] == 0 {
 		t.Errorf("stats = %v", res.Stats)
 	}
-	if info.Frames == 0 {
+	if res.Stats["frames"] == 0 {
 		t.Error("frames not recorded")
 	}
 	if res.Runtime <= 0 {
 		t.Error("runtime not recorded")
-	}
-}
-
-func TestBoundAndCubeString(t *testing.T) {
-	b := Bound{Var: "x", Le: true, B: 2}
-	if b.String() != "x<=2" {
-		t.Errorf("Bound = %q", b.String())
-	}
-	c := Cube{{Var: "x", Le: false, B: 1}, {Var: "y", Le: true, B: 3}}
-	if c.String() != "x>=1 & y<=3" {
-		t.Errorf("Cube = %q", c.String())
 	}
 }
 

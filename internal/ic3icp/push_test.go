@@ -10,7 +10,7 @@ import (
 	"icpic3/internal/ts"
 )
 
-// newTestChecker builds a checker the same way CheckFull does, stopping
+// newTestChecker builds a checker the same way Check does, stopping
 // before the main loop so tests can poke individual queries.
 func newTestChecker(t *testing.T, src string) *checker {
 	t.Helper()
@@ -194,15 +194,15 @@ func TestLearnedClauseDeterminismAcrossRuns(t *testing.T) {
 			type outcome struct {
 				verdict engine.Verdict
 				depth   int
-				inv     []Cube
+				inv     *engine.Certificate
 				trace   []ts.State
 				work    [4]int64
 			}
 			var ref outcome
 			for rep := 0; rep < 3; rep++ {
 				sys := mustParse(t, inst.src)
-				res, info := CheckFull(sys, Options{Budget: engine.Budget{Timeout: 30 * time.Second}})
-				got := outcome{res.Verdict, res.Depth, info.Invariant, res.Trace, workProfile(res.Stats)}
+				res := Check(sys, Options{Budget: engine.Budget{Timeout: 30 * time.Second}})
+				got := outcome{res.Verdict, res.Depth, res.Certificate, res.Trace, workProfile(res.Stats)}
 				if rep == 0 {
 					ref = got
 					skipped += got.work[1]

@@ -1,9 +1,12 @@
 package ic3icp
 
 import (
+	"encoding/json"
 	"testing"
 
+	"icpic3/internal/certify"
 	"icpic3/internal/engine"
+	"icpic3/internal/icp"
 	"icpic3/internal/ts"
 )
 
@@ -20,24 +23,25 @@ prop x <= 8
 // Safe.
 func TestSeedOwnProof(t *testing.T) {
 	sys := mustParse(t, decaySeedSrc)
-	cold, info := CheckFull(sys, Options{})
+	cold := Check(sys, Options{})
 	if cold.Verdict != engine.Safe {
 		t.Fatalf("cold verdict = %v (%s)", cold.Verdict, cold.Note)
 	}
-	if len(info.Invariant) == 0 {
+	inv := cold.Certificate.Cubes
+	if len(inv) == 0 {
 		t.Fatal("no invariant to seed from")
 	}
-	seeded, sinfo := CheckFull(sys, Options{SeedClauses: info.Invariant})
+	seeded := Check(sys, Options{SeedClauses: inv})
 	if seeded.Verdict != engine.Safe {
 		t.Fatalf("seeded verdict = %v (%s)", seeded.Verdict, seeded.Note)
 	}
 	if seeded.Stats["seedInstalled"] == 0 {
 		t.Errorf("own proof installed no clauses: stats = %v", seeded.Stats)
 	}
-	if got, want := seeded.Stats["seedCandidates"], int64(len(info.Invariant)); got != want {
+	if got, want := seeded.Stats["seedCandidates"], int64(len(inv)); got != want {
 		t.Errorf("seedCandidates = %d, want %d", got, want)
 	}
-	if err := VerifyInvariant(sys, sinfo.Invariant, Options{}.withDefaults().Solver); err != nil {
+	if err := certify.BoxInvariant(sys, seeded.Certificate.Cubes, icp.Options{}); err != nil {
 		t.Errorf("seeded invariant fails certification: %v", err)
 	}
 }
@@ -46,8 +50,8 @@ func TestSeedOwnProof(t *testing.T) {
 // with the original proof: the seeded verdict must match the cold one
 // and the resulting invariant must still hold on simulated runs.
 func TestSeedAfterEdit(t *testing.T) {
-	_, info := CheckFull(mustParse(t, decaySeedSrc), Options{})
-	if len(info.Invariant) == 0 {
+	inv := Check(mustParse(t, decaySeedSrc), Options{}).Certificate.Cubes
+	if len(inv) == 0 {
 		t.Fatal("no invariant to seed from")
 	}
 	edited := mustParse(t, `
@@ -58,7 +62,7 @@ trans x' = x / 2
 prop x <= 7.5
 `)
 	cold := Check(edited, Options{})
-	seeded, sinfo := CheckFull(edited, Options{SeedClauses: info.Invariant})
+	seeded := Check(edited, Options{SeedClauses: inv})
 	if seeded.Verdict != cold.Verdict {
 		t.Fatalf("seeded %v != cold %v (%s)", seeded.Verdict, cold.Verdict, seeded.Note)
 	}
@@ -66,7 +70,7 @@ prop x <= 7.5
 		t.Fatalf("edited decay should stay safe: %v (%s)", seeded.Verdict, seeded.Note)
 	}
 	tr := simulate(ts.State{"x": 6}, 10, func(s ts.State) ts.State { return ts.State{"x": s["x"] / 2} })
-	checkInvariantOnSamples(t, edited, sinfo, [][]ts.State{tr})
+	checkInvariantOnSamples(t, edited, seeded, [][]ts.State{tr})
 }
 
 // TestSeedCorruptedDropsAll feeds a corrupted certificate — unknown
@@ -80,7 +84,7 @@ init x >= 0 and x <= 0
 trans x' = x + 1
 prop x <= 200
 `)
-	seeds := []Cube{
+	seeds := []engine.Cube{
 		{{Var: "ghost", Le: true, B: 1}}, // unknown variable
 		{},                               // empty cube
 		{{Var: "x", Le: true, B: 100}},   // covers Init
@@ -110,7 +114,7 @@ init x >= 0 and x <= 0
 trans x' = x + 1
 prop x <= 200
 `)
-	seeds := []Cube{
+	seeds := []engine.Cube{
 		{{Var: "x", Le: false, B: 60}}, // inductive only while x >= 50 is blocked
 		{{Var: "x", Le: false, B: 50}}, // not inductive at all
 	}
@@ -139,7 +143,7 @@ prop x <= 5
 `)
 	// x >= 50 is init-disjoint and inductive relative to prop (x <= 5
 	// steps to x' <= 6 < 50), so it installs — and must change nothing.
-	seeded := Check(sys, Options{SeedClauses: []Cube{{{Var: "x", Le: false, B: 50}}}})
+	seeded := Check(sys, Options{SeedClauses: []engine.Cube{{{Var: "x", Le: false, B: 50}}}})
 	if seeded.Verdict != engine.Unsafe {
 		t.Fatalf("verdict = %v (%s)", seeded.Verdict, seeded.Note)
 	}
@@ -154,19 +158,23 @@ prop x <= 5
 	}
 }
 
-// TestSeedCertificateRoundtrip exercises the path the service uses:
-// certificate -> InvariantOf -> SeedClauses.
+// TestSeedCertificateRoundtrip exercises the path the service uses: a
+// stored certificate's JSON, read back, seeds the run.
 func TestSeedCertificateRoundtrip(t *testing.T) {
 	sys := mustParse(t, decaySeedSrc)
 	cold := Check(sys, Options{})
 	if cold.Verdict != engine.Safe || cold.Certificate == nil {
 		t.Fatalf("cold = %v cert=%v", cold.Verdict, cold.Certificate)
 	}
-	inv, err := InvariantOf(cold.Certificate)
+	data, err := json.Marshal(cold.Certificate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded := Check(sys, Options{SeedClauses: inv})
+	var stored engine.Certificate
+	if err := json.Unmarshal(data, &stored); err != nil {
+		t.Fatal(err)
+	}
+	seeded := Check(sys, Options{SeedClauses: stored.Cubes})
 	if seeded.Verdict != engine.Safe {
 		t.Fatalf("seeded verdict = %v (%s)", seeded.Verdict, seeded.Note)
 	}

@@ -149,7 +149,7 @@ func (ch *checker) appendOp(op durableOp) {
 // the query is ¬c ∧ T ∧ c' under the F_∞ clauses alone).  ¬c goes in
 // under a one-shot .tmp activation variable that is retired after the
 // solve; a solver that has retired its slack is rebuilt first (its
-// counters are absorbed and a main rebuild counted, so CheckFull
+// counters are absorbed and a main rebuild counted, so Check
 // reports totals across rebuilds).  A non-nil accept may end a
 // satisfiable query early (icp.Solver.SolveAccept).  The primed cube
 // literals are returned for core extraction: a scratch buffer, valid

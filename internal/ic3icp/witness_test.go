@@ -110,7 +110,7 @@ trans n' = min(2 * n, 64)
 prop n <= 64
 `} {
 		sys := mustParse(t, src)
-		res, _, ch := checkFull(sys, Options{Budget: engine.Budget{Timeout: 30 * time.Second}})
+		res, ch := checkWith(sys, Options{Budget: engine.Budget{Timeout: 30 * time.Second}}, nil)
 		if ch.stepper != nil || res.Stats["infAccepted"] != 0 {
 			t.Errorf("%s: stepper %v, infAccepted %d; want none", sys.Name, ch.stepper != nil, res.Stats["infAccepted"])
 		}
@@ -175,7 +175,7 @@ func TestProbeExitSameAnswers(t *testing.T) {
 				}
 			}
 		}
-		res, _, _ := checkWith(in.Sys, Options{Budget: engine.Budget{Timeout: time.Minute}}, setup)
+		res, _ := checkWith(in.Sys, Options{Budget: engine.Budget{Timeout: time.Minute}}, setup)
 		if res.Verdict != in.Expected {
 			t.Errorf("%s: verdict %v, want %v", in.Name, res.Verdict, in.Expected)
 		}

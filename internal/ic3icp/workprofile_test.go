@@ -48,7 +48,7 @@ func TestWorkProfileGolden(t *testing.T) {
 	for _, c := range cases {
 		// the budget only guards against a hang: both runs take well
 		// under a second, and a run cut by it fails the verdict check
-		res, _, ch := checkFull(c.in.Sys, Options{Budget: engine.Budget{Timeout: time.Minute}})
+		res, ch := checkWith(c.in.Sys, Options{Budget: engine.Budget{Timeout: time.Minute}}, nil)
 		if ch == nil {
 			t.Fatalf("%s: %s", c.in.Name, res.Note)
 		}

@@ -58,7 +58,9 @@ type Result struct {
 // Options configures the solver.
 type Options struct {
 	// Eps is the minimal splitting width: real variables with domains no
-	// wider than Eps are not split further.  Default 1e-4.
+	// wider than Eps are not split further.  Default 1e-4; the engines,
+	// the certifier and the service override it with their own default,
+	// engine.DefaultEps.
 	Eps float64
 	// Stop, when non-nil, is polled periodically during Solve; returning
 	// true aborts the search with StatusUnknown (used for wall-clock

@@ -21,7 +21,8 @@ import (
 type Options struct {
 	// MaxK bounds the induction depth (0 = 16).
 	MaxK int
-	// Solver configures the ICP solver (Eps defaults to 1e-5).
+	// Solver configures the ICP solver (Eps defaults to
+	// engine.DefaultEps).
 	Solver icp.Options
 	// SeedK, when > 0, is a prior proof's induction depth (see
 	// internal/reuse): step-case queries below it are skipped, since a
@@ -42,7 +43,7 @@ func (o Options) withDefaults() Options {
 		o.MaxK = 16
 	}
 	if o.Solver.Eps <= 0 {
-		o.Solver.Eps = 1e-5
+		o.Solver.Eps = engine.DefaultEps
 	}
 	return o
 }

@@ -1,6 +1,7 @@
 package reuse
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,7 +10,7 @@ import (
 )
 
 func boxCert(bounds ...engine.CertBound) *engine.Certificate {
-	return &engine.Certificate{Kind: engine.CertBoxInvariant, Cubes: [][]engine.CertBound{bounds}}
+	return &engine.Certificate{Kind: engine.CertBoxInvariant, Cubes: []engine.Cube{bounds}}
 }
 
 func TestStoreExactHit(t *testing.T) {
@@ -179,5 +180,53 @@ prop x <= 8.25
 	}
 	if got := s.Hashes(); len(got) != 1 || got[0] != b.Hash() {
 		t.Errorf("hashes = %v", got)
+	}
+}
+
+// savedEntry is a certificate file in the format the store writes.
+// Files already on disk must keep loading, so the format is pinned byte
+// for byte.
+const savedEntry = `{
+  "hash": "88ccf3df37ebda4633f1a9478291748004ef56b54edf0d3cae2d67fa39dee8ec",
+  "source": "system decay\nvar x : real [0, 10]\ninit ((x \u003e= 0) and (x \u003c= 6))\ntrans (x' = (x / 2))\nprop (x \u003c= 8)\n",
+  "engine": "ic3",
+  "depth": 1,
+  "certificate": {
+    "kind": "box-invariant",
+    "cubes": [
+      [
+        {
+          "var": "x",
+          "le": false,
+          "b": 6.005410725753752
+        }
+      ]
+    ]
+  }
+}`
+
+func TestStoreLoadsSavedEntry(t *testing.T) {
+	dir := t.TempDir()
+	sys := mustParse(t, decaySrc)
+	if err := os.WriteFile(filepath.Join(dir, sys.Hash()+".json"), []byte(savedEntry), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := s.Get(sys.Hash())
+	if !ok || e.Cert == nil || len(e.Cert.Cubes) != 1 {
+		t.Fatalf("saved entry = %+v ok=%v", e, ok)
+	}
+	if got, want := e.Cert.Cubes[0].String(), "x>=6.005410725753752"; got != want {
+		t.Errorf("cube = %s, want %s", got, want)
+	}
+	b, err := json.MarshalIndent(e, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != savedEntry {
+		t.Errorf("entry re-encodes as\n%s\nwant\n%s", b, savedEntry)
 	}
 }

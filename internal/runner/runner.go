@@ -41,11 +41,10 @@ type Spec struct {
 	// Progress, when non-nil, receives the engine's heartbeat; the
 	// portfolio shares it with every member.
 	Progress *engine.Progress
-	// SeedClauses are a prior proof's invariant clauses for IC3 (see
-	// internal/reuse); each is re-checked before use.
-	SeedClauses []ic3icp.Cube
-	// SeedK is a prior proof's induction depth for k-induction.
-	SeedK int
+	// Seed is a prior proof's certificate (see internal/reuse): IC3
+	// starts from the cubes of a box invariant, each re-checked before
+	// use, and k-induction from the depth of a k-induction proof.
+	Seed *engine.Certificate
 }
 
 // Engine is one row of the engine table.
@@ -121,11 +120,14 @@ func checkIC3(sys *ts.System, s Spec) engine.Result {
 	if err != nil {
 		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}
 	}
-	return ic3icp.Check(sys, ic3icp.Options{
-		Solver:      icp.Options{Eps: s.Eps},
-		Generalize:  gen,
-		SeedClauses: s.SeedClauses, Budget: s.Budget, Progress: s.Progress,
-	})
+	opts := ic3icp.Options{
+		Solver: icp.Options{Eps: s.Eps}, Generalize: gen,
+		Budget: s.Budget, Progress: s.Progress,
+	}
+	if s.Seed != nil && s.Seed.Kind == engine.CertBoxInvariant {
+		opts.SeedClauses = s.Seed.Cubes
+	}
+	return ic3icp.Check(sys, opts)
 }
 
 func checkBMC(sys *ts.System, s Spec) engine.Result {
@@ -136,10 +138,14 @@ func checkBMC(sys *ts.System, s Spec) engine.Result {
 }
 
 func checkKind(sys *ts.System, s Spec) engine.Result {
-	return kind.Check(sys, kind.Options{
-		MaxK: s.MaxK, Solver: icp.Options{Eps: s.Eps}, SeedK: s.SeedK,
+	opts := kind.Options{
+		MaxK: s.MaxK, Solver: icp.Options{Eps: s.Eps},
 		Budget: s.Budget, Progress: s.Progress,
-	})
+	}
+	if s.Seed != nil && s.Seed.Kind == engine.CertKInduction {
+		opts.SeedK = s.Seed.K
+	}
+	return kind.Check(sys, opts)
 }
 
 // checkPortfolio runs every member concurrently over the same spec and

@@ -2,54 +2,37 @@ package service
 
 import (
 	"icpic3/internal/engine"
-	"icpic3/internal/ic3icp"
 	"icpic3/internal/reuse"
 )
 
-// seedHints carries what a prior certificate contributes to a new run:
-// invariant clauses for IC3 frame seeding and a proven induction depth
-// for k-induction.  The zero value means "run cold".
-type seedHints struct {
-	invariant []ic3icp.Cube // prior box-invariant clauses (re-checked by the engine)
-	k         int           // prior k-induction depth (step cases below it are skipped)
-	desc      string        // human-readable match description for logs/status
-}
-
-func (h seedHints) empty() bool { return len(h.invariant) == 0 && h.k == 0 }
-
 // lookupSeed consults the certificate store for the closest prior proof
-// of the job's system and converts it into engine hints.  Only engines
-// that can consume a hint trigger a lookup (BMC cannot), so the
-// hit-rate metric measures reusable traffic, not all traffic.
-func (s *Service) lookupSeed(jb *job) seedHints {
+// of the job's system.  It returns the stored certificate, which the
+// runner hands to the engine that can start from it (IC3 takes a box
+// invariant's cubes, k-induction a proof's depth), and a description of
+// the match; nil means "run cold".  Only engines that can consume a
+// seed trigger a lookup (BMC cannot), so the hit-rate metric measures
+// reusable traffic, not all traffic.
+func (s *Service) lookupSeed(jb *job) (*engine.Certificate, string) {
 	if s.store == nil || jb.req.Engine == "bmc" {
-		return seedHints{}
+		return nil, ""
 	}
 	s.metrics.incReuseLookup()
 	m, ok := s.store.Lookup(jb.sys, s.cfg.ReuseMaxDist)
 	if !ok {
-		return seedHints{}
+		return nil, ""
 	}
-	hints := seedHints{desc: m.Describe()}
-	if m.Entry.Cert != nil {
-		switch m.Entry.Cert.Kind {
-		case engine.CertBoxInvariant:
-			if inv, err := ic3icp.InvariantOf(m.Entry.Cert); err == nil {
-				hints.invariant = inv
-			}
-		case engine.CertKInduction:
-			hints.k = m.Entry.Cert.K
-		}
-	}
-	if hints.empty() {
-		// a certificate kind the engines cannot seed from (e.g. a trivial
-		// bool invariant): not a usable hit
-		return seedHints{}
+	cert := m.Entry.Cert
+	if cert == nil || !(cert.Kind == engine.CertBoxInvariant && len(cert.Cubes) > 0 ||
+		cert.Kind == engine.CertKInduction && cert.K != 0) {
+		// nothing the engines can start from (a box invariant without
+		// cubes): not a usable hit
+		return nil, ""
 	}
 	s.metrics.incReuseHit()
+	desc := m.Describe()
 	s.logf("job %s: reuse hit %s from %s (%d clauses, k=%d)",
-		jb.id, hints.desc, m.Entry.Engine, len(hints.invariant), hints.k)
-	return hints
+		jb.id, desc, m.Entry.Engine, len(cert.Cubes), cert.K)
+	return cert, desc
 }
 
 // storeCertificate records a certified Safe result for future reuse.

@@ -138,7 +138,7 @@ type Request struct {
 	// Timeout is the per-job budget, clamped to Config.MaxTimeout
 	// (0 = Config.DefaultTimeout).
 	Timeout time.Duration `json:"-"`
-	// Eps is the ICP splitting width (0 = 1e-5).
+	// Eps is the ICP splitting width (0 = engine.DefaultEps).
 	Eps float64 `json:"eps,omitempty"`
 	// MaxDepth bounds BMC unrolling (0 = 128).
 	MaxDepth int `json:"max_depth,omitempty"`
@@ -166,7 +166,7 @@ func (r Request) normalize(cfg Config) (Request, error) {
 	}
 	r.Generalize = gen.String()
 	if r.Eps <= 0 {
-		r.Eps = 1e-5
+		r.Eps = engine.DefaultEps
 	}
 	if r.MaxDepth <= 0 {
 		r.MaxDepth = 128

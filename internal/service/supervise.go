@@ -36,13 +36,13 @@ type supervision struct {
 // Called without mu; only reads the job fields fixed at submission.
 func (s *Service) runSupervised(jb *job) (engine.Result, supervision) {
 	sup := supervision{engineUsed: jb.req.Engine}
-	hints := s.lookupSeed(jb)
-	sup.reused = hints.desc
+	seed, reused := s.lookupSeed(jb)
+	sup.reused = reused
 	backoff := s.cfg.RetryBackoff
 	var res engine.Result
 	for {
 		sup.attempts++
-		res = s.runAttempt(jb, sup.engineUsed, hints)
+		res = s.runAttempt(jb, sup.engineUsed, seed)
 		panicked := engine.Panicked(res)
 		stalled := res.Stats != nil && res.Stats["stalled"] > 0
 		switch {
@@ -85,7 +85,7 @@ func (s *Service) runSupervised(jb *job) (engine.Result, supervision) {
 
 // runAttempt runs one guarded, watchdog-supervised engine attempt.  A
 // stalled attempt comes back as Unknown with Stats["stalled"] = 1.
-func (s *Service) runAttempt(jb *job, engineName string, hints seedHints) engine.Result {
+func (s *Service) runAttempt(jb *job, engineName string, seed *engine.Certificate) engine.Result {
 	req := jb.req
 	prog := &engine.Progress{}
 
@@ -149,8 +149,7 @@ func (s *Service) runAttempt(jb *job, engineName string, hints seedHints) engine
 		engine.FireFault(jb.sys.Name, budget)
 		return runner.Check(jb.sys, runner.Spec{
 			Engine: engineName, Eps: req.Eps, MaxDepth: req.MaxDepth, MaxK: req.MaxK,
-			Generalize: req.Generalize, Budget: budget, Progress: prog,
-			SeedClauses: hints.invariant, SeedK: hints.k,
+			Generalize: req.Generalize, Budget: budget, Progress: prog, Seed: seed,
 		})
 	})
 	close(watchStop)

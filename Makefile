@@ -18,9 +18,13 @@ test:
 # The race detector over everything is slow; focus it on the packages
 # with real concurrency (service, the runner's portfolio, harness)
 # plus their substrate.  Add packages here when they grow goroutines.
-# ic3icp is left out: it spawns no goroutines.
+# ic3icp is left out: it spawns no goroutines.  The second line repeats
+# the supervision paths (stall heartbeat, panics, cancellation, shutdown,
+# the portfolio, budget signals) three times, since their timing varies
+# from run to run.
 test-race:
 	$(GO) test -race ./internal/service/... ./internal/runner/... ./internal/engine/... ./internal/certify/... ./internal/harness/... ./internal/icp/...
+	$(GO) test -race -count=3 -run 'Stall|Panic|Cancel|Shutdown|Portfolio|Budget' ./internal/service ./internal/runner ./internal/engine
 
 # Machine-readable perf snapshot: runs the suite at workers=1 and
 # workers=GOMAXPROCS and writes BENCH_<date>.json (see EXPERIMENTS.md).

@@ -1,8 +1,8 @@
 // Package budgetloop flags unbounded `for {}` loops in the engine
 // packages with an iteration cycle that neither publishes progress nor
-// makes bounded descent toward an exit.  The stall watchdog
-// (internal/service) distinguishes slow-but-alive runs from wedged ones
-// purely by sampling engine.Progress, and cooperative cancellation only
+// makes bounded descent toward an exit.  A budget's stall heartbeat
+// (internal/engine) tells slow-but-alive runs from wedged ones purely by
+// the engine's Budget.Tick calls, and cooperative cancellation only
 // works if long loops poll engine.Budget or the solver Stop hook — a
 // loop that can cycle forever without either is invisible to
 // supervision and unkillable without process death.
@@ -11,8 +11,8 @@
 // accepted only if every cycle through its header crosses a *breaking
 // block*, which is one of
 //
-//   - a block containing a supervision poll (Progress.Tick,
-//     Budget.Expired/Cancelled, a Stop-hook call — directly or through
+//   - a block containing a supervision poll (Budget.Tick,
+//     Budget.Expired, a Stop-hook call — directly or through
 //     same-package helpers);
 //   - a bounded-descent step: an increment/decrement or +=/-= of a
 //     variable that some exit guard of the loop tests — so the cycle
@@ -51,7 +51,7 @@ var Scope = []string{
 
 var Analyzer = &analysis.Analyzer{
 	Name: "budgetloop",
-	Doc:  "flags unbounded engine loops with an iteration cycle that neither ticks Progress, polls Budget/Stop, nor descends toward an exit",
+	Doc:  "flags unbounded engine loops with an iteration cycle that neither ticks nor polls the Budget, polls a Stop hook, nor descends toward an exit",
 	Run:  run,
 }
 
@@ -96,7 +96,7 @@ func checkGraph(pass *analysis.Pass, idx analysis.FuncIndex, g *cfg.Graph) {
 		}
 		breaking := breakingBlocks(pass, idx, g, scc)
 		if hasUnbrokenCycle(g, h, scc, breaking) {
-			pass.Reportf(loop.Pos(), "unbounded for loop has an iteration cycle with no Progress.Tick, Budget.Expired/Cancelled, Stop-hook poll, or bounded descent toward an exit; it is invisible to the stall watchdog")
+			pass.Reportf(loop.Pos(), "unbounded for loop has an iteration cycle with no Budget.Tick, Budget.Expired, Stop-hook poll, or bounded descent toward an exit; it is invisible to the stall heartbeat")
 		}
 	}
 }
@@ -305,14 +305,13 @@ func hasUnbrokenCycle(g *cfg.Graph, h *cfg.Block, scc, breaking map[int]bool) bo
 }
 
 // isSupervisionPoll recognizes the calls that make a loop supervisable:
-// (*engine.Progress).Tick, engine.Budget.Expired / Cancelled, or
-// invoking a func-typed value named Stop (the solver stop hook shared
-// by internal/icp and internal/sat options).
+// engine.Budget.Tick / Expired, or invoking a func-typed value named
+// Stop (the solver stop hook shared by internal/icp and internal/sat
+// options).
 func isSupervisionPoll(info *types.Info, call *ast.CallExpr) bool {
 	if obj := analysis.CalleeObject(info, call); obj != nil {
 		if analysis.IsPkgFunc(obj, "internal/engine", "Tick") ||
-			analysis.IsPkgFunc(obj, "internal/engine", "Expired") ||
-			analysis.IsPkgFunc(obj, "internal/engine", "Cancelled") {
+			analysis.IsPkgFunc(obj, "internal/engine", "Expired") {
 			return true
 		}
 	}

@@ -1,7 +1,7 @@
 // Fixture for budgetloop: unbounded engine loops must, on every
-// iteration cycle, tick Progress, poll Budget or a Stop hook, or make
+// iteration cycle, tick or poll the Budget, poll a Stop hook, or make
 // bounded descent toward an exit; anything else is invisible to the
-// stall watchdog.
+// stall heartbeat.
 package ic3icp
 
 import "icpic3/internal/engine"
@@ -11,16 +11,15 @@ type options struct {
 }
 
 type checker struct {
-	prog   *engine.Progress
 	budget engine.Budget
 	opts   options
 	n      int
 }
 
-func (ch *checker) tick() { ch.prog.Tick() }
+func (ch *checker) tick() { ch.budget.Tick() }
 
 func (ch *checker) blind() {
-	for { // want `unbounded for loop has an iteration cycle with no Progress\.Tick`
+	for { // want `unbounded for loop has an iteration cycle with no Budget\.Tick`
 		ch.n++
 		if ch.n > 100 {
 			return
@@ -30,7 +29,7 @@ func (ch *checker) blind() {
 
 func (ch *checker) ticking() {
 	for {
-		ch.prog.Tick()
+		ch.budget.Tick()
 		if ch.n > 100 {
 			return
 		}
@@ -39,7 +38,7 @@ func (ch *checker) ticking() {
 
 func (ch *checker) viaHelper() {
 	for {
-		ch.tick() // transitively reaches Progress.Tick
+		ch.tick() // transitively reaches Budget.Tick
 		if ch.n > 100 {
 			return
 		}

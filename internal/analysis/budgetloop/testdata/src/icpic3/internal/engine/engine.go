@@ -2,15 +2,8 @@
 // fixtures.
 package engine
 
-type Progress struct{ n int64 }
-
-func (p *Progress) Tick() {
-	if p != nil {
-		p.n++
-	}
-}
-
 type Budget struct{ used bool }
 
-func (b Budget) Expired() bool   { return b.used }
-func (b Budget) Cancelled() bool { return b.used }
+func (b Budget) Tick() {}
+
+func (b Budget) Expired() bool { return b.used }

@@ -1,16 +1,6 @@
 // Package releasetrack flags resources acquired on a path but not
-// released on every control-flow exit — the goroutine-leak class PR 7
-// fixed in the attempt supervisor.  Three shapes are checked:
-//
-//   - chained engine.Budget cancellation: Budget.WithDone (and
-//     WithContext, which wraps it) merges an existing done channel with
-//     the new one by parking a goroutine on both; chaining
-//     `.WithDone(a).WithDone(b)` therefore leaks one goroutine per call
-//     for every run that is neither cancelled nor stalled.  The merge
-//     is the documented cost of composing budgets dynamically — a
-//     chained call in a single expression is always a bug (build one
-//     merged channel by hand and release it when the work returns, as
-//     internal/service.runAttempt does);
+// released on every control-flow exit — the goroutine-leak class once
+// found in the attempt supervisor.  Two shapes are checked:
 //
 //   - time.NewTicker / time.NewTimer: the returned value must reach a
 //     `.Stop()` on every normal exit path (a `defer x.Stop()` counts,
@@ -24,7 +14,7 @@
 //     goroutine forever.  Channels the function itself receives from
 //     are exempt (there the goroutine is the closer, not the waiter).
 //
-// The last two are backward must-release dataflow problems over the
+// Both are backward must-release dataflow problems over the
 // function's CFG: a release fact flows from the exits toward the
 // acquisition site, intersecting at branch points, and the acquisition
 // is reported when some path to exit lacks the release.
@@ -48,14 +38,6 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		// chained-cancellation is expression-shaped, not flow-shaped:
-		// check it over the whole file including function literals
-		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				checkChainedMerge(pass, call)
-			}
-			return true
-		})
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -73,40 +55,6 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 	return nil
-}
-
-// budgetMergeMethod reports whether the call is engine.Budget.WithDone
-// or WithContext (the latter delegates to the former).
-func budgetMergeMethod(pass *analysis.Pass, call *ast.CallExpr) bool {
-	obj := analysis.CalleeObject(pass.TypesInfo, call)
-	if obj == nil || (obj.Name() != "WithDone" && obj.Name() != "WithContext") {
-		return false
-	}
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	pkgPath, name := analysis.NamedTypeOrigin(sig.Recv().Type())
-	return name == "Budget" && analysis.PathMatches(pkgPath, "internal/engine")
-}
-
-// checkChainedMerge flags x.WithDone(a).WithDone(b)-shaped expressions.
-func checkChainedMerge(pass *analysis.Pass, call *ast.CallExpr) {
-	if !budgetMergeMethod(pass, call) {
-		return
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	inner, ok := ast.Unparen(sel.X).(*ast.CallExpr)
-	if !ok || !budgetMergeMethod(pass, inner) {
-		return
-	}
-	pass.Reportf(call.Pos(),
-		"chained Budget cancellation (%s after %s) parks a merge goroutine on two channels that may never fire, leaking one goroutine per run; merge the signals into one channel released when the work returns",
-		ast.Unparen(call.Fun).(*ast.SelectorExpr).Sel.Name,
-		ast.Unparen(inner.Fun).(*ast.SelectorExpr).Sel.Name)
 }
 
 // acquisition is one tracked resource: the variable it is bound to, the

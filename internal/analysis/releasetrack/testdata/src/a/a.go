@@ -1,47 +1,12 @@
-// Package a exercises the releasetrack analyzer: chained Budget
-// cancellation, unstopped tickers, and goroutine-waiter channels not
-// closed on every exit path.
+// Package a exercises the releasetrack analyzer: unstopped tickers and
+// goroutine-waiter channels not closed on every exit path.
 package a
 
 import (
-	"context"
 	"time"
 
 	"icpic3/internal/engine"
 )
-
-// --- chained Budget cancellation (the PR 7 leak shape) ---
-
-func chained(cancel, stalled <-chan struct{}) engine.Budget {
-	return engine.Budget{Timeout: 1}.WithDone(cancel).WithDone(stalled) // want `chained Budget cancellation`
-}
-
-func chainedCtx(ctx context.Context, cancel <-chan struct{}) engine.Budget {
-	return engine.Budget{Timeout: 1}.WithDone(cancel).WithContext(ctx) // want `chained Budget cancellation`
-}
-
-func single(cancel <-chan struct{}) engine.Budget {
-	return engine.Budget{Timeout: 1}.WithDone(cancel).Start() // one merge: fine
-}
-
-// mergedByHand is the correct shape: one channel fed by a goroutine
-// that is released when the attempt returns.
-func mergedByHand(cancel, stalled <-chan struct{}) engine.Budget {
-	abort := make(chan struct{})
-	attemptDone := make(chan struct{})
-	go func() {
-		select {
-		case <-cancel:
-			close(abort)
-		case <-stalled:
-			close(abort)
-		case <-attemptDone:
-		}
-	}()
-	b := engine.Budget{Timeout: 1}.WithDone(abort).Start()
-	close(attemptDone)
-	return b
-}
 
 // --- tickers and timers ---
 
@@ -121,6 +86,26 @@ func waiterSkippedOnBranch(p bool) {
 		return // the goroutine parks on done forever
 	}
 	close(done)
+}
+
+// mergedByHand merges two signals into the one channel a budget
+// watches, through a goroutine released when the attempt returns: every
+// exit closes attemptDone, so it is not flagged.
+func mergedByHand(cancel, stalled <-chan struct{}) engine.Budget {
+	abort := make(chan struct{})
+	attemptDone := make(chan struct{})
+	go func() {
+		select {
+		case <-cancel:
+			close(abort)
+		case <-stalled:
+			close(abort)
+		case <-attemptDone:
+		}
+	}()
+	b := engine.Budget{Timeout: 1}.WithDone(abort).Start()
+	close(attemptDone)
+	return b
 }
 
 // goroutineCloses is the inverse ownership: the spawned goroutine

@@ -1,40 +1,17 @@
 // Package engine is a minimal stand-in for icpic3/internal/engine: just
-// enough of Budget for releasetrack's chained-cancellation check.
+// enough of Budget for the releasetrack fixtures.
 package engine
-
-import "context"
 
 type Budget struct {
 	Timeout int64
-	done    <-chan struct{}
+	done    []<-chan struct{}
 }
 
 func (b Budget) WithDone(done <-chan struct{}) Budget {
-	if done == nil {
-		return b
+	if done != nil {
+		b.done = append(b.done[:len(b.done):len(b.done)], done)
 	}
-	if b.done == nil {
-		b.done = done
-		return b
-	}
-	merged := make(chan struct{})
-	prev := b.done
-	go func() {
-		select {
-		case <-prev:
-		case <-done:
-		}
-		close(merged)
-	}()
-	b.done = merged
 	return b
-}
-
-func (b Budget) WithContext(ctx context.Context) Budget {
-	if ctx == nil {
-		return b
-	}
-	return b.WithDone(ctx.Done())
 }
 
 func (b Budget) Start() Budget { return b }

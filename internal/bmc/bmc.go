@@ -27,9 +27,6 @@ type Options struct {
 	Solver icp.Options
 	// Budget bounds the run.
 	Budget engine.Budget
-	// Progress, when non-nil, receives a heartbeat tick per solver call
-	// and per unrolled depth (see engine.Progress).
-	Progress *engine.Progress
 }
 
 func (o Options) withDefaults() Options {
@@ -166,10 +163,7 @@ func Check(sys *ts.System, opts Options) engine.Result {
 	if err := sys.Validate(); err != nil {
 		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}
 	}
-	userStop := opts.Solver.Stop
-	opts.Solver.Stop = func() bool {
-		return budget.Expired() || (userStop != nil && userStop())
-	}
+	opts.Solver.Stop = budget.Expired
 
 	tol := ts.ValidateTol(opts.Solver.Eps)
 	u, err := NewUnrolling(sys, opts.Solver, true, tol)
@@ -197,7 +191,7 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		if err != nil {
 			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: err.Error()})
 		}
-		opts.Progress.Tick()
+		budget.Tick()
 		r := u.Solver.Solve([]tnf.Lit{robustBad})
 		stats["solves"]++
 		switch r.Status {
@@ -219,7 +213,7 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		case icp.StatusUnsat:
 			// No robust violation; plain violations may still be genuine
 			// for discrete (integer) properties, so validate them too.
-			opts.Progress.Tick()
+			budget.Tick()
 			r2 := u.Solver.Solve([]tnf.Lit{plainBad})
 			stats["solves"]++
 			if r2.Status == icp.StatusSat {

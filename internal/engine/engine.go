@@ -3,8 +3,9 @@
 package engine
 
 import (
-	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"icpic3/internal/ts"
@@ -121,20 +122,39 @@ func (r Result) String() string {
 	return fmt.Sprintf("%s (depth %d, %v)", r.Verdict, r.Depth, r.Runtime.Round(time.Millisecond))
 }
 
-// Budget bounds a verification run.  The zero value means "effectively
-// unbounded" (engines still apply their own structural bounds).
+// Budget bounds a verification run and is the one run-control value an
+// engine receives.  The zero value means "effectively unbounded"
+// (engines still apply their own structural bounds).
 //
-// A budget expires either when its wall-clock timeout elapses or when its
-// cancellation signal (installed with WithDone or WithContext) fires.
-// Because every engine polls Expired from its solver Stop hook, closing
-// the done channel aborts a run promptly wherever it is.
+// A budget expires when its wall-clock timeout elapses, when one of its
+// cancellation signals (installed with WithDone) fires, or when its
+// stall heartbeat (installed with WithStall) goes quiet for the stall
+// limit.  Because every engine polls Expired from its solver Stop hook,
+// each of these aborts a run promptly wherever it is, and none of them
+// needs a goroutine: Expired checks them all when it is polled.
 type Budget struct {
 	// Timeout bounds wall-clock time (0 = none).
 	Timeout time.Duration
 	// start is stamped by Start.
 	start time.Time
-	// done, when non-nil, cancels the run as soon as it is closed.
-	done <-chan struct{}
+	// done holds the cancellation signals; any one closed expires the
+	// budget.
+	done []<-chan struct{}
+	// beat, when non-nil, is the stall heartbeat every copy shares.
+	beat *heartbeat
+}
+
+// heartbeat is a budget's stall detector.  Engines bump ticks; Expired,
+// which reads the clock anyway, notices a count that has not changed
+// for limit and latches stalled.
+type heartbeat struct {
+	limit time.Duration
+	ticks atomic.Int64
+
+	mu      sync.Mutex
+	seen    int64         // guarded-by: mu; tick count at the last observed change
+	seenAt  time.Duration // guarded-by: mu; elapsed time of that observation
+	stalled bool          // guarded-by: mu; sticky once set
 }
 
 // Start stamps the budget's clock and returns it.  Start is idempotent:
@@ -149,59 +169,95 @@ func (b Budget) Start() Budget {
 }
 
 // WithDone returns a copy of the budget that also expires when done is
-// closed.  If the budget already carries a cancellation signal the two
-// are merged: either one firing expires the budget.
+// closed.  Signals accumulate: the copy expires when any of them fires.
 func (b Budget) WithDone(done <-chan struct{}) Budget {
 	if done == nil {
 		return b
 	}
-	if b.done == nil {
-		b.done = done
-		return b
-	}
-	merged := make(chan struct{})
-	prev := b.done
-	go func() {
-		select {
-		case <-prev:
-		case <-done:
-		}
-		close(merged)
-	}()
-	b.done = merged
+	// the full slice expression makes append copy, so budgets derived
+	// from one parent never share (and overwrite) a backing array
+	b.done = append(b.done[:len(b.done):len(b.done)], done)
 	return b
 }
 
-// WithContext returns a copy of the budget that also expires when ctx is
-// cancelled.
-func (b Budget) WithContext(ctx context.Context) Budget {
-	if ctx == nil {
-		return b
+// WithStall returns a copy of the budget with a fresh stall heartbeat
+// (limit <= 0 returns the budget unchanged): once started, the budget
+// expires when no Tick lands for limit, and Stalled reports it.  Every
+// copy made from the result, the engines' included, shares the
+// heartbeat, so a portfolio stalls only when all its members are silent.
+func (b Budget) WithStall(limit time.Duration) Budget {
+	if limit > 0 {
+		b.beat = &heartbeat{limit: limit}
 	}
-	return b.WithDone(ctx.Done())
+	return b
 }
 
-// Cancelled reports whether the budget's cancellation signal has fired
-// (independently of the timeout).
-func (b Budget) Cancelled() bool {
-	if b.done == nil {
-		return false
-	}
-	select {
-	case <-b.done:
-		return true
-	default:
-		return false
+// Tick records one unit of engine progress: a discharged obligation, a
+// solver query, an unrolled depth.  It is one atomic add and reads no
+// clock, so engines tick unconditionally; it is a no-op without a stall
+// heartbeat.
+func (b Budget) Tick() {
+	if b.beat != nil {
+		b.beat.ticks.Add(1)
 	}
 }
 
-// Expired reports whether the budget's timeout has elapsed or its
-// cancellation signal has fired.
+// Stalled reports whether the budget expired because its heartbeat went
+// quiet for the stall limit.  It stays true once set, and it is false for
+// a budget that expired by timeout or cancellation first.
+func (b Budget) Stalled() bool {
+	if b.beat == nil {
+		return false
+	}
+	b.beat.mu.Lock()
+	defer b.beat.mu.Unlock()
+	return b.beat.stalled
+}
+
+// Expired reports whether the budget's timeout has elapsed, one of its
+// cancellation signals has fired, or its heartbeat has stalled.
 func (b Budget) Expired() bool {
-	if b.Cancelled() {
+	for _, d := range b.done {
+		select {
+		case <-d:
+			return true
+		default:
+		}
+	}
+	if b.start.IsZero() {
+		return false
+	}
+	if b.beat == nil {
+		return b.Timeout > 0 && time.Since(b.start) > b.Timeout
+	}
+	return b.beat.expired(b.Timeout, b.start)
+}
+
+// expired is Expired's clock check for a budget with a heartbeat.  The
+// timeout is checked before the stall, so a run that is both out of time
+// and silent reads as a plain timeout.
+func (h *heartbeat) expired(timeout time.Duration, start time.Time) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.stalled {
 		return true
 	}
-	return b.Timeout > 0 && !b.start.IsZero() && time.Since(b.start) > b.Timeout
+	// load the count before reading the clock: a tick that lands in
+	// between shows up as a change at the next poll, never as silence
+	n := h.ticks.Load()
+	el := time.Since(start)
+	if timeout > 0 && el > timeout {
+		return true
+	}
+	if n != h.seen {
+		h.seen, h.seenAt = n, el
+		return false
+	}
+	if el-h.seenAt < h.limit {
+		return false
+	}
+	h.stalled = true
+	return true
 }
 
 // Elapsed returns the time since Start.

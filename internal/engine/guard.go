@@ -42,7 +42,7 @@ func Panicked(r Result) bool {
 var guardedPanics atomic.Int64
 
 // GuardGo is Guard for infrastructure goroutines that produce no
-// Result: watchdogs, waiter/closer plumbing, worker drivers.  It runs
+// Result: waiter/closer plumbing, worker drivers.  It runs
 // fn and converts a panic into a logged, counted no-op, so supervision
 // machinery can never take down the process it supervises.  The
 // goroutine simply ends early; callers must tolerate that (e.g. via
@@ -62,31 +62,6 @@ func GuardGo(name string, logf func(format string, args ...interface{}), fn func
 // GuardedPanics returns the number of panics GuardGo has recovered.
 func GuardedPanics() int64 { return guardedPanics.Load() }
 
-// Progress is a monotonic heartbeat an engine publishes while it works:
-// every discharged obligation, solver query, frame, or unrolling depth
-// bumps the counter.  A supervisor (the service watchdog) samples Ticks
-// to distinguish a run that is slow-but-alive from one wedged inside a
-// single solver call.  All methods are safe on a nil receiver, so
-// engines can tick unconditionally.
-type Progress struct {
-	ticks atomic.Int64
-}
-
-// Tick records one unit of engine progress.
-func (p *Progress) Tick() {
-	if p != nil {
-		p.ticks.Add(1)
-	}
-}
-
-// Ticks returns the number of progress units recorded so far.
-func (p *Progress) Ticks() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.ticks.Load()
-}
-
 // --- test fault injection ----------------------------------------------
 //
 // The injector lets robustness tests provoke the failure modes the
@@ -101,8 +76,8 @@ type Fault int
 const (
 	// FaultPanic panics at engine entry (exercises Guard).
 	FaultPanic Fault = iota + 1
-	// FaultStall blocks at engine entry without publishing progress until
-	// the run's budget expires (exercises the stall watchdog).
+	// FaultStall blocks at engine entry without ticking the budget until
+	// it expires (exercises the budget's stall heartbeat).
 	FaultStall
 	// FaultBadCert corrupts the certificate of a decisive result
 	// (exercises independent certificate checking).
@@ -137,9 +112,10 @@ func armedFault(name string) Fault {
 }
 
 // FireFault triggers an armed entry fault for the named system: it
-// panics for FaultPanic, and for FaultStall it blocks without progress
-// until the budget expires.  Supervised runners call it right before
-// dispatching the engine; with nothing armed it is a no-op.
+// panics for FaultPanic, and for FaultStall it blocks without ticking
+// until the budget expires (by stall, timeout or cancellation).
+// Supervised runners call it right before dispatching the engine; with
+// nothing armed it is a no-op.
 func FireFault(name string, b Budget) {
 	switch armedFault(name) {
 	case FaultPanic:

@@ -46,38 +46,6 @@ func TestGuardNilLogf(t *testing.T) {
 	}
 }
 
-func TestProgressNilSafe(t *testing.T) {
-	var p *Progress
-	p.Tick() // must not panic
-	if p.Ticks() != 0 {
-		t.Error("nil Progress has ticks")
-	}
-	p = &Progress{}
-	p.Tick()
-	p.Tick()
-	if p.Ticks() != 2 {
-		t.Errorf("ticks = %d", p.Ticks())
-	}
-}
-
-func TestProgressConcurrent(t *testing.T) {
-	p := &Progress{}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				p.Tick()
-			}
-		}()
-	}
-	wg.Wait()
-	if p.Ticks() != 8000 {
-		t.Errorf("ticks = %d", p.Ticks())
-	}
-}
-
 func TestInjectFaultPanic(t *testing.T) {
 	disarm := InjectFault("sysA", FaultPanic)
 	defer disarm()

@@ -99,9 +99,6 @@ type Options struct {
 	// Budget bounds the run by wall-clock time and supports cooperative
 	// cancellation (see engine.Budget.WithDone); exhaustion yields Unknown.
 	Budget engine.Budget
-	// Progress, when non-nil, receives a heartbeat tick per SAT query and
-	// per discharged obligation (see engine.Progress).
-	Progress *engine.Progress
 }
 
 func (o Options) withDefaults() Options {
@@ -344,7 +341,7 @@ func (ch *checker) addBlockedCube(c Cube, level int) {
 // cube literals present in the core.
 func (ch *checker) blockQuery(c Cube, frame int) (sat.Status, Cube) {
 	ch.stats.Queries++
-	ch.opts.Progress.Tick()
+	ch.budget.Tick()
 	// temporary clause !cube guarded by a one-shot activation variable
 	tmp := ch.s.NewVar()
 	lits := make([]sat.Lit, 0, len(c)+1)
@@ -430,7 +427,7 @@ func (ch *checker) run() Result {
 
 	// 0-step check: can the initial state assert bad combinationally?
 	ch.stats.Queries++
-	ch.opts.Progress.Tick()
+	ch.budget.Tick()
 	assumps := make([]sat.Lit, 0, len(ch.initVals)+1)
 	for i, v := range ch.initVals {
 		assumps = append(assumps, sat.MkLit(ch.stateVar[i], v))
@@ -453,7 +450,7 @@ func (ch *checker) run() Result {
 				return Result{Verdict: Unknown, Frames: k, Stats: ch.stats}
 			}
 			ch.stats.Queries++
-			ch.opts.Progress.Tick()
+			ch.budget.Tick()
 			assumps := append(ch.actLits(k), ch.badLit)
 			if ch.s.Solve(assumps...) != sat.Sat {
 				break
@@ -520,7 +517,7 @@ func (ch *checker) block(root *obligation) (bool, []Step) {
 	for q.Len() > 0 {
 		ob := heap.Pop(&q).(*obligation)
 		ch.stats.Obligations++
-		ch.opts.Progress.Tick()
+		ch.budget.Tick()
 		if ch.stats.Obligations > maxObligations || ch.budget.Expired() {
 			return true, nil // budget: surface as Unknown upstream
 		}

@@ -80,10 +80,6 @@ type Options struct {
 	SeedClauses []engine.Cube
 	// Budget bounds the run.
 	Budget engine.Budget
-	// Progress, when non-nil, receives a heartbeat tick per solver query
-	// and per discharged obligation (see engine.Progress); a supervisor
-	// uses it to tell a slow run from a wedged one.
-	Progress *engine.Progress
 }
 
 func (o Options) withDefaults() Options {
@@ -197,11 +193,6 @@ type coreKey struct {
 	d tnf.Dir
 }
 
-// tick publishes one heartbeat unit; called once per solver query and
-// per obligation so that a supervisor sees silence only when the engine
-// is genuinely wedged inside a single solver call.
-func (ch *checker) tick() { ch.opts.Progress.Tick() }
-
 // obligation is a pending blocking task.
 type obligation struct {
 	cube  icpCube
@@ -247,10 +238,7 @@ func checkWith(sys *ts.System, opts Options, setup func(*checker)) (engine.Resul
 	if err := sys.Validate(); err != nil {
 		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}, nil
 	}
-	userStop := opts.Solver.Stop
-	opts.Solver.Stop = func() bool {
-		return budget.Expired() || (userStop != nil && userStop())
-	}
+	opts.Solver.Stop = budget.Expired
 
 	ch := &checker{sys: sys, opts: opts, tol: ts.ValidateTol(opts.Solver.Eps), budget: budget,
 		stats: map[string]int64{}, coreHits: map[coreKey]int64{}}
@@ -383,7 +371,7 @@ func (ch *checker) entirelyBad(c icpCube) bool {
 		return false
 	}
 	ch.stats["propQueries"]++
-	ch.tick()
+	ch.budget.Tick()
 	r := ch.prop.Solve(c)
 	return r.Status == icp.StatusUnsat
 }
@@ -394,7 +382,7 @@ func (ch *checker) entirelyBadPlain(c icpCube) bool {
 		return false
 	}
 	ch.stats["propQueries"]++
-	ch.tick()
+	ch.budget.Tick()
 	r := ch.propPlain.Solve(c)
 	return r.Status == icp.StatusUnsat
 }
@@ -675,7 +663,7 @@ func (ch *checker) negCube(c icpCube) tnf.Clause {
 // and false only when proven disjoint.
 func (ch *checker) initIntersects(c icpCube) (bool, *icp.Result) {
 	ch.stats["initQueries"]++
-	ch.tick()
+	ch.budget.Tick()
 	r := ch.init.Solve(c)
 	if r.Status == icp.StatusUnsat {
 		return false, &r
@@ -687,7 +675,7 @@ func (ch *checker) initIntersects(c icpCube) (bool, *icp.Result) {
 // UNSAT it returns the subset of cube literals in the assumption core,
 // counts them in coreHits and stores them in the consecution memo.
 func (ch *checker) blockQuery(c icpCube, frame int) (icp.Result, icpCube) {
-	ch.tick()
+	ch.budget.Tick()
 	// consecution memo: a cached UNSAT for this (cube, frame) at an
 	// earlier op-log generation still holds (frames only strengthen),
 	// so replay the stored core into generalization — including the
@@ -833,11 +821,11 @@ func (ch *checker) run() engine.Result {
 		// counterexamples); the plain query provides the sound UNSAT side.
 		for {
 			ch.stats["queries"]++
-			ch.tick()
+			ch.budget.Tick()
 			r := ch.main.Solve(append(ch.main.actLits(k), ch.badRobust))
 			if r.Status == icp.StatusUnsat {
 				ch.stats["queries"]++
-				ch.tick()
+				ch.budget.Tick()
 				r = ch.main.Solve(append(ch.main.actLits(k), ch.badLit))
 			}
 			if r.Status == icp.StatusUnsat {
@@ -850,6 +838,9 @@ func (ch *checker) run() engine.Result {
 			root := &obligation{cube: bad, point: ch.sys.BoxState(r.Box, ch.curIDs, interval.Interval.Mid), frame: k, depth: 0}
 			verdict, res := ch.block(root, k)
 			if verdict != engine.Safe { // Unsafe or Unknown bubble up
+				if verdict == engine.Unknown {
+					res.Depth = k
+				}
 				return res
 			}
 			if ch.provedByInf {
@@ -884,7 +875,7 @@ func (ch *checker) block(root *obligation, k int) (engine.Verdict, engine.Result
 		}
 		ob := heap.Pop(&q).(*obligation)
 		ch.stats["obligations"]++
-		ch.tick()
+		ch.budget.Tick()
 		if ch.stats["obligations"] > maxObligations {
 			return engine.Unknown, engine.Result{Verdict: engine.Unknown, Note: "obligation budget"}
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"icpic3/internal/benchmarks"
 	"icpic3/internal/engine"
 	"icpic3/internal/ts"
 )
@@ -283,6 +284,30 @@ prop x <= 900
 	if res.Verdict != engine.Unknown {
 		t.Fatalf("verdict = %v, want unknown under tiny frame budget", res.Verdict)
 	}
+}
+
+// TestUnknownReportsFrameDepth: a run cut short inside the blocking
+// loop reports the frame bound it reached as its depth, like the
+// frame-loop returns do (engine.Result: "bound reached for Unknown").
+func TestUnknownReportsFrameDepth(t *testing.T) {
+	suite, err := benchmarks.Suite(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range suite {
+		if in.Name != "pendulum-safe-1" {
+			continue
+		}
+		res := Check(in.Sys, Options{Budget: engine.Budget{Timeout: 300 * time.Millisecond}})
+		if res.Verdict != engine.Unknown {
+			t.Fatalf("verdict = %v (%s), want unknown under a 300ms budget", res.Verdict, res.Note)
+		}
+		if res.Depth == 0 || int64(res.Depth) != res.Stats["frames"] {
+			t.Fatalf("depth = %d, frames = %d (%s)", res.Depth, res.Stats["frames"], res.Note)
+		}
+		return
+	}
+	t.Fatal("pendulum-safe-1 missing from Suite(2)")
 }
 
 func TestInvalidSystem(t *testing.T) {

@@ -82,7 +82,7 @@ func (ch *checker) pushFrames(k int) (int, bool) {
 				results[a] = pushResult{pushed: true}
 				continue
 			}
-			ch.tick()
+			ch.budget.Tick()
 			r, core := ch.consecution(c, i+1)
 			switch r.Status {
 			case icp.StatusUnsat:

@@ -31,7 +31,7 @@ import (
 // removing a clause weakens the relative induction hypothesis, which
 // can strand further clauses, so each round re-checks the survivors on
 // a Box built over them alone, until a round drops nothing.  Every
-// query ticks Progress and the loop polls the run budget, so a seeded
+// query ticks the run budget and the loop polls it, so a seeded
 // run stays supervisable.
 func (ch *checker) seedFrames() error {
 	seeds := ch.opts.SeedClauses
@@ -58,7 +58,7 @@ func (ch *checker) seedFrames() error {
 				return nil, fmt.Errorf("timeout")
 			}
 			ch.stats["seedQueries"]++
-			ch.tick()
+			ch.budget.Tick()
 			if ask(i) == icp.StatusUnsat {
 				out = append(out, c)
 			}

@@ -40,10 +40,10 @@ func (s *Solver) propagate() *conflict {
 		}
 	}
 	// A single fixpoint can run long on hard contractions; poll the Stop
-	// hook so the budget/watchdog can abort mid-propagation instead of
-	// waiting for the search loop's per-iteration poll.  On stop the
-	// partial (sound) contraction is abandoned via s.stopped and the
-	// caller reports Unknown.
+	// hook so the budget (timeout, cancellation or stall) can abort
+	// mid-propagation instead of waiting for the search loop's
+	// per-iteration poll.  On stop the partial (sound) contraction is
+	// abandoned via s.stopped and the caller reports Unknown.
 	sincePoll := 0
 	for {
 		sincePoll++

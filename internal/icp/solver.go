@@ -63,8 +63,9 @@ type Options struct {
 	// engine.DefaultEps.
 	Eps float64
 	// Stop, when non-nil, is polled periodically during Solve; returning
-	// true aborts the search with StatusUnknown (used for wall-clock
-	// budgets by the engines).
+	// true aborts the search with StatusUnknown.  The engines and the
+	// certifier own this hook: each sets it to its run budget's Expired,
+	// replacing any value a caller set.
 	Stop func() bool
 	// NoReduce disables learned-clause database reduction entirely (the
 	// solver then keeps every clause it ever learns).  Used by the

@@ -33,9 +33,6 @@ type Options struct {
 	SeedK int
 	// Budget bounds the run.
 	Budget engine.Budget
-	// Progress, when non-nil, receives a heartbeat tick per base/step
-	// solver call (see engine.Progress).
-	Progress *engine.Progress
 }
 
 func (o Options) withDefaults() Options {
@@ -55,10 +52,7 @@ func Check(sys *ts.System, opts Options) engine.Result {
 	if err := sys.Validate(); err != nil {
 		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}
 	}
-	userStop := opts.Solver.Stop
-	opts.Solver.Stop = func() bool {
-		return budget.Expired() || (userStop != nil && userStop())
-	}
+	opts.Solver.Stop = budget.Expired
 	stats := map[string]int64{}
 	var base, step *bmc.Unrolling
 	finish := func(r engine.Result) engine.Result {
@@ -97,11 +91,11 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		if err != nil {
 			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: err.Error(), Stats: stats})
 		}
-		opts.Progress.Tick()
+		budget.Tick()
 		rb := base.Solver.Solve([]tnf.Lit{badRobust})
 		stats["baseSolves"]++
 		if rb.Status == icp.StatusUnsat {
-			opts.Progress.Tick()
+			budget.Tick()
 			rb = base.Solver.Solve([]tnf.Lit{badPlain})
 			stats["baseSolves"]++
 		}
@@ -130,7 +124,7 @@ func Check(sys *ts.System, opts Options) engine.Result {
 			if err != nil {
 				return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: err.Error(), Stats: stats})
 			}
-			opts.Progress.Tick()
+			budget.Tick()
 			rs := step.Solver.Solve([]tnf.Lit{badS})
 			stats["stepSolves"]++
 			if rs.Status == icp.StatusUnsat {

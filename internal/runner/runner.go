@@ -36,11 +36,9 @@ type Spec struct {
 	MaxK int
 	// Generalize is the IC3 generalization mode (see ParseGen).
 	Generalize string
-	// Budget bounds the run.
+	// Budget bounds the run and carries its cancellation and stall
+	// heartbeat; the portfolio shares it with every member.
 	Budget engine.Budget
-	// Progress, when non-nil, receives the engine's heartbeat; the
-	// portfolio shares it with every member.
-	Progress *engine.Progress
 	// Seed is a prior proof's certificate (see internal/reuse): IC3
 	// starts from the cubes of a box invariant, each re-checked before
 	// use, and k-induction from the depth of a k-induction proof.
@@ -122,7 +120,7 @@ func checkIC3(sys *ts.System, s Spec) engine.Result {
 	}
 	opts := ic3icp.Options{
 		Solver: icp.Options{Eps: s.Eps}, Generalize: gen,
-		Budget: s.Budget, Progress: s.Progress,
+		Budget: s.Budget,
 	}
 	if s.Seed != nil && s.Seed.Kind == engine.CertBoxInvariant {
 		opts.SeedClauses = s.Seed.Cubes
@@ -133,14 +131,14 @@ func checkIC3(sys *ts.System, s Spec) engine.Result {
 func checkBMC(sys *ts.System, s Spec) engine.Result {
 	return bmc.Check(sys, bmc.Options{
 		MaxDepth: s.MaxDepth, Solver: icp.Options{Eps: s.Eps},
-		Budget: s.Budget, Progress: s.Progress,
+		Budget: s.Budget,
 	})
 }
 
 func checkKind(sys *ts.System, s Spec) engine.Result {
 	opts := kind.Options{
 		MaxK: s.MaxK, Solver: icp.Options{Eps: s.Eps},
-		Budget: s.Budget, Progress: s.Progress,
+		Budget: s.Budget,
 	}
 	if s.Seed != nil && s.Seed.Kind == engine.CertKInduction {
 		opts.SeedK = s.Seed.K
@@ -161,7 +159,8 @@ func checkPortfolio(sys *ts.System, s Spec) engine.Result {
 	}
 
 	// done cancels the losing members: it is closed on every return
-	// path, and the shared budget carries it.
+	// path, and the shared budget carries it next to the caller's
+	// signals and heartbeat.
 	done := make(chan struct{})
 	defer close(done)
 	s.Budget = s.Budget.WithDone(done).Start()

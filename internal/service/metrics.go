@@ -58,7 +58,7 @@ type Metrics struct {
 	evictions   int64 // guarded-by: mu
 
 	panics     int64 // guarded-by: mu; engine attempts that panicked (recovered by Guard)
-	stalled    int64 // guarded-by: mu; engine attempts killed by the progress watchdog
+	stalled    int64 // guarded-by: mu; engine attempts expired by a stalled budget heartbeat
 	retried    int64 // guarded-by: mu; retries of panicked/stalled attempts
 	degraded   int64 // guarded-by: mu; retries that fell back to a different engine
 	certified  int64 // guarded-by: mu; decisive results that passed independent re-checking

@@ -63,9 +63,9 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps the per-job budget a request may ask for (0 = 5m).
 	MaxTimeout time.Duration
-	// StallTimeout is how long a running engine may go without publishing
-	// a progress heartbeat before the watchdog kills the attempt
-	// (0 = 2m, negative = watchdog disabled).  Distinct from the job
+	// StallTimeout is how long a running engine may go without ticking
+	// its budget's heartbeat before the attempt expires as stalled
+	// (0 = 2m, negative = no stall limit).  Distinct from the job
 	// timeout: a stalled run is wedged inside one solver call, not slow.
 	StallTimeout time.Duration
 	// MaxRetries is how many times a panicked or stalled attempt is

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"icpic3/internal/certify"
@@ -22,9 +21,9 @@ type supervision struct {
 //
 //   - every attempt runs under engine.Guard, so a panicking engine costs
 //     one verdict, not one worker;
-//   - a watchdog samples the engine's progress heartbeat and kills an
-//     attempt whose heartbeat stalls past Config.StallTimeout (through
-//     the budget's done channel, like a cancellation);
+//   - the attempt's budget carries a stall heartbeat the engines tick,
+//     so an attempt silent for Config.StallTimeout expires like a
+//     cancellation and is reported as stalled;
 //   - panicked and stalled attempts are retried up to Config.MaxRetries
 //     times with exponential backoff, degrading the engine choice per
 //     the degrade table (ic3 -> portfolio -> bmc);
@@ -83,35 +82,11 @@ func (s *Service) runSupervised(jb *job) (engine.Result, supervision) {
 	return res, sup
 }
 
-// runAttempt runs one guarded, watchdog-supervised engine attempt.  A
-// stalled attempt comes back as Unknown with Stats["stalled"] = 1.
+// runAttempt runs one guarded engine attempt under a budget with a
+// stall heartbeat.  A stalled attempt comes back as Unknown with
+// Stats["stalled"] = 1.
 func (s *Service) runAttempt(jb *job, engineName string, seed *engine.Certificate) engine.Result {
 	req := jb.req
-	prog := &engine.Progress{}
-
-	// The watchdog owns the stalled channel: closing it expires the
-	// attempt's budget exactly like a cancellation, so the kill reuses
-	// the engines' cooperative-abort path and needs no hard preemption.
-	stalled := make(chan struct{})
-	var stallFlag atomic.Bool
-	watchStop := make(chan struct{})
-	watchDone := make(chan struct{})
-	if s.cfg.StallTimeout > 0 {
-		go func() {
-			defer close(watchDone)
-			// the watchdog itself runs guarded: supervision machinery must
-			// never be the thing that takes the process down
-			engine.GuardGo(jb.id+" watchdog", s.cfg.Logf, func() {
-				s.watchProgress(prog, jb.cancel, watchStop, func() {
-					stallFlag.Store(true)
-					close(stalled)
-				})
-			})
-		}()
-	} else {
-		close(watchDone)
-	}
-
 	// The budget is anchored to the job's end-to-end deadline: time spent
 	// queued (and in earlier attempts) is already gone.  This is what
 	// makes dequeue-time shedding sound — a job past its deadline has no
@@ -125,40 +100,21 @@ func (s *Service) runAttempt(jb *job, engineName string, seed *engine.Certificat
 	if timeout <= 0 {
 		timeout = time.Millisecond // past-deadline attempt: expire immediately
 	}
-	// abort merges the cancel and stall signals into the one done channel
-	// the budget watches.  The merge goroutine is released when the
-	// attempt returns — chaining WithDone(cancel).WithDone(stalled) would
-	// park a goroutine on two channels that never fire for the (normal)
-	// jobs that are neither cancelled nor stalled, leaking one goroutine
-	// per attempt.
-	abort := make(chan struct{})
-	attemptDone := make(chan struct{})
-	go func() {
-		engine.GuardGo(jb.id+" abort-merge", s.cfg.Logf, func() {
-			select {
-			case <-jb.cancel:
-				close(abort)
-			case <-stalled:
-				close(abort)
-			case <-attemptDone:
-			}
-		})
-	}()
-	budget := engine.Budget{Timeout: timeout}.WithDone(abort).Start()
+	// The engines tick the budget and poll Expired, which also notices a
+	// heartbeat silent for StallTimeout: a stall kills the attempt through
+	// the engines' cooperative-abort path, exactly like a cancellation.
+	budget := engine.Budget{Timeout: timeout}.WithDone(jb.cancel).WithStall(s.cfg.StallTimeout).Start()
 	res := engine.Guard(jb.id, s.cfg.Logf, func() engine.Result {
 		engine.FireFault(jb.sys.Name, budget)
 		return runner.Check(jb.sys, runner.Spec{
 			Engine: engineName, Eps: req.Eps, MaxDepth: req.MaxDepth, MaxK: req.MaxK,
-			Generalize: req.Generalize, Budget: budget, Progress: prog, Seed: seed,
+			Generalize: req.Generalize, Budget: budget, Seed: seed,
 		})
 	})
-	close(watchStop)
-	<-watchDone
-	close(attemptDone)
 
-	// A decisive verdict that raced the watchdog still stands: the engine
+	// A decisive verdict that raced the stall still stands: the engine
 	// finished its proof or counterexample before observing the kill.
-	if stallFlag.Load() && res.Verdict == engine.Unknown {
+	if budget.Stalled() && res.Verdict == engine.Unknown {
 		res.Note = fmt.Sprintf("stalled: no engine progress for %v", s.cfg.StallTimeout)
 		if res.Stats == nil {
 			res.Stats = map[string]int64{}
@@ -166,40 +122,6 @@ func (s *Service) runAttempt(jb *job, engineName string, seed *engine.Certificat
 		res.Stats["stalled"] = 1
 	}
 	return res
-}
-
-// watchProgress samples prog until stop/cancel closes or the heartbeat
-// goes quiet for Config.StallTimeout, in which case onStall fires once.
-func (s *Service) watchProgress(prog *engine.Progress, cancel, stop <-chan struct{}, onStall func()) {
-	poll := s.cfg.StallTimeout / 8
-	if poll < time.Millisecond {
-		poll = time.Millisecond
-	}
-	if poll > 250*time.Millisecond {
-		poll = 250 * time.Millisecond
-	}
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	last := prog.Ticks()
-	lastChange := time.Now()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-cancel:
-			return
-		case <-ticker.C:
-			if t := prog.Ticks(); t != last {
-				last = t
-				lastChange = time.Now()
-				continue
-			}
-			if time.Since(lastChange) >= s.cfg.StallTimeout {
-				onStall()
-				return
-			}
-		}
-	}
 }
 
 // certifyResult independently re-checks a decisive result through

@@ -43,7 +43,8 @@ bench-diff:
 # hot paths (solver, watched propagation and its guard-skip path, idle
 # and productive revise, the endpoint and rounding kernels, the sin
 # contractor, the model parser, a 24-step TNF unrolling, the property
-# query, a satisfiable and an UNSAT F_∞ probe) and the reduceDB
+# query, a satisfiable and an UNSAT F_∞ probe, kind and bmc on two suite
+# models with both exact-trace exits firing) and the reduceDB
 # invariance legs (verdicts must match with clause deletion off vs
 # forced aggressive —
 # see reduce_test.go and trigger_test.go).  The committed BENCH snapshot
@@ -56,6 +57,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'InvSin|Outward|IntervalMulDiv' -benchtime=1x -benchmem ./internal/interval/
 	$(GO) test -run '^$$' -bench 'Parse|CompileUnroll' -benchtime=1x -benchmem ./internal/ts/
 	$(GO) test -run '^$$' -bench 'PropQuery|InfProbe' -benchtime=1x -benchmem ./internal/ic3icp/
+	$(GO) test -run '^$$' -bench 'Unroll' -benchtime=1x -benchmem ./internal/bmc/
 	$(GO) test -run 'TestReduceDBVerdictInvariance|TestTriggeredPushReduceInvariance|TestRetentionInvariance' -count=1 -v ./internal/ic3icp/
 
 # The repository benchmark (bench/, see BENCHMARK.json) is a module of

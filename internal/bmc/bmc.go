@@ -46,7 +46,9 @@ func (o Options) withDefaults() Options {
 // a step unrolling has no Init and asserts Prop@k on each Extend (the
 // induction hypothesis).  Trans and Prop are simplified once, and each
 // step only renames them (ts.RenameAt), Prop once per step for both
-// Extend and Bad.
+// Extend and bad.  Ask asks the violation query of the current depth,
+// ending it early at a proven replay when Trans is a function of the
+// state (exit.go).
 type Unrolling struct {
 	Solver *icp.Solver
 
@@ -59,13 +61,33 @@ type Unrolling struct {
 	robust      []tnf.Lit     // step -> literal of !Weaken(Prop)@step (base only)
 	base        bool
 	tol         float64 // robustness margin
+
+	// exact-trace exit (exit.go): the successor enclosure (nil: no
+	// exit), whether Prop has partial subterms, Init and Weaken(Prop)
+	// over unrenamed variables (base only), and scratch for the replay
+	stepper    *ts.Stepper
+	partial    bool
+	init, weak *expr.Expr
+	env        expr.IEnv
+	encl       [][]interval.Interval // step -> enclosure of the replayed state
 }
+
+// Test hooks (export_test.go): onExit, when set, observes every
+// exact-trace exit with its unrolling and the literal it asked; noExit
+// turns the exit off in unrollings made from then on.
+var (
+	onExit func(u *Unrolling, robust bool)
+	noExit bool
+)
 
 // NewUnrolling starts an unrolling at step 0; tol is the robustness
 // margin of a base unrolling's robust violation literals.
 func NewUnrolling(sys *ts.System, opts icp.Options, base bool, tol float64) (*Unrolling, error) {
 	u := &Unrolling{sys: sys, tnfSys: tnf.NewSystem(), trans: expr.Simplify(sys.Trans),
 		prop: expr.Simplify(sys.Prop), base: base, tol: tol}
+	if !noExit {
+		u.buildExit()
+	}
 	ids, err := sys.DeclareStep(u.tnfSys, 0)
 	if err != nil {
 		return nil, err
@@ -101,13 +123,13 @@ func (u *Unrolling) Extend() error {
 	return nil
 }
 
-// Bad returns the literals asserting the robust violation and the plain
+// bad returns the literals asserting the robust violation and the plain
 // violation of Prop at step k, compiling on demand.  The robust literal
 // describes states violating Prop by at least the margin 2·tol —
 // searching it first keeps the engines away from boundary-hugging
 // candidates that can never pass concrete validation.  A step unrolling
 // has no robust literals and returns a zero one.
-func (u *Unrolling) Bad(k int) (robust, plain tnf.Lit, err error) {
+func (u *Unrolling) bad(k int) (robust, plain tnf.Lit, err error) {
 	for len(u.plain) <= k {
 		p := u.propAt(len(u.plain))
 		l, err := u.tnfSys.CompileBool(expr.Not(p))
@@ -130,9 +152,9 @@ func (u *Unrolling) Bad(k int) (robust, plain tnf.Lit, err error) {
 	return robust, u.plain[k], nil
 }
 
-// propAt returns Prop@k.  Extend and Bad share one instance per step,
+// propAt returns Prop@k.  Extend and bad share one instance per step,
 // whichever of them asks first renames it (with kind's SeedK, Extend
-// can run ahead of Bad).
+// can run ahead of bad).
 func (u *Unrolling) propAt(k int) *expr.Expr {
 	for len(u.props) <= k {
 		u.props = append(u.props, ts.RenameAt(u.prop, len(u.props)))
@@ -140,9 +162,68 @@ func (u *Unrolling) propAt(k int) *expr.Expr {
 	return u.props[k]
 }
 
-// Trace reads the states of steps 0..depth out of a solution box, taking
-// midpoints (see ts.System.BoxState).
-func (u *Unrolling) Trace(box []interval.Interval, depth int) []ts.State {
+// Answer is the outcome of one violation query (Ask).
+type Answer struct {
+	icp.Result
+	// Exit says the query ended at an exact-trace exit (exit.go): its
+	// Status is StatusSat and its Box is not a solution box.
+	Exit bool
+	// Trace is, for a Sat answer of a base unrolling, the candidate
+	// counterexample over steps 0..k: the replayed trace after an exit
+	// (which passed validation at the unrolling's tolerance), else the
+	// midpoints of the solution box (ts.System.BoxState).
+	Trace []ts.State
+}
+
+// Ask asks the violation query at the current depth k: the robust
+// violation literal of step k when robust (base unrolling only), else
+// the plain one.  On a base unrolling that is Init ∧ Trans^k ∧ ¬Prop@k
+// (robustly); on a step unrolling it is the induction step (Prop ∧
+// Trans)^k ∧ ¬Prop@k.
+func (u *Unrolling) Ask(robust bool) (Answer, error) {
+	k := len(u.steps) - 1
+	r, p, err := u.bad(k)
+	if err != nil {
+		return Answer{}, err
+	}
+	lit := p
+	if robust {
+		lit = r
+	}
+	var accept func(lo, hi []float64) bool
+	var trace []ts.State // a base exit's replayed trace
+	exited := false
+	if u.stepper != nil {
+		accept = func(lo, hi []float64) bool {
+			if !u.replays(lo, hi, robust) {
+				return false
+			}
+			if u.base {
+				if trace = u.replayTrace(k); u.sys.ValidateTrace(trace, u.tol) != nil {
+					return false
+				}
+			}
+			exited = true
+			return true
+		}
+	}
+	a := Answer{Result: u.Solver.SolveAccept([]tnf.Lit{lit}, accept), Exit: exited}
+	if exited && onExit != nil {
+		onExit(u, robust)
+	}
+	if a.Status == icp.StatusSat && u.base {
+		if exited {
+			a.Trace = trace
+		} else {
+			a.Trace = u.boxTrace(a.Box, k)
+		}
+	}
+	return a, nil
+}
+
+// boxTrace reads the states of steps 0..depth out of a solution box,
+// taking midpoints (see ts.System.BoxState).
+func (u *Unrolling) boxTrace(box []interval.Interval, depth int) []ts.State {
 	trace := make([]ts.State, depth+1)
 	for k := range trace {
 		trace[k] = u.sys.BoxState(box, u.steps[k], interval.Interval.Mid)
@@ -173,6 +254,12 @@ func Check(sys *ts.System, opts Options) engine.Result {
 
 	stats := map[string]int64{}
 	spurious := int64(0)
+	count := func(a Answer) {
+		stats["solves"]++
+		if a.Exit {
+			stats["traceExits"]++
+		}
+	}
 	finish := func(r engine.Result) engine.Result {
 		stats["decisions"] = u.Solver.Stats.Decisions
 		stats["conflicts"] = u.Solver.Stats.Conflicts
@@ -187,39 +274,39 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		if budget.Expired() {
 			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: "timeout"})
 		}
-		robustBad, plainBad, err := u.Bad(k)
+		budget.Tick()
+		a, err := u.Ask(true)
 		if err != nil {
 			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: err.Error()})
 		}
-		budget.Tick()
-		r := u.Solver.Solve([]tnf.Lit{robustBad})
-		stats["solves"]++
-		switch r.Status {
+		count(a)
+		switch a.Status {
 		case icp.StatusSat:
-			trace := u.Trace(r.Box, k)
-			if err := sys.ValidateTrace(trace, tol); err == nil {
-				return finish(engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: k})
+			if err := sys.ValidateTrace(a.Trace, tol); err == nil {
+				return finish(engine.Result{Verdict: engine.Unsafe, Trace: a.Trace, Depth: k})
 			}
 			// Spurious candidate: retry this depth once at finer precision
 			// with a fresh solver, then keep searching deeper.
 			stats["spurious"]++
 			spurious++
-			if trace, ok := retryDepth(sys, opts, tol, k, budget); ok {
+			if trace, ok := retryDepth(sys, opts, tol, k, budget, stats); ok {
 				stats["refinedHits"]++
 				return finish(engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: k})
 			}
 		case icp.StatusUnknown:
-			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: "solver budget"})
+			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: budget.StopNote("bad query")})
 		case icp.StatusUnsat:
 			// No robust violation; plain violations may still be genuine
 			// for discrete (integer) properties, so validate them too.
 			budget.Tick()
-			r2 := u.Solver.Solve([]tnf.Lit{plainBad})
-			stats["solves"]++
-			if r2.Status == icp.StatusSat {
-				trace := u.Trace(r2.Box, k)
-				if err := sys.ValidateTrace(trace, tol); err == nil {
-					return finish(engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: k})
+			a, err := u.Ask(false)
+			if err != nil {
+				return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: err.Error()})
+			}
+			count(a)
+			if a.Status == icp.StatusSat {
+				if err := sys.ValidateTrace(a.Trace, tol); err == nil {
+					return finish(engine.Result{Verdict: engine.Unsafe, Trace: a.Trace, Depth: k})
 				}
 				stats["boundaryOnly"]++
 			}
@@ -239,7 +326,7 @@ func Check(sys *ts.System, opts Options) engine.Result {
 
 // retryDepth re-solves the depth-k query with a fresh solver at much finer
 // precision; it returns a validated trace on success.
-func retryDepth(sys *ts.System, opts Options, tol float64, k int, budget engine.Budget) ([]ts.State, bool) {
+func retryDepth(sys *ts.System, opts Options, tol float64, k int, budget engine.Budget, stats map[string]int64) ([]ts.State, bool) {
 	if budget.Expired() {
 		return nil, false
 	}
@@ -254,17 +341,18 @@ func retryDepth(sys *ts.System, opts Options, tol float64, k int, budget engine.
 			return nil, false
 		}
 	}
-	bad, _, err := u.Bad(k)
+	a, err := u.Ask(true)
 	if err != nil {
 		return nil, false
 	}
-	r := u.Solver.Solve([]tnf.Lit{bad})
-	if r.Status != icp.StatusSat {
+	if a.Exit {
+		stats["traceExits"]++
+	}
+	if a.Status != icp.StatusSat {
 		return nil, false
 	}
-	trace := u.Trace(r.Box, k)
-	if err := sys.ValidateTrace(trace, tol/16); err != nil {
+	if err := sys.ValidateTrace(a.Trace, tol/16); err != nil {
 		return nil, false
 	}
-	return trace, true
+	return a.Trace, true
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"icpic3/internal/engine"
+	"icpic3/internal/icp"
 	"icpic3/internal/ts"
 )
 
@@ -214,5 +215,35 @@ prop x <= 3
 	}
 	if res.Runtime <= 0 {
 		t.Error("runtime not recorded")
+	}
+}
+
+// hardSrc's violation query is UNSAT (the polynomial is identically 0),
+// but interval bisection refutes it only on boxes about 1e-3 wide, so
+// the first Solve on it runs for minutes unless it is stopped.
+const hardSrc = `
+system hard
+var x : real [0, 100]
+var y : real [0, 100]
+init x >= 0 and y >= 0
+trans x' = x and y' = y
+prop (x + y) * (x + y) - x * x - 2 * x * y - y * y <= 0.5
+`
+
+// TestUnknownNotes: an Unknown after a solver StatusUnknown reads
+// "timeout" when the budget was cancelled mid-Solve, and "solver budget
+// (...)" only when the query hit the per-Solve cap.
+func TestUnknownNotes(t *testing.T) {
+	sys := mustParse(t, hardSrc)
+	done := make(chan struct{})
+	time.AfterFunc(20*time.Millisecond, func() { close(done) })
+	res := Check(sys, Options{Budget: engine.Budget{}.WithDone(done)})
+	if res.Verdict != engine.Unknown || res.Note != "timeout" || res.Stats["solves"] != 1 {
+		t.Errorf("cancelled mid-Solve: %v (%q) after %d solves; want unknown (\"timeout\") in the first", res.Verdict, res.Note, res.Stats["solves"])
+	}
+	defer icp.LowerCapsForTest(50, 1000)()
+	res = Check(sys, Options{})
+	if res.Verdict != engine.Unknown || res.Note != "solver budget (bad query)" {
+		t.Errorf("at the cap: %v (%q); want unknown (\"solver budget (bad query)\")", res.Verdict, res.Note)
 	}
 }

@@ -35,6 +35,8 @@ var Counters = [...]Counter{
 	{"infRevisions", "HC4-revise calls of the F_∞ probe solver", 0},
 	{"infDecisions", "branching decisions of the F_∞ probe solver", 0},
 	{"infAccepted", "F_∞ probes ended early at an exact counter-point", 0},
+	{"traceExits", "bmc and k-induction base queries ended early at a proven counterexample trace", 0},
+	{"ctiExits", "k-induction step queries ended early at a proven counterexample to induction", 0},
 }
 
 // Counts holds one value per row of Counters; its length follows the table.

@@ -15,6 +15,9 @@ func TestCounterNames(t *testing.T) {
 		"consecCacheHits":      "consec_cache_hits",
 		"consecCacheMisses":    "consec_cache_misses",
 		"tnfOpsPruned":         "tnf_ops_pruned",
+		"infAccepted":          "inf_accepted",
+		"traceExits":           "trace_exits",
+		"ctiExits":             "cti_exits",
 	} {
 		if got := Counters[CounterIndex(key)].Name(); got != want {
 			t.Errorf("%s: Name() = %q, want %q", key, got, want)

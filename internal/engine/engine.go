@@ -260,6 +260,18 @@ func (h *heartbeat) expired(timeout time.Duration, start time.Time) bool {
 	return true
 }
 
+// StopNote is the Note of an engine's Unknown after a solver query
+// answered StatusUnknown: "timeout", the label of the engines' loop
+// heads, when the budget has expired (the solver's Stop hook ended the
+// query), else "solver budget (<query>)": the query itself hit the
+// solver's per-Solve conflict or decision cap.
+func (b Budget) StopNote(query string) string {
+	if b.Expired() {
+		return "timeout"
+	}
+	return "solver budget (" + query + ")"
+}
+
 // Elapsed returns the time since Start.
 func (b Budget) Elapsed() time.Duration {
 	if b.start.IsZero() {

@@ -59,6 +59,23 @@ func TestBudgetUnstartedWithTimeout(t *testing.T) {
 	}
 }
 
+func TestBudgetStopNote(t *testing.T) {
+	done := make(chan struct{})
+	b := Budget{Timeout: time.Hour}.WithDone(done).Start()
+	if got := b.StopNote("base"); got != "solver budget (base)" {
+		t.Errorf("running budget: %q, want the cap's label", got)
+	}
+	close(done)
+	if got := b.StopNote("base"); got != "timeout" {
+		t.Errorf("cancelled budget: %q, want \"timeout\"", got)
+	}
+	late := Budget{Timeout: time.Nanosecond}.Start()
+	time.Sleep(time.Millisecond)
+	if got := late.StopNote("base"); got != "timeout" {
+		t.Errorf("timed-out budget: %q, want \"timeout\"", got)
+	}
+}
+
 func TestBoundAndCubeString(t *testing.T) {
 	b := CertBound{Var: "x", Le: true, B: 2}
 	if b.String() != "x<=2" {

@@ -63,8 +63,10 @@ func (e *Expr) EvalInterval(env IEnv) (interval.Interval, error) {
 		return v, nil
 	}
 	var buf [3]interval.Interval
-	args := buf[:len(e.Args)]
-	if len(e.Args) > len(buf) { // n-ary and/or
+	var args []interval.Interval
+	if len(e.Args) <= len(buf) {
+		args = buf[:len(e.Args)]
+	} else { // n-ary and/or
 		args = make([]interval.Interval, len(e.Args))
 	}
 	for i, a := range e.Args {

@@ -182,6 +182,32 @@ func TestEvalTruthThreeValued(t *testing.T) {
 	}
 }
 
+// TestEvalTruthNary: And and Or with more operands than the evaluator's
+// stack buffer (ApplyInvariant builds such conjunctions).
+func TestEvalTruthNary(t *testing.T) {
+	box := IEnv{"x": interval.New(0, 2)}
+	args := func(srcs ...string) []*Expr {
+		out := make([]*Expr, len(srcs))
+		for i, s := range srcs {
+			out[i] = MustParse(s)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		e    *Expr
+		want Truth
+	}{
+		{And(args("x >= 0", "x <= 2", "x < 3", "x > -1")...), True},
+		{And(args("x >= 0", "x <= 2", "x < 3", "x > 2", "x <= 1")...), False},
+		{Or(args("x > 2", "x < 0", "x > 5", "x <= 1")...), Unknown},
+		{Or(args("x > 2", "x < 0", "x > 5", "x <= 2")...), True},
+	} {
+		if got, err := c.e.EvalTruth(box); err != nil || got != c.want {
+			t.Errorf("%s over x in [0, 2]: %v, %v; want %v", c.e, got, err, c.want)
+		}
+	}
+}
+
 func TestEvalIntervalUndefined(t *testing.T) {
 	box := IEnv{"x": interval.New(-1, 2)}
 	bad := []string{

@@ -9,29 +9,45 @@ import (
 	"icpic3/internal/engine"
 )
 
-// TestCountersWrittenByEngine checks that this package writes every
-// engine.Counters key as a literal stats["<key>"].  Check seeds each
-// schema key with zero, so a key misspelt in the schema (or renamed
-// here) would otherwise show up as a present but silent zero.
+// TestCountersWrittenByEngine checks that the engines write every
+// engine.Counters key as a literal stats["<key>"]: this package or, for
+// the exits of the unrolled queries, bmc and kind.  ic3icp's Check seeds
+// each schema key with zero, so a key misspelt in the schema (or renamed
+// in an engine) would otherwise show up as a present but silent zero.
 func TestCountersWrittenByEngine(t *testing.T) {
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var src strings.Builder
-	for _, f := range files {
-		if strings.HasSuffix(f, "_test.go") {
-			continue
-		}
-		b, err := os.ReadFile(f)
+	src := map[string]string{}
+	for _, dir := range []string{".", "../bmc", "../kind"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		src.Write(b)
+		var b strings.Builder
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Write(data)
+		}
+		src[dir] = b.String()
+	}
+	// the keys only the unrolled engines write, and which of them must
+	unrolled := map[string][]string{
+		"traceExits": {"../bmc", "../kind"},
+		"ctiExits":   {"../kind"},
 	}
 	for _, c := range engine.Counters {
-		if !strings.Contains(src.String(), `stats["`+c.Key+`"]`) {
-			t.Errorf("counter %q is declared in engine.Counters but never written by ic3icp", c.Key)
+		dirs, ok := unrolled[c.Key]
+		if !ok {
+			dirs = []string{"."}
+		}
+		for _, dir := range dirs {
+			if !strings.Contains(src[dir], `stats["`+c.Key+`"]`) {
+				t.Errorf("counter %q is declared in engine.Counters but never written by %s", c.Key, filepath.Base(dir))
+			}
 		}
 	}
 }

@@ -172,7 +172,7 @@ type checker struct {
 	// point, and scratch for the candidate point and its successor
 	stepper    *ts.Stepper
 	partial    []*expr.Expr
-	probePoint []float64
+	probePoint []interval.Interval
 	probeSucc  []interval.Interval
 	probeEnv   expr.IEnv
 	// onProbe, when set, observes every F_∞ probe once it is answered
@@ -794,7 +794,7 @@ func (ch *checker) run() engine.Result {
 		return engine.Result{Verdict: engine.Unknown, Note: "0-step candidate failed validation"}
 	}
 	if r0.Status == icp.StatusUnknown {
-		return engine.Result{Verdict: engine.Unknown, Note: "solver budget (0-step)"}
+		return engine.Result{Verdict: engine.Unknown, Note: ch.budget.StopNote("0-step")}
 	}
 
 	// Frame 0 = Init: the main solver encodes F_0 by asserting Init over
@@ -832,7 +832,7 @@ func (ch *checker) run() engine.Result {
 				break
 			}
 			if r.Status == icp.StatusUnknown {
-				return engine.Result{Verdict: engine.Unknown, Depth: k, Note: "solver budget (bad query)"}
+				return engine.Result{Verdict: engine.Unknown, Depth: k, Note: ch.budget.StopNote("bad query")}
 			}
 			bad := ch.widenBadCube(ch.boxCube(r.Box, ch.curIDs))
 			root := &obligation{cube: bad, point: ch.sys.BoxState(r.Box, ch.curIDs, interval.Interval.Mid), frame: k, depth: 0}
@@ -898,7 +898,7 @@ func (ch *checker) block(root *obligation, k int) (engine.Verdict, engine.Result
 			})
 			heap.Push(&q, ob)
 		case icp.StatusUnknown:
-			return engine.Unknown, engine.Result{Verdict: engine.Unknown, Note: "solver budget (block query)"}
+			return engine.Unknown, engine.Result{Verdict: engine.Unknown, Note: ch.budget.StopNote("block query")}
 		case icp.StatusUnsat:
 			ch.ctgBudget = 16 // per-obligation allowance for CTG blocking
 			if ch.promoteInductive(ob.cube) {

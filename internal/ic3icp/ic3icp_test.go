@@ -6,6 +6,7 @@ import (
 
 	"icpic3/internal/benchmarks"
 	"icpic3/internal/engine"
+	"icpic3/internal/icp"
 	"icpic3/internal/ts"
 )
 
@@ -369,5 +370,38 @@ prop x <= 1.5 and x >= -1.5
 	res := Check(sys, Options{})
 	if res.Verdict != engine.Safe {
 		t.Fatalf("verdict = %v (%s)", res.Verdict, res.Note)
+	}
+}
+
+// hardSrc's violation query is UNSAT (the polynomial is identically 0),
+// but interval bisection refutes it only on boxes about 1e-3 wide, so
+// the first Solve on it runs for minutes unless it is stopped.
+const hardSrc = `
+system hard
+var x : real [0, 100]
+var y : real [0, 100]
+init x >= 0 and y >= 0
+trans x' = x and y' = y
+prop (x + y) * (x + y) - x * x - 2 * x * y - y * y <= 0.5
+`
+
+// TestUnknownNotes: an Unknown after a solver StatusUnknown reads
+// "timeout" when the budget was cancelled mid-Solve, and "solver budget
+// (...)" only when the query hit the per-Solve cap.
+func TestUnknownNotes(t *testing.T) {
+	sys, err := ts.Parse(hardSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	time.AfterFunc(20*time.Millisecond, func() { close(done) })
+	res := Check(sys, Options{Budget: engine.Budget{}.WithDone(done)})
+	if res.Verdict != engine.Unknown || res.Note != "timeout" {
+		t.Errorf("cancelled mid-Solve: %v (%q); want unknown (\"timeout\")", res.Verdict, res.Note)
+	}
+	defer icp.LowerCapsForTest(50, 1000)()
+	res = Check(sys, Options{})
+	if res.Verdict != engine.Unknown || res.Note != "solver budget (0-step)" {
+		t.Errorf("at the cap: %v (%q); want unknown (\"solver budget (0-step)\")", res.Verdict, res.Note)
 	}
 }

@@ -40,7 +40,7 @@ func (ch *checker) buildWitness() {
 		}
 	}
 	n := len(ch.sys.Vars)
-	ch.probePoint = make([]float64, n)
+	ch.probePoint = make([]interval.Interval, n)
 	ch.probeSucc = make([]interval.Interval, n)
 	ch.probeEnv = expr.IEnv{}
 }
@@ -51,10 +51,11 @@ func (ch *checker) buildWitness() {
 func (ch *checker) steppedInto(c icpCube, lo, hi []float64) bool {
 	s := ch.probePoint
 	for i, id := range ch.curIDs {
-		s[i] = interval.Interval{Lo: lo[id], Hi: hi[id]}.Mid()
-		if !ch.sys.Vars[i].Dom.Contains(s[i]) { // also rejects NaN
+		m := interval.Interval{Lo: lo[id], Hi: hi[id]}.Mid()
+		if !ch.sys.Vars[i].Dom.Contains(m) { // also rejects NaN
 			return false
 		}
+		s[i] = interval.Point(m)
 	}
 	if !ch.outside(c, s) {
 		return false
@@ -80,7 +81,7 @@ func (ch *checker) steppedInto(c icpCube, lo, hi []float64) bool {
 	}
 	if len(ch.partial) > 0 {
 		for i, v := range ch.sys.Vars {
-			ch.probeEnv[v.Name] = interval.Point(s[i])
+			ch.probeEnv[v.Name] = s[i]
 		}
 		for _, f := range ch.partial {
 			if _, err := f.EvalInterval(ch.probeEnv); err != nil {
@@ -91,11 +92,12 @@ func (ch *checker) steppedInto(c icpCube, lo, hi []float64) bool {
 	return true
 }
 
-// outside reports whether the point s (values in declaration order)
-// violates some literal of cube c exactly: it satisfies the clause ¬c.
-func (ch *checker) outside(c icpCube, s []float64) bool {
+// outside reports whether the point s (point intervals in declaration
+// order) violates some literal of cube c exactly: it satisfies the
+// clause ¬c.
+func (ch *checker) outside(c icpCube, s []interval.Interval) bool {
 	for _, l := range c {
-		if !litHoldsOn(l, interval.Point(s[l.Var])) {
+		if !litHoldsOn(l, s[l.Var]) {
 			return true
 		}
 	}

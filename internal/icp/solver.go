@@ -85,11 +85,21 @@ type Options struct {
 }
 
 // Per-Solve search budgets: a Solve call that exceeds either answers
-// StatusUnknown.
-const (
-	maxConflicts = 200_000
-	maxDecisions = 2_000_000
+// StatusUnknown.  They never vary outside tests (LowerCapsForTest).
+var (
+	maxConflicts int64 = 200_000
+	maxDecisions int64 = 2_000_000
 )
+
+// LowerCapsForTest sets the per-Solve conflict and decision caps until
+// the returned function restores them, so that tests of the engines'
+// StatusUnknown handling reach a cap on a small query.  No solver may
+// run concurrently with either call.
+func LowerCapsForTest(conflicts, decisions int64) (restore func()) {
+	c, d := maxConflicts, maxDecisions
+	maxConflicts, maxDecisions = conflicts, decisions
+	return func() { maxConflicts, maxDecisions = c, d }
+}
 
 func (o Options) withDefaults() Options {
 	if o.Eps <= 0 {

@@ -13,7 +13,6 @@ import (
 	"icpic3/internal/bmc"
 	"icpic3/internal/engine"
 	"icpic3/internal/icp"
-	"icpic3/internal/tnf"
 	"icpic3/internal/ts"
 )
 
@@ -45,7 +44,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Check runs k-induction up to the configured depth.
+// Check runs k-induction up to the configured depth.  Safe at k rests
+// on the step case at k and on the base cases 0..k-1: a base case that
+// ends on a candidate failing validation proves nothing about its depth,
+// so after one at depth j no step case beyond j concludes Safe (the run
+// ends Unknown, naming j), while deeper base cases may still find a
+// counterexample.
 func Check(sys *ts.System, opts Options) engine.Result {
 	opts = opts.withDefaults()
 	budget := opts.Budget.Start()
@@ -80,6 +84,22 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		return finish(engine.Result{Verdict: engine.Unknown, Note: err.Error()})
 	}
 
+	// askBase asks the base case's robust or plain violation query; an
+	// exit is a proven counterexample trace
+	askBase := func(robust bool) (bmc.Answer, error) {
+		budget.Tick()
+		a, err := base.Ask(robust)
+		stats["baseSolves"]++
+		if a.Exit {
+			stats["traceExits"]++
+		}
+		return a, err
+	}
+
+	// spuriousAt is the first depth whose base case ended on a candidate
+	// that failed validation: that depth was never shown free of
+	// counterexamples, so no deeper step case may conclude Safe.
+	spuriousAt := -1
 	for k := 0; k <= opts.MaxK; k++ {
 		if budget.Expired() {
 			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: "timeout", Stats: stats})
@@ -87,30 +107,27 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		// base case: Init ∧ Trans^k ∧ !Prop@k (robust violation first:
 		// boundary-hugging candidates cannot validate; plain violations
 		// are still checked for discrete properties)
-		badRobust, badPlain, err := base.Bad(k)
+		rb, err := askBase(true)
+		if err == nil && rb.Status == icp.StatusUnsat {
+			rb, err = askBase(false)
+		}
 		if err != nil {
 			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: err.Error(), Stats: stats})
 		}
-		budget.Tick()
-		rb := base.Solver.Solve([]tnf.Lit{badRobust})
-		stats["baseSolves"]++
-		if rb.Status == icp.StatusUnsat {
-			budget.Tick()
-			rb = base.Solver.Solve([]tnf.Lit{badPlain})
-			stats["baseSolves"]++
-		}
 		switch rb.Status {
 		case icp.StatusSat:
-			trace := base.Trace(rb.Box, k)
-			if verr := sys.ValidateTrace(trace, tol); verr == nil {
-				return finish(engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: k, Stats: stats})
+			if verr := sys.ValidateTrace(rb.Trace, tol); verr == nil {
+				return finish(engine.Result{Verdict: engine.Unsafe, Trace: rb.Trace, Depth: k, Stats: stats})
 			}
-			// Spurious base-case candidate (boundary artifact): the step
-			// case may still prove safety at this k, and deeper base cases
-			// may surface a real counterexample — keep going.
+			// Spurious base-case candidate (boundary artifact): deeper
+			// base cases may surface a real counterexample, so keep going,
+			// but depth k is unproven from here on.
 			stats["spurious"]++
+			if spuriousAt < 0 {
+				spuriousAt = k
+			}
 		case icp.StatusUnknown:
-			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: "solver budget (base)", Stats: stats})
+			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: budget.StopNote("base"), Stats: stats})
 		}
 
 		// step case: (∧_{i<=k-1} Prop@i ∧ Trans@i) ∧ !Prop@k over any start.
@@ -120,14 +137,23 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		// already saw fail (the unrolling is still extended, so the query
 		// at SeedK sees the full induction hypothesis).
 		if k >= 1 && k >= opts.SeedK {
-			_, badS, err := step.Bad(k)
+			budget.Tick()
+			rs, err := step.Ask(false)
 			if err != nil {
 				return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: err.Error(), Stats: stats})
 			}
-			budget.Tick()
-			rs := step.Solver.Solve([]tnf.Lit{badS})
 			stats["stepSolves"]++
+			if rs.Exit { // a proven counterexample to induction
+				stats["ctiExits"]++
+			}
 			if rs.Status == icp.StatusUnsat {
+				// Safe at k rests on the base cases 0..k-1
+				if spuriousAt >= 0 && spuriousAt < k {
+					return finish(engine.Result{
+						Verdict: engine.Unknown, Depth: k, Stats: stats,
+						Note: fmt.Sprintf("%d-inductive, but the base case at depth %d has only an unvalidated candidate", k, spuriousAt),
+					})
+				}
 				return finish(engine.Result{
 					Verdict: engine.Safe, Depth: k, Stats: stats,
 					Certificate: &engine.Certificate{Kind: engine.CertKInduction, K: k},

@@ -1,10 +1,13 @@
 package kind
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"icpic3/internal/engine"
+	"icpic3/internal/icp"
 	"icpic3/internal/ts"
 )
 
@@ -263,5 +266,65 @@ prop x <= 9
 	}
 	if res.Stats["baseSolves"] == 0 || res.Stats["stepSolves"] == 0 {
 		t.Errorf("stats = %v", res.Stats)
+	}
+}
+
+// TestSpuriousBaseBlocksSafe: Init reaches x = 1.005, a real violation
+// of x <= 1 that lies within the validation tolerance (0.01), so the
+// depth-0 base candidate fails validation and depth 0 is never shown
+// free of counterexamples.  The step case is UNSAT at k = 1 (x <= 1
+// halves), but Safe at 1 would rest on that base case — and be wrong:
+// kind ends Unknown and names the depth.  With Init inside the property
+// the same step case proves Safe.
+func TestSpuriousBaseBlocksSafe(t *testing.T) {
+	const src = `
+system boundary
+var x : real [0, 10]
+init x >= 0.5 and x <= %s
+trans x' = x / 2
+prop x <= 1
+`
+	res := Check(mustParse(t, fmt.Sprintf(src, "1.005")), Options{MaxK: 4})
+	if res.Verdict != engine.Unknown || res.Stats["spurious"] != 1 || res.Depth != 1 {
+		t.Fatalf("verdict %v at depth %d, spurious %d (%s); want unknown at 1 after one spurious candidate",
+			res.Verdict, res.Depth, res.Stats["spurious"], res.Note)
+	}
+	if !strings.Contains(res.Note, "depth 0") {
+		t.Errorf("note %q does not name depth 0", res.Note)
+	}
+	res = Check(mustParse(t, fmt.Sprintf(src, "0.9")), Options{MaxK: 4})
+	if res.Verdict != engine.Safe || res.Depth != 1 || res.Stats["spurious"] != 0 {
+		t.Errorf("with Init inside the property: %v at depth %d, spurious %d (%s); want safe at 1",
+			res.Verdict, res.Depth, res.Stats["spurious"], res.Note)
+	}
+}
+
+// hardSrc's violation query is UNSAT (the polynomial is identically 0),
+// but interval bisection refutes it only on boxes about 1e-3 wide, so
+// the first Solve on it runs for minutes unless it is stopped.
+const hardSrc = `
+system hard
+var x : real [0, 100]
+var y : real [0, 100]
+init x >= 0 and y >= 0
+trans x' = x and y' = y
+prop (x + y) * (x + y) - x * x - 2 * x * y - y * y <= 0.5
+`
+
+// TestUnknownNotes: an Unknown after a solver StatusUnknown reads
+// "timeout" when the budget was cancelled mid-Solve, and "solver budget
+// (...)" only when the query hit the per-Solve cap.
+func TestUnknownNotes(t *testing.T) {
+	sys := mustParse(t, hardSrc)
+	done := make(chan struct{})
+	time.AfterFunc(20*time.Millisecond, func() { close(done) })
+	res := Check(sys, Options{Budget: engine.Budget{}.WithDone(done)})
+	if res.Verdict != engine.Unknown || res.Note != "timeout" || res.Stats["baseSolves"] != 1 {
+		t.Errorf("cancelled mid-Solve: %v (%q) after %d solves; want unknown (\"timeout\") in the first", res.Verdict, res.Note, res.Stats["baseSolves"])
+	}
+	defer icp.LowerCapsForTest(50, 1000)()
+	res = Check(sys, Options{})
+	if res.Verdict != engine.Unknown || res.Note != "solver budget (base)" {
+		t.Errorf("at the cap: %v (%q); want unknown (\"solver budget (base)\")", res.Verdict, res.Note)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"icpic3/internal/interval"
 )
 
-// Stepper encloses the successor of a point state, for systems whose
+// Stepper encloses the successors of a box of states, for systems whose
 // transition relation is a function of the current state.  A Stepper
 // reuses one evaluation environment and is not safe for concurrent use.
 type Stepper struct {
@@ -96,15 +96,18 @@ func mentionsPrimed(e *expr.Expr) bool {
 	return false
 }
 
-// Step encloses the successor of the point state cur (values in
-// declaration order) into succ, outward rounded.  It reports true only
-// when the enclosure is exact in this sense: every update is defined at
-// cur, and every guard is defined on (cur, succ) and true on all of it
-// (expr.EvalInterval), so the real successor of cur exists, is unique
-// and lies in succ.  On false, succ holds no meaning.
-func (st *Stepper) Step(cur []float64, succ []interval.Interval) bool {
+// Step encloses the successors of every state in the box cur (values in
+// declaration order; a point state is the box of interval.Point values)
+// into succ, outward rounded.  It reports true only when the enclosure
+// is exact in this sense: every update is defined on all of cur, and
+// every guard is defined on (cur, succ) and true on all of it
+// (expr.EvalInterval), so each state of cur has exactly one real
+// successor, and it lies in succ.  Applied to its own output, Step
+// replays a point state over several steps.  succ must not alias cur;
+// on false, succ holds no meaning.
+func (st *Stepper) Step(cur, succ []interval.Interval) bool {
 	for i, n := range st.names {
-		st.env[n] = interval.Point(cur[i])
+		st.env[n] = cur[i]
 	}
 	for i, f := range st.next {
 		v, err := f.EvalInterval(st.env)

@@ -97,7 +97,7 @@ prop th <= 1.2`)
 	}
 	succ := make([]interval.Interval, 2)
 	for _, cur := range [][]float64{{0.3, 0.4}, {-1.9, 1.7}, {1.224, -0.01}} {
-		if !st.Step(cur, succ) {
+		if !st.Step(points(cur...), succ) {
 			t.Fatalf("Step(%v) failed", cur)
 		}
 		th, w := cur[0], cur[1]
@@ -122,16 +122,56 @@ prop x <= 5`)
 		t.Fatal("no stepper for the guarded system")
 	}
 	one := make([]interval.Interval, 1)
-	if !gs.Step([]float64{1}, one) || !one[0].Contains(4) {
+	if !gs.Step(points(1), one) || !one[0].Contains(4) {
 		t.Errorf("Step(1) = %v, want ok and an enclosure of 4", one[0])
 	}
-	if gs.Step([]float64{9.5}, one) {
+	if gs.Step(points(9.5), one) {
 		t.Error("Step(9.5) ok, but the guard x <= 9 is false there")
 	}
-	if gs.Step([]float64{0.4}, one) {
+	if gs.Step(points(0.4), one) {
 		t.Error("Step(0.4) ok, but the guard x' <= 9 is false at x' = 10")
 	}
-	if gs.Step([]float64{0}, one) {
+	if gs.Step(points(0), one) {
 		t.Error("Step(0) ok, but the update 4 / x is undefined there")
 	}
+
+	// a box of states: [1, 2] steps into [2, 4]; [0.5, 1] reaches x' = 8
+	// and passes the guard only where the whole enclosure does, which
+	// [0.4, 1] does not (x' = 10 there); [-1, 1] holds the pole of 4 / x
+	if !gs.Step([]interval.Interval{interval.New(1, 2)}, one) || !one[0].ContainsInterval(interval.New(2, 4)) || one[0].Width() > 2+1e-14 {
+		t.Errorf("Step([1, 2]) = %v, want ok and a tight enclosure of [2, 4]", one[0])
+	}
+	if !gs.Step([]interval.Interval{interval.New(0.5, 1)}, one) {
+		t.Error("Step([0.5, 1]) failed, but every successor lies in [4, 8]")
+	}
+	if gs.Step([]interval.Interval{interval.New(0.4, 1)}, one) {
+		t.Error("Step([0.4, 1]) ok, but the guard x' <= 9 fails at x = 0.4")
+	}
+	if gs.Step([]interval.Interval{interval.New(-1, 1)}, one) {
+		t.Error("Step([-1, 1]) ok, but the update 4 / x is undefined at 0")
+	}
+
+	// replaying a box over several steps: the pendulum's enclosures stay
+	// tight, and each holds the point trajectory
+	cur, next := points(0.3, 0.4), make([]interval.Interval, 2)
+	th, w := 0.3, 0.4
+	for k := 0; k < 20; k++ {
+		if !st.Step(cur, next) {
+			t.Fatalf("step %d failed", k)
+		}
+		th, w = th+0.2*w, w+0.2*(-math.Sin(th)-w)
+		if !next[0].Contains(th) || !next[1].Contains(w) || next[0].Width() > 1e-12 {
+			t.Fatalf("step %d: %v, want a tight enclosure of (%v, %v)", k, next, th, w)
+		}
+		cur, next = next, cur
+	}
+}
+
+// points returns the point state of the given values.
+func points(vals ...float64) []interval.Interval {
+	out := make([]interval.Interval, len(vals))
+	for i, v := range vals {
+		out[i] = interval.Point(v)
+	}
+	return out
 }

@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet bench-vet fmt-check lint lint-json lint-sarif check fuzz-short bench-json bench-diff bench-smoke bench-module-test reuse-smoke clean
+.PHONY: all build test test-race vet bench-vet fmt-check lint check fuzz-short bench-json bench-diff bench-smoke bench-module-test reuse-smoke clean
 
 all: check
 
@@ -95,17 +95,6 @@ fmt-check:
 # invariants — see DESIGN.md §11).  Exits nonzero on any finding.
 lint:
 	$(GO) run ./cmd/icplint ./...
-
-# Machine-readable findings, mirroring bench-json: one JSON object with
-# per-finding file/line/analyzer/message plus per-analyzer counts.
-lint-json:
-	$(GO) run ./cmd/icplint -json ./...
-
-# SARIF 2.1.0 log for CI annotation surfaces; pragma-allowed findings
-# become in-source suppressions.  Written to icplint.sarif.
-lint-sarif:
-	$(GO) run ./cmd/icplint -sarif ./... > icplint.sarif || true
-	@test -s icplint.sarif
 
 # Short native-fuzzing smoke: each target gets a few seconds.  `go test`
 # allows one -fuzz pattern per invocation, hence one line per target.

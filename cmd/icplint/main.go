@@ -6,13 +6,10 @@
 //
 // Usage:
 //
-//	icplint [-json|-sarif] [-analyzers a,b,...] [packages]
+//	icplint [packages]
 //
-// With no packages, ./... is linted.  -json emits a machine-readable
-// report (file, line, col, analyzer, message) mirroring bench-json, so
-// finding counts can be diffed across PRs.  -sarif emits a SARIF 2.1.0
-// log with pragma-allowed findings marked as in-source suppressions,
-// for CI annotation surfaces.
+// With no packages, ./... is linted.  Exit status is 0 when clean, 1 on
+// findings, and 2 on a usage or load error.
 package main
 
 import (
@@ -20,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"icpic3/internal/analysis"
 	"icpic3/internal/analysis/budgetloop"
@@ -31,7 +27,6 @@ import (
 	"icpic3/internal/analysis/resulterr"
 	"icpic3/internal/analysis/roundcheck"
 	"icpic3/internal/analysis/scratchalias"
-	"icpic3/internal/analysis/submitblock"
 )
 
 // suite is the full analyzer set, in report order.
@@ -41,7 +36,6 @@ var suite = []*analysis.Analyzer{
 	budgetloop.Analyzer,
 	guardgo.Analyzer,
 	resulterr.Analyzer,
-	submitblock.Analyzer,
 	lockguard.Analyzer,
 	releasetrack.Analyzer,
 	scratchalias.Analyzer,
@@ -54,26 +48,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("icplint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as JSON")
-	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-	names := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-	list := fs.Bool("list", false, "list the analyzers and exit")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *list {
-		for _, a := range suite {
-			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "icplint: -json and -sarif are mutually exclusive")
-		return 2
-	}
-	analyzers, err := selectAnalyzers(*names)
-	if err != nil {
-		fmt.Fprintf(stderr, "icplint: %v\n", err)
 		return 2
 	}
 	patterns := fs.Args()
@@ -90,46 +65,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "icplint: %v\n", err)
 		return 2
 	}
-	findings, err := analysis.RunAnalyzers(pkgs, analyzers)
+	findings, err := analysis.RunAnalyzers(pkgs, suite)
 	if err != nil {
 		fmt.Fprintf(stderr, "icplint: %v\n", err)
 		return 2
 	}
-	switch {
-	case *jsonOut:
-		if err := analysis.WriteJSON(stdout, dir, findings); err != nil {
-			fmt.Fprintf(stderr, "icplint: %v\n", err)
-			return 2
-		}
-	case *sarifOut:
-		if err := analysis.WriteSARIF(stdout, dir, analyzers, findings); err != nil {
-			fmt.Fprintf(stderr, "icplint: %v\n", err)
-			return 2
-		}
-	default:
-		analysis.WriteText(stdout, dir, findings)
-	}
+	analysis.WriteText(stdout, dir, findings)
 	if analysis.Failing(findings) > 0 {
 		return 1
 	}
 	return 0
-}
-
-func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
-	if names == "" {
-		return suite, nil
-	}
-	byName := make(map[string]*analysis.Analyzer, len(suite))
-	for _, a := range suite {
-		byName[a.Name] = a
-	}
-	var out []*analysis.Analyzer
-	for _, name := range strings.Split(names, ",") {
-		a, ok := byName[strings.TrimSpace(name)]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q", name)
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }

@@ -7,8 +7,9 @@
 // to the real framework is a mechanical change of import paths.
 //
 // The suite itself lives in the subpackages roundcheck, detrange,
-// budgetloop, guardgo and resulterr; cmd/icplint is the multichecker
-// driver.  See DESIGN.md §11 for the invariants each analyzer guards.
+// budgetloop, guardgo, resulterr, lockguard, releasetrack and
+// scratchalias; cmd/icplint is the multichecker driver.  See DESIGN.md
+// §11 and §16 for the invariants each analyzer guards.
 package analysis
 
 import (
@@ -22,8 +23,6 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in reports and //lint:allow pragmas.
 	Name string
-	// Doc is a one-paragraph description of the invariant enforced.
-	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
 }
@@ -37,7 +36,6 @@ type Diagnostic struct {
 // Pass carries one package's parsed and type-checked representation to
 // an analyzer's Run function.
 type Pass struct {
-	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package

@@ -57,7 +57,6 @@ func checkPackage(t *testing.T, a *analysis.Analyzer, pkg *analysis.Package) {
 		return
 	}
 	pass := &analysis.Pass{
-		Analyzer:  a,
 		Fset:      pkg.Fset,
 		Files:     pkg.Files,
 		Pkg:       pkg.Types,

@@ -51,7 +51,6 @@ var Scope = []string{
 
 var Analyzer = &analysis.Analyzer{
 	Name: "budgetloop",
-	Doc:  "flags unbounded engine loops with an iteration cycle that neither ticks nor polls the Budget, polls a Stop hook, nor descends toward an exit",
 	Run:  run,
 }
 

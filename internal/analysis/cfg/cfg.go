@@ -27,15 +27,14 @@
 package cfg
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 )
 
 // Graph is the control-flow graph of one function body.
 type Graph struct {
-	// Name labels the graph in Format output ("Submit", "func@12" for
-	// literals).
+	// Name labels the graph in the golden-file test output (the
+	// function's name, "lit" for literals).
 	Name string
 	// Blocks holds every block, entry first, in creation order;
 	// Block.Index is the position here.
@@ -48,7 +47,8 @@ type Graph struct {
 type Block struct {
 	Index int
 	// Kind names the construct that created the block ("entry", "exit",
-	// "if.then", "for.header", ...), for Format output and debugging.
+	// "if.then", "for.header", ...), for the golden-file test output and
+	// debugging.
 	Kind string
 	// Nodes are the statements and controlling expressions of the block
 	// in execution order.  Controlling expressions (if/for conditions,
@@ -68,8 +68,8 @@ type Block struct {
 	Panics bool
 }
 
-// New builds the graph of one function body.  name is used only for
-// Format output.
+// New builds the graph of one function body.  name only labels the
+// graph in test output.
 func New(name string, body *ast.BlockStmt) *Graph {
 	g := &Graph{Name: name}
 	b := &builder{g: g}
@@ -90,17 +90,6 @@ func FuncDecl(fd *ast.FuncDecl) *Graph {
 		return nil
 	}
 	return New(fd.Name.Name, fd.Body)
-}
-
-// FuncLit builds the graph of a function literal, named by its
-// position offset for stable Format output.
-func FuncLit(fset *token.FileSet, fl *ast.FuncLit) *Graph {
-	name := "funclit"
-	if fset != nil {
-		pos := fset.Position(fl.Pos())
-		name = fmt.Sprintf("funclit@%d", pos.Line)
-	}
-	return New(name, fl.Body)
 }
 
 // Reachable returns the set of blocks reachable from the entry,

@@ -27,7 +27,6 @@ var Scope = []string{
 
 var Analyzer = &analysis.Analyzer{
 	Name: "detrange",
-	Doc:  "flags nondeterministic map iteration in verdict-affecting packages",
 	Run:  run,
 }
 

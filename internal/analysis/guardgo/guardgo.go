@@ -33,7 +33,6 @@ var Scope = []string{
 
 var Analyzer = &analysis.Analyzer{
 	Name: "guardgo",
-	Doc:  "flags goroutines in supervised packages that do not run under engine.Guard/GuardGo",
 	Run:  run,
 }
 

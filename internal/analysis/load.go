@@ -21,7 +21,6 @@ import (
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
 	Path    string
-	Dir     string
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Types   *types.Package
@@ -150,7 +149,6 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg.Dir = t.Dir
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
@@ -238,7 +236,6 @@ func loadFixtureDir(im *fixtureImporter, path, dir string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkg.Dir = dir
 	im.pkgs[path] = pkg
 	return pkg, nil
 }

@@ -40,7 +40,6 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockguard",
-	Doc:  "flags access to a `guarded-by:` annotated field without the guarding mutex held",
 	Run:  run,
 }
 

@@ -1,23 +1,14 @@
-// Package releasetrack flags resources acquired on a path but not
-// released on every control-flow exit — the goroutine-leak class once
-// found in the attempt supervisor.  Two shapes are checked:
+// Package releasetrack flags a time.NewTicker or time.NewTimer whose
+// value does not reach a `.Stop()` on every normal exit path (a `defer
+// x.Stop()` counts, and panic exits are exempt: a panicking path is not
+// the leak's steady state).  Before Go 1.23 (go.mod says go 1.22) an
+// unstopped ticker is never garbage collected, and an unstopped timer
+// lives until it fires.
 //
-//   - time.NewTicker / time.NewTimer: the returned value must reach a
-//     `.Stop()` on every normal exit path (a `defer x.Stop()` counts,
-//     and panic exits are exempt: a panicking path is not the leak's
-//     steady state);
-//
-//   - goroutine-waiter channels: a channel made in the function,
-//     waited on inside a `go` statement's subtree, and closed by the
-//     function body on at least one path must be closed on EVERY normal
-//     exit path — a path that skips the close parks the spawned
-//     goroutine forever.  Channels the function itself receives from
-//     are exempt (there the goroutine is the closer, not the waiter).
-//
-// Both are backward must-release dataflow problems over the
-// function's CFG: a release fact flows from the exits toward the
-// acquisition site, intersecting at branch points, and the acquisition
-// is reported when some path to exit lacks the release.
+// This is a backward must-release dataflow problem over the function's
+// CFG: a release fact flows from the exits toward the acquisition site,
+// intersecting at branch points, and the acquisition is reported when
+// some path to exit lacks the release.
 package releasetrack
 
 import (
@@ -32,7 +23,6 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "releasetrack",
-	Doc:  "flags resources acquired on a path but not released on every exit (leaked goroutines, unstopped tickers)",
 	Run:  run,
 }
 
@@ -57,15 +47,14 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// acquisition is one tracked resource: the variable it is bound to, the
-// node that acquires it, and how it is released.
+// acquisition is one tracked resource: the variable it is bound to and
+// the node that acquires it.
 type acquisition struct {
-	obj   types.Object // the ticker/timer/channel variable
+	obj   types.Object // the ticker/timer variable
 	block *cfg.Block   // block containing the acquire node
 	node  int          // index of the acquire node within the block
 	pos   ast.Node     // report anchor
-	what  string       // `time.Ticker "t"`, `goroutine-waiter channel "done"`
-	verb  string       // "Stop()", "close()"
+	what  string       // `time.Ticker "t"`
 }
 
 // checkBody runs the backward must-release analysis over one function
@@ -97,14 +86,13 @@ func checkBody(pass *analysis.Pass, g *cfg.Graph) {
 			prob.transferNode(a.block.Nodes[i], fact)
 		}
 		if !fact[a.obj] {
-			pass.Reportf(a.pos.Pos(), "%s is not released with %s on every exit path (the path that skips it leaks the resource)",
-				a.what, a.verb)
+			pass.Reportf(a.pos.Pos(), "%s is not released with Stop() on every exit path (the path that skips it leaks the resource)",
+				a.what)
 		}
 	}
 }
 
-// findAcquisitions scans the graph for ticker/timer constructions and
-// qualifying goroutine-waiter channels.
+// findAcquisitions scans the graph for ticker/timer constructions.
 func findAcquisitions(pass *analysis.Pass, g *cfg.Graph) []acquisition {
 	var acqs []acquisition
 	for _, b := range g.Blocks {
@@ -129,95 +117,15 @@ func findAcquisitions(pass *analysis.Pass, g *cfg.Graph) []acquisition {
 				continue
 			}
 			callee := analysis.CalleeObject(pass.TypesInfo, call)
-			switch {
-			case analysis.IsPkgFunc(callee, "time", "NewTicker"),
-				analysis.IsPkgFunc(callee, "time", "NewTimer"):
+			if analysis.IsPkgFunc(callee, "time", "NewTicker") || analysis.IsPkgFunc(callee, "time", "NewTimer") {
 				acqs = append(acqs, acquisition{
 					obj: obj, block: b, node: i, pos: as,
-					what: fmt.Sprintf("time.%s %q", callee.Name()[3:], lhs.Name), verb: "Stop()",
+					what: fmt.Sprintf("time.%s %q", callee.Name()[3:], lhs.Name),
 				})
-			case isMakeChan(pass, call):
-				if waiterChannel(pass, g, obj) {
-					acqs = append(acqs, acquisition{
-						obj: obj, block: b, node: i, pos: as,
-						what: fmt.Sprintf("goroutine-waiter channel %q", lhs.Name), verb: "close()",
-					})
-				}
 			}
 		}
 	}
 	return acqs
-}
-
-func isMakeChan(pass *analysis.Pass, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "make" {
-		return false
-	}
-	if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); !isBuiltin {
-		return false
-	}
-	_, isChan := pass.TypesInfo.TypeOf(call).Underlying().(*types.Chan)
-	return isChan
-}
-
-// waiterChannel reports whether obj qualifies as a goroutine-waiter
-// channel in graph g: it appears inside a `go` statement's subtree
-// (some spawned goroutine waits on it), the function body closes it on
-// at least one path (the function is the releaser), and the body never
-// receives from it (then the goroutine is the closer instead).
-func waiterChannel(pass *analysis.Pass, g *cfg.Graph, obj types.Object) bool {
-	inGo, closed, received := false, false, false
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			if gs, ok := n.(*ast.GoStmt); ok && mentionsObj(pass, gs, obj) {
-				inGo = true
-			}
-			analysis.InspectCFGNode(n, func(c ast.Node) bool {
-				switch c := c.(type) {
-				case *ast.CallExpr:
-					if isCloseOf(pass, c, obj) {
-						closed = true
-					}
-				case *ast.UnaryExpr:
-					if c.Op.String() == "<-" && usesObj(pass, c.X, obj) {
-						received = true
-					}
-				}
-				return true
-			})
-		}
-	}
-	return inGo && closed && !received
-}
-
-// mentionsObj reports whether the subtree (function literals included)
-// references obj.
-func mentionsObj(pass *analysis.Pass, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(c ast.Node) bool {
-		if id, ok := c.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-func usesObj(pass *analysis.Pass, e ast.Expr, obj types.Object) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && pass.TypesInfo.Uses[id] == obj
-}
-
-func isCloseOf(pass *analysis.Pass, call *ast.CallExpr, obj types.Object) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "close" || len(call.Args) != 1 {
-		return false
-	}
-	if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); !isBuiltin {
-		return false
-	}
-	return usesObj(pass, call.Args[0], obj)
 }
 
 // relFact is the backward must-release fact: the set of tracked objects
@@ -296,15 +204,6 @@ func (p *releaseProblem) transferNode(n ast.Node, fact relFact) {
 	analysis.InspectCFGNode(n, func(c ast.Node) bool {
 		call, ok := c.(*ast.CallExpr)
 		if !ok {
-			return true
-		}
-		// close(ch)
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" && len(call.Args) == 1 {
-			if arg, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok {
-				if obj := p.pass.TypesInfo.Uses[arg]; obj != nil && p.tracked[obj] {
-					fact[obj] = true
-				}
-			}
 			return true
 		}
 		// x.Stop()

@@ -1,14 +1,8 @@
-// Package a exercises the releasetrack analyzer: unstopped tickers and
-// goroutine-waiter channels not closed on every exit path.
+// Package a exercises the releasetrack analyzer: tickers and timers not
+// stopped on every exit path.
 package a
 
-import (
-	"time"
-
-	"icpic3/internal/engine"
-)
-
-// --- tickers and timers ---
+import "time"
 
 func tickerDeferred(work chan struct{}) {
 	t := time.NewTicker(time.Second)
@@ -51,77 +45,4 @@ func tickerPanicPathExempt(p bool) {
 		panic("boom") // panic exits are not the leak's steady state
 	}
 	t.Stop()
-}
-
-// --- goroutine-waiter channels ---
-
-func waiterClosedEverywhere(p bool) {
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-done:
-		}
-	}()
-	if p {
-		close(done)
-		return
-	}
-	close(done)
-}
-
-func waiterDeferClose() {
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		<-done
-	}()
-}
-
-func waiterSkippedOnBranch(p bool) {
-	done := make(chan struct{}) // want `goroutine-waiter channel "done" is not released with close\(\)`
-	go func() {
-		<-done
-	}()
-	if p {
-		return // the goroutine parks on done forever
-	}
-	close(done)
-}
-
-// mergedByHand merges two signals into the one channel a budget
-// watches, through a goroutine released when the attempt returns: every
-// exit closes attemptDone, so it is not flagged.
-func mergedByHand(cancel, stalled <-chan struct{}) engine.Budget {
-	abort := make(chan struct{})
-	attemptDone := make(chan struct{})
-	go func() {
-		select {
-		case <-cancel:
-			close(abort)
-		case <-stalled:
-			close(abort)
-		case <-attemptDone:
-		}
-	}()
-	b := engine.Budget{Timeout: 1}.WithDone(abort).Start()
-	close(attemptDone)
-	return b
-}
-
-// goroutineCloses is the inverse ownership: the spawned goroutine
-// closes the channel and the function receives it.  Not a waiter
-// channel; never flagged.
-func goroutineCloses() {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-	}()
-	<-done
-}
-
-// notWaited is a plain channel handed elsewhere; releasetrack does not
-// guess at cross-function ownership.
-func notWaited(sink chan<- chan struct{}) {
-	ch := make(chan struct{})
-	sink <- ch
 }

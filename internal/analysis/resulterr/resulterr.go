@@ -25,7 +25,6 @@ var CalleePkgs = []string{
 
 var Analyzer = &analysis.Analyzer{
 	Name: "resulterr",
-	Doc:  "flags discarded errors from the tnf/expr constructor layer",
 	Run:  run,
 }
 

@@ -39,7 +39,6 @@ var approvedFiles = map[string]bool{
 
 var Analyzer = &analysis.Analyzer{
 	Name: "roundcheck",
-	Doc:  "flags raw float arithmetic on interval endpoints outside the outward-rounding helpers",
 	Run:  run,
 }
 

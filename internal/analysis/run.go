@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -9,24 +8,22 @@ import (
 )
 
 // Finding is one diagnostic located in the source tree, the unit of
-// icplint's text and -json output.
+// icplint's output.
 type Finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 	// Allowed marks a finding suppressed by a //lint:allow pragma; it is
 	// reported in the summary but does not fail the run.
-	Allowed bool `json:"allowed,omitempty"`
-	// Reason is the pragma's justification when Allowed.
-	Reason string `json:"reason,omitempty"`
+	Allowed bool
 }
 
-// PragmaAnalyzer is the pseudo-analyzer name under which malformed and
+// pragmaAnalyzer is the pseudo-analyzer name under which malformed and
 // unused //lint:allow pragmas are reported.  Pragma hygiene findings
 // cannot themselves be suppressed.
-const PragmaAnalyzer = "pragma"
+const pragmaAnalyzer = "pragma"
 
 // RunAnalyzers applies every analyzer to every package, resolves
 // //lint:allow pragmas, and returns the findings sorted by position.
@@ -55,7 +52,6 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			pass := &Pass{
-				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
@@ -79,7 +75,6 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 					if pr, ok := pragmaAt[key{pos.Filename, line, a.Name}]; ok {
 						pr.Used = true
 						f.Allowed = true
-						f.Reason = pr.Reason
 						break
 					}
 				}
@@ -93,13 +88,13 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 		case pr.Analyzer == "" || pr.Reason == "":
 			findings = append(findings, Finding{
 				File: pr.File, Line: pr.Line, Col: 1,
-				Analyzer: PragmaAnalyzer,
+				Analyzer: pragmaAnalyzer,
 				Message:  "malformed pragma: want //lint:allow <analyzer> <reason>",
 			})
 		case !pr.Used:
 			findings = append(findings, Finding{
 				File: pr.File, Line: pr.Line, Col: 1,
-				Analyzer: PragmaAnalyzer,
+				Analyzer: pragmaAnalyzer,
 				Message:  fmt.Sprintf("unused //lint:allow %s pragma suppresses nothing; remove it", pr.Analyzer),
 			})
 		}
@@ -160,31 +155,6 @@ func WriteText(w io.Writer, dir string, findings []Finding) {
 	if n := Failing(findings); n > 0 {
 		fmt.Fprintf(w, "icplint: %d finding(s)\n", n)
 	}
-}
-
-// JSONReport is the machine-readable -json output shape.
-type JSONReport struct {
-	Findings []Finding      `json:"findings"`
-	Counts   map[string]int `json:"counts"`
-	Allowed  map[string]int `json:"allowed,omitempty"`
-}
-
-// WriteJSON emits the findings as a stable JSON document, mirroring
-// the bench-json format convention (one self-describing object).
-func WriteJSON(w io.Writer, dir string, findings []Finding) error {
-	rep := JSONReport{Findings: []Finding{}, Counts: map[string]int{}, Allowed: map[string]int{}}
-	for _, f := range findings {
-		f.File = relPath(dir, f.File)
-		rep.Findings = append(rep.Findings, f)
-		if f.Allowed {
-			rep.Allowed[f.Analyzer]++
-		} else {
-			rep.Counts[f.Analyzer]++
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 func relPath(dir, file string) string {

@@ -38,7 +38,6 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "scratchalias",
-	Doc:  "flags reused scratch slices escaping via return or store without a fresh copy",
 	Run:  run,
 }
 

@@ -38,9 +38,10 @@ import (
 // takes the exit only when that trace also passes ts.System.ValidateTrace
 // at the unrolling's tolerance, the check the engines apply to every
 // candidate.  A real violation smaller than the tolerance passes the
-// proof but not validation ("satisfies Prop within tol"); exiting on it
-// would trade a search that may still reach a candidate the engines
-// accept for one they discard.  Systems without a Stepper (int or bool
+// proof, but validation only when its midpoint trace is exact (in
+// practice at depth 0, where no rounded update is involved); exiting on
+// any other would trade a search that may still reach a candidate the
+// engines accept for one they discard.  Systems without a Stepper (int or bool
 // variables, relational Trans) search in full.
 
 // buildExit prepares the exit when Trans is a function of the state.

@@ -147,34 +147,46 @@ prop x <= 5
 	}
 }
 
-// TestExitValidates: a base exit needs a trace the engines accept.  With
-// Init reaching only x = 1.005, every violation of x <= 1 lies within the
-// validation tolerance (0.01): the replay proves one, but validation
-// rejects it, so the plain query searches in full.  With Init reaching
-// 1.5 the midpoint violates by more, and the query exits on it.
+// TestExitValidates: a base exit needs a trace the engines accept.  A
+// violation of x <= 1 by more than the validation tolerance (0.01)
+// passes, and so does a smaller one at depth 0, where the one-state
+// trace is exact (ts.System.ValidateTrace).  At depth 1 the sub-tolerance
+// violation's midpoint trace is not exact (x * 1.003 is rounded), so the
+// replay proves it but validation rejects it and the plain query
+// searches in full.
 func TestExitValidates(t *testing.T) {
 	for _, c := range []struct {
-		hi   string
-		exit bool
-	}{{"1.005", false}, {"1.5", true}} {
+		init, trans string
+		depth       int
+		exit        bool
+	}{
+		{"x >= 0.5 and x <= 1.005", "x' = x / 2", 0, true},
+		{"x >= 0.5 and x <= 1.5", "x' = x / 2", 0, true},
+		{"x >= 0.5 and x <= 1", "x' = x * 1.003", 1, false},
+	} {
 		sys := mustParse(t, fmt.Sprintf(`
 system v
 var x : real [0, 10]
-init x >= 0.5 and x <= %s
-trans x' = x / 2
+init %s
+trans %s
 prop x <= 1
-`, c.hi))
+`, c.init, c.trans))
 		u, err := NewUnrolling(sys, icp.Options{Eps: engine.DefaultEps}, true, ts.ValidateTol(engine.DefaultEps))
 		if err != nil {
 			t.Fatal(err)
 		}
+		for u.Depth() < c.depth {
+			if err := u.Extend(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		a, err := u.Ask(false)
 		if err != nil || a.Status != icp.StatusSat || a.Exit != c.exit {
-			t.Errorf("Init up to %s: %v, exit %v, %v; want sat, exit %v", c.hi, a.Status, a.Exit, err, c.exit)
+			t.Errorf("%s, %s at depth %d: %v, exit %v, %v; want sat, exit %v", c.init, c.trans, c.depth, a.Status, a.Exit, err, c.exit)
 		}
 		if c.exit {
 			if err := sys.ValidateTrace(a.Trace, ts.ValidateTol(engine.DefaultEps)); err != nil {
-				t.Errorf("Init up to %s: exit trace %v fails validation: %v", c.hi, a.Trace, err)
+				t.Errorf("%s: exit trace %v fails validation: %v", c.init, a.Trace, err)
 			}
 		}
 	}

@@ -102,6 +102,40 @@ func TestCheckUnsafeTraceReplay(t *testing.T) {
 	}
 }
 
+// subTolSrc violates Prop only for x in (1, 1.005], by less than the
+// validation tolerance at the default eps.
+const subTolSrc = `
+system subtol
+var x : real [-10, 10]
+init x >= 0.5 and x <= 1.005
+trans x' = x / 2
+prop x <= 1
+`
+
+// TestSubToleranceCounterexample: a violation smaller than the
+// validation tolerance is still a genuine counterexample when its replay
+// is exact, so every engine answers Unsafe at depth 0 with a trace the
+// certifier accepts.
+func TestSubToleranceCounterexample(t *testing.T) {
+	sys := mustParse(t, subTolSrc)
+	for _, c := range []struct {
+		name string
+		res  engine.Result
+	}{
+		{"ic3", ic3icp.Check(sys, ic3icp.Options{})},
+		{"bmc", bmc.Check(sys, bmc.Options{})},
+		{"kind", kind.Check(sys, kind.Options{})},
+	} {
+		if c.res.Verdict != engine.Unsafe || c.res.Depth != 0 {
+			t.Errorf("%s: verdict = %v at depth %d (%s), want Unsafe at depth 0", c.name, c.res.Verdict, c.res.Depth, c.res.Note)
+			continue
+		}
+		if err := certify.Check(sys, c.res, certify.Options{}); err != nil {
+			t.Errorf("%s: genuine counterexample rejected: %v", c.name, err)
+		}
+	}
+}
+
 func TestCheckKInductionCertificate(t *testing.T) {
 	sys := mustParse(t, safeSrc)
 	res := kind.Check(sys, kind.Options{})

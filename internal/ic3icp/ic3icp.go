@@ -364,26 +364,16 @@ func onStep(dst []tnf.Lit, c icpCube, ids []tnf.VarID) []tnf.Lit {
 	return dst
 }
 
-// entirelyBad reports whether the box is provably contained in the
-// robust-violation region (¬Weaken(Prop, δ)).
-func (ch *checker) entirelyBad(c icpCube) bool {
+// entirelyBad reports whether the box is provably contained in the bad
+// region of the property solver s: ¬Weaken(Prop, δ) for ch.prop (the
+// robust violations), ¬Prop for ch.propPlain.
+func (ch *checker) entirelyBad(s *icp.Solver, c icpCube) bool {
 	if len(c) == 0 {
 		return false
 	}
 	ch.stats["propQueries"]++
 	ch.budget.Tick()
-	r := ch.prop.Solve(c)
-	return r.Status == icp.StatusUnsat
-}
-
-// entirelyBadPlain reports whether the box is provably contained in ¬Prop.
-func (ch *checker) entirelyBadPlain(c icpCube) bool {
-	if len(c) == 0 {
-		return false
-	}
-	ch.stats["propQueries"]++
-	ch.budget.Tick()
-	r := ch.propPlain.Solve(c)
+	r := s.Solve(c)
 	return r.Status == icp.StatusUnsat
 }
 
@@ -394,11 +384,10 @@ func (ch *checker) entirelyBadPlain(c icpCube) bool {
 // boundary boxes — violations by less than the validation margin — widen
 // within the plain region so the boundary shell is blocked wholesale.
 func (ch *checker) widenBadCube(c icpCube) icpCube {
-	if ch.entirelyBad(c) {
-		return ch.widenCubeWith(c, ch.entirelyBad)
-	}
-	if ch.entirelyBadPlain(c) {
-		return ch.widenCubeWith(c, ch.entirelyBadPlain)
+	for _, s := range [...]*icp.Solver{ch.prop, ch.propPlain} {
+		if ch.entirelyBad(s, c) {
+			return ch.widenCubeWith(c, func(c icpCube) bool { return ch.entirelyBad(s, c) })
+		}
 	}
 	return c
 }

@@ -146,12 +146,12 @@ func workProfile(stats map[string]int64) [4]int64 {
 func TestPropQueryAllocs(t *testing.T) {
 	ch := newTestChecker(t, logisticSrc)
 	cube := icpCube{tnf.MkGe(ch.curIDs[0], 0.95), tnf.MkLe(ch.curIDs[0], 0.99)}
-	if !ch.entirelyBad(cube) {
+	if !ch.entirelyBad(ch.prop, cube) {
 		t.Fatal("fixture cube should be entirely bad")
 	}
 
 	allocs := testing.AllocsPerRun(200, func() {
-		ch.entirelyBad(cube)
+		ch.entirelyBad(ch.prop, cube)
 	})
 	// Measured ~3 allocs/op post-purge (solver-internal); the pre-purge
 	// code paid an extra map + slice rebuild per query on top of that.
@@ -177,7 +177,7 @@ func BenchmarkPropQuery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ch.entirelyBad(cube)
+		ch.entirelyBad(ch.prop, cube)
 	}
 }
 

@@ -270,18 +270,20 @@ prop x <= 9
 }
 
 // TestSpuriousBaseBlocksSafe: Init reaches x = 1.005, a real violation
-// of x <= 1 that lies within the validation tolerance (0.01), so the
-// depth-0 base candidate fails validation and depth 0 is never shown
-// free of counterexamples.  The step case is UNSAT at k = 1 (x <= 1
-// halves), but Safe at 1 would rest on that base case — and be wrong:
-// kind ends Unknown and names the depth.  With Init inside the property
-// the same step case proves Safe.
+// of x <= 1 that lies within the validation tolerance (0.01).  Init also
+// fixes y = x / 3, which no point state satisfies exactly (the quotient
+// is rounded), so the depth-0 base candidate is not an exact trace,
+// fails validation, and depth 0 is never shown free of counterexamples.
+// The step case is UNSAT at k = 1 (x <= 1 halves), but Safe at 1 would
+// rest on that base case — and be wrong: kind ends Unknown and names the
+// depth.  With Init inside the property the same step case proves Safe.
 func TestSpuriousBaseBlocksSafe(t *testing.T) {
 	const src = `
 system boundary
 var x : real [0, 10]
-init x >= 0.5 and x <= %s
-trans x' = x / 2
+var y : real [0, 10]
+init x >= 0.5 and x <= %s and y = x / 3
+trans x' = x / 2 and y' = y / 2
 prop x <= 1
 `
 	res := Check(mustParse(t, fmt.Sprintf(src, "1.005")), Options{MaxK: 4})

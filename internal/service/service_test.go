@@ -222,9 +222,42 @@ func TestRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// submitDeadline bounds one Submit call in TestQueueFull.  Admission
+// must answer accept, reject or shed without waiting on the queue, so a
+// call that takes this long is blocked, not slow.
+const submitDeadline = 5 * time.Second
+
+// TestQueueFull pins the admission contract (DESIGN.md §14): with the
+// worker busy and the queue full, Submit answers ErrBusy at once.  Each
+// call runs under submitDeadline, so a Submit that blocks on the queue
+// fails the test within seconds instead of hanging it.
 func TestQueueFull(t *testing.T) {
-	s := newTestService(t, Config{Workers: 1, QueueDepth: 1})
-	if _, err := s.Submit(Request{Source: hardModel, Engine: "ic3", Timeout: time.Hour}); err != nil {
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	blocked := false
+	t.Cleanup(func() {
+		if blocked {
+			return // a stuck Submit holds mu, so Shutdown would hang too
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	submit := func(req Request) error {
+		errc := make(chan error, 1)
+		go func() {
+			_, err := s.Submit(req)
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			return err
+		case <-time.After(submitDeadline):
+			blocked = true
+			t.Fatalf("Submit blocked for %v: admission must not wait on a full queue", submitDeadline)
+			return nil
+		}
+	}
+	if err := submit(Request{Source: hardModel, Engine: "ic3", Timeout: time.Hour}); err != nil {
 		t.Fatalf("submit 1: %v", err)
 	}
 	// distinct keys so they cannot coalesce; the worker is busy, depth 1
@@ -233,7 +266,7 @@ func TestQueueFull(t *testing.T) {
 	}
 	var busy bool
 	for i := 0; i < 4; i++ {
-		if _, err := s.Submit(Request{Source: variant(i), Engine: "ic3", Timeout: time.Hour}); errors.Is(err, ErrBusy) {
+		if err := submit(Request{Source: variant(i), Engine: "ic3", Timeout: time.Hour}); errors.Is(err, ErrBusy) {
 			busy = true
 			break
 		}

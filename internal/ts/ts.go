@@ -316,7 +316,9 @@ func ValidateTol(eps float64) float64 { return 1000 * eps }
 // ValidateTrace replays a trace: trace[0] must satisfy Init, every
 // consecutive pair must satisfy Trans, and the final state must violate
 // Prop — all within tolerance tol.  A nil error means the trace is a
-// genuine (tol-approximate) counterexample.
+// genuine (tol-approximate) counterexample.  The tolerance relaxes Prop
+// toward "holds", so a final state violating Prop by less than tol is
+// accepted only when the whole trace is exact (exactTrace).
 func (s *System) ValidateTrace(trace []State, tol float64) error {
 	if len(trace) == 0 {
 		return fmt.Errorf("ts: empty trace")
@@ -337,6 +339,9 @@ func (s *System) ValidateTrace(trace []State, tol float64) error {
 	if ok, err := s.CheckProp(last, tol); err != nil {
 		return fmt.Errorf("ts: prop eval: %w", err)
 	} else if ok {
+		if s.exactTrace(trace) {
+			return nil
+		}
 		return fmt.Errorf("ts: final trace state satisfies prop (not a counterexample)")
 	}
 	// range invariants
@@ -353,6 +358,47 @@ func (s *System) ValidateTrace(trace []State, tol float64) error {
 		}
 	}
 	return nil
+}
+
+// exactTrace reports whether the trace is a counterexample with no
+// tolerance at all: every value lies in its variable's domain (and is
+// integral for int and bool variables), and with every state a point
+// box, expr.EvalTruth gives Init True at state 0, Trans True on every
+// consecutive pair and Prop False at the last state.  EvalTruth rounds
+// outward and answers Unknown when undecided, so True and False are
+// proofs: no ε-spurious trace passes.
+func (s *System) exactTrace(trace []State) bool {
+	envs := make([]expr.IEnv, len(trace))
+	for i, st := range trace {
+		envs[i] = expr.IEnv{}
+		for _, v := range s.Vars {
+			val, ok := st[v.Name]
+			if !ok || !v.Dom.Contains(val) || v.Kind != expr.KindReal && val != math.Trunc(val) {
+				return false
+			}
+			envs[i][v.Name] = interval.Point(val)
+		}
+	}
+	is := func(e *expr.Expr, env expr.IEnv, want expr.Truth) bool {
+		t, err := e.EvalTruth(env)
+		return err == nil && t == want
+	}
+	if !is(s.Init, envs[0], expr.True) || !is(s.Prop, envs[len(envs)-1], expr.False) {
+		return false
+	}
+	for i := 0; i+1 < len(envs); i++ {
+		pair := expr.IEnv{}
+		for k, v := range envs[i] {
+			pair[k] = v
+		}
+		for k, v := range envs[i+1] {
+			pair[k+"'"] = v
+		}
+		if !is(s.Trans, pair, expr.True) {
+			return false
+		}
+	}
+	return true
 }
 
 // String renders the system in the model-file syntax understood by Parse.

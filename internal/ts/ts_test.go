@@ -196,6 +196,43 @@ func TestValidateTrace(t *testing.T) {
 	}
 }
 
+// TestValidateTraceSubTolerance: a final state that violates Prop by
+// less than tol is accepted only when the whole trace is exact.
+func TestValidateTraceSubTolerance(t *testing.T) {
+	const tol = 1e-2
+	sub, err := Parse(`
+system subtol
+var x : real [-10, 10]
+init x >= 0.5 and x <= 1.005
+trans x' = x / 2
+prop x <= 1
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.ValidateTrace([]State{{"x": 1.005}}, tol); err != nil {
+		t.Errorf("exact depth-0 counterexample rejected: %v", err)
+	}
+	if err := sub.ValidateTrace([]State{{"x": 1}}, tol); err == nil {
+		t.Error("state on the Prop boundary accepted as a counterexample")
+	}
+	drift, err := Parse(`
+system drift
+var x : real [0, 10]
+init x >= 0 and x <= 0.5
+trans x' = x + 0.5
+prop x <= 1
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Prop fails by 1e-9, but 0.5 + 0.5 != 1 + 1e-9: Trans holds only
+	// within tol, so the trace is not exact and stays rejected
+	if err := drift.ValidateTrace([]State{{"x": 0.5}, {"x": 1 + 1e-9}}, tol); err == nil {
+		t.Error("inexact sub-tolerance trace accepted")
+	}
+}
+
 func TestParseModel(t *testing.T) {
 	src := `
 # a thermostat

@@ -1,10 +1,10 @@
 // Package bmc implements bounded model checking over non-linear transition
 // systems using the CDCL(ICP) solver: the transition relation is unrolled
 // incrementally and property violations are searched at increasing depths.
-// Candidate counterexamples (ε-boxes) are validated by concrete replay; a
-// candidate that fails validation triggers a precision refinement before
-// the engine concedes Unknown.  BMC is the baseline that finds shallow
-// bugs fast but can never prove safety.
+// Candidate counterexamples (ε-boxes) are validated by concrete replay
+// (Unrolling.BaseCase, shared with k-induction and IC3); a candidate that
+// fails validation sends the search one depth deeper.  BMC is the
+// baseline that finds shallow bugs fast but can never prove safety.
 package bmc
 
 import (
@@ -59,6 +59,7 @@ type Unrolling struct {
 	steps       [][]tnf.VarID // step -> var ids (declaration order of sys.Vars)
 	plain       []tnf.Lit     // step -> literal of !Prop@step (compiled lazily)
 	robust      []tnf.Lit     // step -> literal of !Weaken(Prop)@step (base only)
+	start       []tnf.Lit     // step-0 restriction (Restrict)
 	base        bool
 	tol         float64 // robustness margin
 
@@ -100,6 +101,19 @@ func NewUnrolling(sys *ts.System, opts icp.Options, base bool, tol float64) (*Un
 	}
 	u.Solver = icp.New(u.tnfSys, opts)
 	return u, nil
+}
+
+// Restrict confines step 0 to the cube c, whose literals are over the
+// variables of step 0 (a literal's Var is the position of its variable
+// in sys.Vars, ts.DeclareStep's layout).  It asserts c and keeps it for
+// the exit's replay, which must start inside it.  IC3 restricts a base
+// unrolling to the first cube of an obligation chain.
+func (u *Unrolling) Restrict(c []tnf.Lit) {
+	for _, l := range c {
+		u.tnfSys.AssertLit(l)
+	}
+	u.Solver.Sync(u.tnfSys)
+	u.start = append(u.start, c...)
 }
 
 // Extend declares step k+1 and asserts Trans@k, where k is the current
@@ -231,13 +245,58 @@ func (u *Unrolling) boxTrace(box []interval.Interval, depth int) []ts.State {
 	return trace
 }
 
+// BaseResult is the outcome of one base case (Unrolling.BaseCase).
+type BaseResult struct {
+	// Status is StatusSat when the answering query has a candidate,
+	// StatusUnsat when neither query has one, StatusUnknown when a query
+	// stopped undecided.
+	Status icp.Status
+	// Trace is the validated counterexample over steps 0..k, or nil (no
+	// candidate, or one that failed validation).
+	Trace []ts.State
+	// Robust says the robust violation query answered, else the plain one.
+	Robust bool
+	// Solves counts the queries asked; Exits those that ended at an
+	// exact-trace exit.
+	Solves, Exits int64
+}
+
+// BaseCase asks for a counterexample of the current depth k of a base
+// unrolling: the robust violation first (boundary-hugging candidates
+// cannot validate), and the plain one only when the robust one is UNSAT
+// (plain violations may still be genuine for discrete properties).  A
+// Sat answer's candidate is validated once at the unrolling's
+// tolerance; an exit's trace was validated inside Ask.  BaseCase ticks
+// budget before each query.
+func (u *Unrolling) BaseCase(budget engine.Budget) (BaseResult, error) {
+	var b BaseResult
+	for _, robust := range [...]bool{true, false} {
+		budget.Tick()
+		a, err := u.Ask(robust)
+		if err != nil {
+			return b, err
+		}
+		b.Solves++
+		if a.Exit {
+			b.Exits++
+		}
+		b.Status, b.Robust = a.Status, robust
+		if a.Status != icp.StatusUnsat {
+			if a.Status == icp.StatusSat && (a.Exit || u.sys.ValidateTrace(a.Trace, u.tol) == nil) {
+				b.Trace = a.Trace
+			}
+			break
+		}
+	}
+	return b, nil
+}
+
 // Check runs bounded model checking up to the configured depth.
 //
-// Candidate counterexamples that fail concrete validation (boundary
-// artifacts of the relaxed strict-inequality semantics, or ε-spurious
-// boxes) are retried at finer precision; if they remain unvalidatable the
-// search continues at greater depths rather than giving up, so a real
-// deeper counterexample is still found.
+// A depth whose candidate fails concrete validation (a boundary artifact
+// of the relaxed strict-inequality semantics, or an ε-spurious box)
+// proves nothing, so the search goes on to greater depths rather than
+// giving up: a real deeper counterexample is still found.
 func Check(sys *ts.System, opts Options) engine.Result {
 	opts = opts.withDefaults()
 	budget := opts.Budget.Start()
@@ -246,20 +305,12 @@ func Check(sys *ts.System, opts Options) engine.Result {
 	}
 	opts.Solver.Stop = budget.Expired
 
-	tol := ts.ValidateTol(opts.Solver.Eps)
-	u, err := NewUnrolling(sys, opts.Solver, true, tol)
+	u, err := NewUnrolling(sys, opts.Solver, true, ts.ValidateTol(opts.Solver.Eps))
 	if err != nil {
 		return engine.Result{Verdict: engine.Unknown, Note: err.Error()}
 	}
 
 	stats := map[string]int64{}
-	spurious := int64(0)
-	count := func(a Answer) {
-		stats["solves"]++
-		if a.Exit {
-			stats["traceExits"]++
-		}
-	}
 	finish := func(r engine.Result) engine.Result {
 		stats["decisions"] = u.Solver.Stats.Decisions
 		stats["conflicts"] = u.Solver.Stats.Conflicts
@@ -274,42 +325,23 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		if budget.Expired() {
 			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: "timeout"})
 		}
-		budget.Tick()
-		a, err := u.Ask(true)
+		b, err := u.BaseCase(budget)
+		stats["solves"] += b.Solves
+		if b.Exits > 0 {
+			stats["traceExits"] += b.Exits
+		}
 		if err != nil {
 			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: err.Error()})
 		}
-		count(a)
-		switch a.Status {
-		case icp.StatusSat:
-			if err := sys.ValidateTrace(a.Trace, tol); err == nil {
-				return finish(engine.Result{Verdict: engine.Unsafe, Trace: a.Trace, Depth: k})
-			}
-			// Spurious candidate: retry this depth once at finer precision
-			// with a fresh solver, then keep searching deeper.
-			stats["spurious"]++
-			spurious++
-			if trace, ok := retryDepth(sys, opts, tol, k, budget, stats); ok {
-				stats["refinedHits"]++
-				return finish(engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: k})
-			}
-		case icp.StatusUnknown:
+		switch {
+		case b.Trace != nil:
+			return finish(engine.Result{Verdict: engine.Unsafe, Trace: b.Trace, Depth: k})
+		case b.Status == icp.StatusUnknown:
 			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: budget.StopNote("bad query")})
-		case icp.StatusUnsat:
-			// No robust violation; plain violations may still be genuine
-			// for discrete (integer) properties, so validate them too.
-			budget.Tick()
-			a, err := u.Ask(false)
-			if err != nil {
-				return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: err.Error()})
-			}
-			count(a)
-			if a.Status == icp.StatusSat {
-				if err := sys.ValidateTrace(a.Trace, tol); err == nil {
-					return finish(engine.Result{Verdict: engine.Unsafe, Trace: a.Trace, Depth: k})
-				}
-				stats["boundaryOnly"]++
-			}
+		case b.Status == icp.StatusSat && b.Robust:
+			stats["spurious"]++
+		case b.Status == icp.StatusSat:
+			stats["boundaryOnly"]++
 		}
 		if k < opts.MaxDepth {
 			if err := u.Extend(); err != nil {
@@ -318,41 +350,8 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		}
 	}
 	note := fmt.Sprintf("no counterexample up to depth %d", opts.MaxDepth)
-	if spurious > 0 {
-		note += fmt.Sprintf(" (%d unvalidated candidates)", spurious)
+	if n := stats["spurious"]; n > 0 {
+		note += fmt.Sprintf(" (%d unvalidated candidates)", n)
 	}
 	return finish(engine.Result{Verdict: engine.Unknown, Depth: opts.MaxDepth, Note: note})
-}
-
-// retryDepth re-solves the depth-k query with a fresh solver at much finer
-// precision; it returns a validated trace on success.
-func retryDepth(sys *ts.System, opts Options, tol float64, k int, budget engine.Budget, stats map[string]int64) ([]ts.State, bool) {
-	if budget.Expired() {
-		return nil, false
-	}
-	fine := opts.Solver
-	fine.Eps = opts.Solver.Eps / 64
-	u, err := NewUnrolling(sys, fine, true, tol)
-	if err != nil {
-		return nil, false
-	}
-	for i := 0; i < k; i++ {
-		if err := u.Extend(); err != nil {
-			return nil, false
-		}
-	}
-	a, err := u.Ask(true)
-	if err != nil {
-		return nil, false
-	}
-	if a.Exit {
-		stats["traceExits"]++
-	}
-	if a.Status != icp.StatusSat {
-		return nil, false
-	}
-	if err := sys.ValidateTrace(a.Trace, tol/16); err != nil {
-		return nil, false
-	}
-	return a.Trace, true
 }

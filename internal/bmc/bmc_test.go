@@ -7,6 +7,8 @@ import (
 
 	"icpic3/internal/engine"
 	"icpic3/internal/icp"
+	"icpic3/internal/interval"
+	"icpic3/internal/tnf"
 	"icpic3/internal/ts"
 )
 
@@ -245,5 +247,82 @@ func TestUnknownNotes(t *testing.T) {
 	res = Check(sys, Options{})
 	if res.Verdict != engine.Unknown || res.Note != "solver budget (bad query)" {
 		t.Errorf("at the cap: %v (%q); want unknown (\"solver budget (bad query)\")", res.Verdict, res.Note)
+	}
+}
+
+// TestUnknownPlainBaseStops: a depth whose robust violation query is
+// UNSAT but whose plain one stops undecided was never decided, so bmc
+// ends there instead of going on to the next depth.  The robust query
+// is easy (x > 1 + 2·tol lies outside x's domain); the plain one is
+// hardSrc's query at the per-Solve cap.
+func TestUnknownPlainBaseStops(t *testing.T) {
+	sys := mustParse(t, `
+system hardplain
+var x : real [0, 1.00001]
+var y : real [0, 100]
+init x >= 0 and y >= 0
+trans x' = x and y' = y
+prop x <= 1 or (x + y) * (x + y) - x * x - 2 * x * y - y * y <= 0.5
+`)
+	defer icp.LowerCapsForTest(50, 1000)()
+	res := Check(sys, Options{MaxDepth: 4})
+	if res.Verdict != engine.Unknown || res.Depth != 0 || res.Note != "solver budget (bad query)" || res.Stats["solves"] != 2 {
+		t.Errorf("%v at depth %d (%q) after %d solves; want unknown at depth 0 (\"solver budget (bad query)\") after 2",
+			res.Verdict, res.Depth, res.Note, res.Stats["solves"])
+	}
+}
+
+// TestBaseCaseRestricted: BaseCase asks the robust violation, then the
+// plain one only when the robust one is UNSAT, and a step-0 restriction
+// narrows both.  x counts up by 1 from [0, 1]; at depth 2 it lies in
+// [2, 3], and x <= 2.1 is violated robustly (by more than 2·tol = 0.02)
+// unless step 0 is confined to x <= 0.11.
+func TestBaseCaseRestricted(t *testing.T) {
+	sys := mustParse(t, `
+system count
+var x : real [0, 10]
+init x >= 0 and x <= 1
+trans x' = x + 1
+prop x <= 2.1
+`)
+	tol := ts.ValidateTol(engine.DefaultEps)
+	for _, c := range []struct {
+		name   string
+		cube   []tnf.Lit
+		status icp.Status
+		robust bool
+		solves int64
+	}{
+		{"unrestricted", nil, icp.StatusSat, true, 1},
+		{"x >= 0.5", []tnf.Lit{tnf.MkGe(0, 0.5)}, icp.StatusSat, true, 1},
+		{"x <= 0.11: plain violation only", []tnf.Lit{tnf.MkLe(0, 0.11)}, icp.StatusSat, false, 2},
+		{"x <= 0.05: no violation", []tnf.Lit{tnf.MkLe(0, 0.05)}, icp.StatusUnsat, false, 2},
+	} {
+		u, err := NewUnrolling(sys, icp.Options{Eps: engine.DefaultEps}, true, tol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u.Restrict(c.cube)
+		for u.Depth() < 2 {
+			if err := u.Extend(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b, err := u.BaseCase(engine.Budget{})
+		if err != nil || b.Status != c.status || b.Robust != c.robust || b.Solves != c.solves {
+			t.Errorf("%s: %v (robust %v) after %d solves, %v; want %v (robust %v) after %d",
+				c.name, b.Status, b.Robust, b.Solves, err, c.status, c.robust, c.solves)
+		}
+		if b.Trace == nil {
+			continue
+		}
+		if err := sys.ValidateTrace(b.Trace, tol); err != nil {
+			t.Errorf("%s: trace %v fails validation: %v", c.name, b.Trace, err)
+		}
+		for _, l := range c.cube {
+			if x := b.Trace[0]["x"]; !l.HoldsOn(interval.Point(x)) {
+				t.Errorf("%s: trace starts at x = %g, outside %v", c.name, x, l)
+			}
+		}
 	}
 }

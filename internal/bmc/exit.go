@@ -18,7 +18,8 @@ import (
 //
 //   - s and every enclosure lie in the declared domains, and every guard
 //     of Trans is true on each (enclosure, successor enclosure) pair;
-//   - a base unrolling's Init is true at s;
+//   - a base unrolling's Init is true at s, and s lies in its step-0
+//     restriction (Restrict);
 //   - every formula compiled at a step is defined on its enclosure:
 //     Prop, and on a base unrolling Weaken(Prop), at steps 0..k (Init and
 //     Trans are covered by the checks above);
@@ -36,13 +37,14 @@ import (
 //
 // A base exit's candidate is the trace of enclosure midpoints, and Ask
 // takes the exit only when that trace also passes ts.System.ValidateTrace
-// at the unrolling's tolerance, the check the engines apply to every
-// candidate.  A real violation smaller than the tolerance passes the
-// proof, but validation only when its midpoint trace is exact (in
-// practice at depth 0, where no rounded update is involved); exiting on
-// any other would trade a search that may still reach a candidate the
-// engines accept for one they discard.  Systems without a Stepper (int or bool
-// variables, relational Trans) search in full.
+// at the unrolling's tolerance, the check BaseCase applies to every
+// other candidate (so it does not repeat it on an exit's).  A real
+// violation smaller than the tolerance passes the proof, but validation
+// only when its midpoint trace is exact (in practice at depth 0, where
+// no rounded update is involved); exiting on any other would trade a
+// search that may still reach a candidate the engines accept for one
+// they discard.  Systems without a Stepper (int or bool variables,
+// relational Trans) search in full.
 
 // buildExit prepares the exit when Trans is a function of the state.
 func (u *Unrolling) buildExit() {
@@ -74,6 +76,11 @@ func (u *Unrolling) replays(lo, hi []float64, robust bool) bool {
 			return false
 		}
 		s[i] = interval.Point(m)
+	}
+	for _, l := range u.start {
+		if !l.HoldsOn(s[l.Var]) {
+			return false
+		}
 	}
 	for j := 0; ; j++ {
 		for i, v := range u.sys.Vars {

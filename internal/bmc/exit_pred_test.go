@@ -6,6 +6,7 @@ import (
 
 	"icpic3/internal/engine"
 	"icpic3/internal/icp"
+	"icpic3/internal/tnf"
 	"icpic3/internal/ts"
 )
 
@@ -90,6 +91,44 @@ func TestExitPredicateBase(t *testing.T) {
 		}
 		if got := pred(false); got != c.plainT {
 			t.Errorf("%s: plain literal: accepted %v, want %v", c.name, got, c.plainT)
+		}
+	}
+}
+
+// TestExitPredicateRestricted: on a restricted base unrolling the
+// predicate accepts only a start inside the step-0 cube, strictness
+// respected, so an exit stays a model of the restricted query.
+func TestExitPredicateRestricted(t *testing.T) {
+	src := countSys("y' = y", "x <= 2")
+	for _, c := range []struct {
+		name string
+		cube []tnf.Lit
+		x    float64
+		want bool
+	}{
+		{"inside", []tnf.Lit{tnf.MkGe(0, 0.4)}, 0.5, true},
+		{"in Init, outside the cube", []tnf.Lit{tnf.MkGe(0, 0.8)}, 0.5, false},
+		{"on a closed bound", []tnf.Lit{tnf.MkLe(0, 0.5)}, 0.5, true},
+		{"on a strict bound", []tnf.Lit{tnf.MkLt(0, 0.5)}, 0.5, false},
+		{"outside the cube in y", []tnf.Lit{tnf.MkGe(0, 0.4), tnf.MkGt(1, 0.6)}, 0.5, false},
+	} {
+		sys := mustParse(t, src)
+		u, err := NewUnrolling(sys, icp.Options{Eps: engine.DefaultEps}, true, ts.ValidateTol(engine.DefaultEps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		u.Restrict(c.cube)
+		for i := 0; i < 2; i++ {
+			if err := u.Extend(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := u.bad(2); err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := []float64{c.x, 0.5}, []float64{c.x, 0.5}
+		if got := u.replays(lo, hi, true); got != c.want {
+			t.Errorf("%s: accepted %v, want %v", c.name, got, c.want)
 		}
 	}
 }

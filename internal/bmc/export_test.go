@@ -20,7 +20,7 @@ func SetNoExit() (restore func()) {
 }
 
 // Reask asks u's violation query of the current depth again, on a fresh
-// unrolling of the same system without the exit, at the engines' default
+// unrolling of the same system and step-0 restriction without the exit, at the engines' default
 // precision (a query with a real model is Sat at any precision).
 func (u *Unrolling) Reask(robust bool) (icp.Status, error) {
 	v, err := NewUnrolling(u.sys, icp.Options{Eps: engine.DefaultEps}, u.base, u.tol)
@@ -28,6 +28,7 @@ func (u *Unrolling) Reask(robust bool) (icp.Status, error) {
 		return 0, err
 	}
 	v.stepper = nil
+	v.Restrict(u.start)
 	for len(v.steps) < len(u.steps) {
 		if err := v.Extend(); err != nil {
 			return 0, err

@@ -33,9 +33,10 @@ var Counters = [...]Counter{
 	{"watchVisits", "watch-list entries inspected during propagation by the main query solver", 0},
 	{"revisions", "HC4-revise calls of the main query solver (constraints taken off the contraction queue)", 0},
 	{"infRevisions", "HC4-revise calls of the F_∞ probe solver", 0},
+	{"infWatchVisits", "watch-list entries inspected during propagation by the F_∞ probe solver", 0},
 	{"infDecisions", "branching decisions of the F_∞ probe solver", 0},
 	{"infAccepted", "F_∞ probes ended early at an exact counter-point", 0},
-	{"traceExits", "bmc and k-induction base queries ended early at a proven counterexample trace", 0},
+	{"traceExits", "base queries of bmc, k-induction and IC3's counterexample search ended early at a proven counterexample trace", 0},
 	{"ctiExits", "k-induction step queries ended early at a proven counterexample to induction", 0},
 }
 

@@ -27,6 +27,7 @@ import (
 	"math"
 	"sort"
 
+	"icpic3/internal/bmc"
 	"icpic3/internal/engine"
 	"icpic3/internal/expr"
 	"icpic3/internal/icp"
@@ -178,8 +179,6 @@ type checker struct {
 	// onProbe, when set, observes every F_∞ probe once it is answered
 	// (tests compare the answers against probes without the exit)
 	onProbe func(c icpCube, needBox bool, r icp.Result, accepted bool)
-
-	sim *ts.Simulator // exact point replay for counterexample repair
 }
 
 // icpCube is a cube in solver terms: literals over curIDs, so a
@@ -196,7 +195,6 @@ type coreKey struct {
 // obligation is a pending blocking task.
 type obligation struct {
 	cube  icpCube
-	point ts.State // midpoint state used for trace reconstruction
 	frame int
 	depth int
 	succ  *obligation
@@ -268,6 +266,7 @@ func checkWith(sys *ts.System, opts Options, setup func(*checker)) (engine.Resul
 	if ch.inf != nil {
 		ch.inf.absorb()
 		ch.stats["infRevisions"] = ch.inf.total.Revisions
+		ch.stats["infWatchVisits"] = ch.inf.total.WatchVisits
 		ch.stats["infDecisions"] = ch.inf.total.Decisions
 	}
 	res.Stats = ch.stats
@@ -520,7 +519,7 @@ func (ch *checker) selfInductive(c icpCube, needBox bool) bool {
 // leaves no earlier probe's box behind.
 func (ch *checker) inductiveAndSeparate(c icpCube, needBox bool) bool {
 	ch.infWitness = nil
-	if intersects, _ := ch.initIntersects(c); intersects {
+	if ch.initIntersects(c) {
 		return false
 	}
 	return ch.selfInductive(c, needBox)
@@ -647,17 +646,13 @@ func (ch *checker) negCube(c icpCube) tnf.Clause {
 	return cl
 }
 
-// initIntersects asks whether cube ∩ Init is (candidate-)satisfiable.
-// The bool result is true for "may intersect" (SAT or Unknown: sound side)
-// and false only when proven disjoint.
-func (ch *checker) initIntersects(c icpCube) (bool, *icp.Result) {
+// initIntersects asks whether cube ∩ Init is (candidate-)satisfiable:
+// true for "may intersect" (SAT or Unknown: sound side), false only when
+// proven disjoint.
+func (ch *checker) initIntersects(c icpCube) bool {
 	ch.stats["initQueries"]++
 	ch.budget.Tick()
-	r := ch.init.Solve(c)
-	if r.Status == icp.StatusUnsat {
-		return false, &r
-	}
-	return true, &r
+	return ch.init.Solve(c).Status != icp.StatusUnsat
 }
 
 // blockQuery asks the consecution query for a blocking attempt.  On
@@ -824,7 +819,7 @@ func (ch *checker) run() engine.Result {
 				return engine.Result{Verdict: engine.Unknown, Depth: k, Note: ch.budget.StopNote("bad query")}
 			}
 			bad := ch.widenBadCube(ch.boxCube(r.Box, ch.curIDs))
-			root := &obligation{cube: bad, point: ch.sys.BoxState(r.Box, ch.curIDs, interval.Interval.Mid), frame: k, depth: 0}
+			root := &obligation{cube: bad, frame: k, depth: 0}
 			verdict, res := ch.block(root, k)
 			if verdict != engine.Safe { // Unsafe or Unknown bubble up
 				if verdict == engine.Unknown {
@@ -870,10 +865,7 @@ func (ch *checker) block(root *obligation, k int) (engine.Verdict, engine.Result
 		}
 
 		// counterexample checks: frame 0 or cube touching Init
-		if ob.frame == 0 {
-			return ch.candidateCex(ob)
-		}
-		if intersects, _ := ch.initIntersects(ob.cube); intersects {
+		if ob.frame == 0 || ch.initIntersects(ob.cube) {
 			return ch.candidateCex(ob)
 		}
 
@@ -882,8 +874,7 @@ func (ch *checker) block(root *obligation, k int) (engine.Verdict, engine.Result
 		case icp.StatusSat:
 			pred := ch.boxCube(r.Box, ch.curIDs)
 			heap.Push(&q, &obligation{
-				cube: pred, point: ch.sys.BoxState(r.Box, ch.curIDs, interval.Interval.Mid),
-				frame: ob.frame - 1, depth: ob.depth + 1, succ: ob,
+				cube: pred, frame: ob.frame - 1, depth: ob.depth + 1, succ: ob,
 			})
 			heap.Push(&q, ob)
 		case icp.StatusUnknown:
@@ -910,94 +901,54 @@ func (ch *checker) block(root *obligation, k int) (engine.Verdict, engine.Result
 	return engine.Safe, engine.Result{}
 }
 
-// candidateCex validates the obligation chain as a concrete trace,
-// attempting an exact forward repair when the raw midpoint chain drifts.
+// cexSlack is how many steps past the length of its obligation chain
+// the counterexample search looks: the exact trajectory from a
+// boundary-hugging chain's first cube may reach the violation a few
+// steps late.
+const cexSlack = 8
+
+// candidateCex turns the obligation chain from ob into a concrete
+// counterexample.  A chain of n transitions is a path of ε-boxes, not a
+// trace, so it asks the base case of bmc and k-induction
+// (bmc.Unrolling.BaseCase) on a fresh base unrolling whose step 0 is
+// restricted to the chain's first cube, at depths n … n+cexSlack; the
+// first validated trace is the counterexample.
 func (ch *checker) candidateCex(ob *obligation) (engine.Verdict, engine.Result) {
-	var trace []ts.State
-	for o := ob; o != nil; o = o.succ {
-		trace = append(trace, o.point)
+	n := 0
+	for o := ob.succ; o != nil; o = o.succ {
+		n++
 	}
-	// If the first state does not hit Init exactly (it is a box midpoint),
-	// try substituting a point from the init region query; corner points of
-	// the init box are kept as alternative starts for trace repair.
-	startVariants := []ts.State{trace[0]}
-	if ok, r := ch.initIntersects(ob.cube); ok && r.Status == icp.StatusSat {
-		trace[0] = ch.sys.BoxState(r.Box, ch.curIDs, interval.Interval.Mid)
-		startVariants = []ts.State{trace[0]}
-		startVariants = append(startVariants,
-			ch.sys.BoxState(r.Box, ch.curIDs, func(b interval.Interval) float64 { return b.Lo }),
-			ch.sys.BoxState(r.Box, ch.curIDs, func(b interval.Interval) float64 { return b.Hi }))
+	u, err := bmc.NewUnrolling(ch.sys, ch.opts.Solver, true, ch.tol)
+	if err != nil {
+		return engine.Unknown, engine.Result{Verdict: engine.Unknown, Note: err.Error()}
 	}
-	if err := ch.sys.ValidateTrace(trace, ch.tol); err == nil {
-		return engine.Unsafe, engine.Result{Verdict: engine.Unsafe, Trace: trace, Depth: len(trace) - 1}
-	}
-	for _, start := range startVariants {
-		cand := append([]ts.State{start}, trace[1:]...)
-		if repaired, ok := ch.repairTrace(cand); ok {
-			ch.stats["repairedCex"]++
-			return engine.Unsafe, engine.Result{Verdict: engine.Unsafe, Trace: repaired, Depth: len(repaired) - 1}
+	u.Restrict(ob.cube)
+	for k := 0; k <= n+cexSlack; k++ {
+		if k > 0 {
+			if err := u.Extend(); err != nil {
+				return engine.Unknown, engine.Result{Verdict: engine.Unknown, Note: err.Error()}
+			}
+		}
+		if k < n {
+			continue
+		}
+		b, err := u.BaseCase(ch.budget)
+		ch.stats["cexSolves"] += b.Solves
+		ch.stats["traceExits"] += b.Exits
+		switch {
+		case err != nil:
+			return engine.Unknown, engine.Result{Verdict: engine.Unknown, Note: err.Error()}
+		case b.Trace != nil:
+			return engine.Unsafe, engine.Result{Verdict: engine.Unsafe, Trace: b.Trace, Depth: k}
+		case b.Status == icp.StatusUnknown:
+			return engine.Unknown, engine.Result{Verdict: engine.Unknown, Note: ch.budget.StopNote("cex query")}
 		}
 	}
 	ch.stats["spuriousCex"]++
 	return engine.Unknown, engine.Result{
 		Verdict: engine.Unknown,
-		Note:    fmt.Sprintf("candidate counterexample of length %d failed validation (ε-spurious)", len(trace)),
+		Note:    fmt.Sprintf("candidate counterexample of length %d failed validation (ε-spurious)", n+1),
 	}
-}
-
-// repairTrace rebuilds the candidate trace as an exact trajectory: starting
-// from the validated initial point it advances step by step with point ICP
-// queries (current state fixed, successor guided toward the candidate's
-// next state), then re-validates.  This recovers genuine counterexamples
-// from ε-drifted obligation chains.
-func (ch *checker) repairTrace(cand []ts.State) ([]ts.State, bool) {
-	if len(cand) == 0 || ch.budget.Expired() {
-		return nil, false
-	}
-	out := []ts.State{cand[0]}
-	cur := cand[0]
-	slack := math.Max(ch.tol*10, 1e-6)
-	for i := 1; i < len(cand); i++ {
-		next, ok := ch.stepFrom(cur, cand[i], slack)
-		if !ok {
-			// retry unguided: any successor
-			next, ok = ch.stepFrom(cur, nil, 0)
-			if !ok {
-				return nil, false
-			}
-		}
-		out = append(out, next)
-		cur = next
-	}
-	if err := ch.sys.ValidateTrace(out, ch.tol); err == nil {
-		return out, true
-	}
-	// Overshoot: the exact replay may reach the violation a few steps
-	// after the (boundary-hugging) candidate length.
-	for extra := 0; extra < 8; extra++ {
-		next, ok := ch.stepFrom(cur, nil, 0)
-		if !ok {
-			return nil, false
-		}
-		out = append(out, next)
-		cur = next
-		if v, err := ch.sys.Prop.EvalApprox(cur.Env(), ch.tol); err == nil && v == 0 {
-			if err := ch.sys.ValidateTrace(out, ch.tol); err == nil {
-				ch.stats["overshoot"]++
-				return out, true
-			}
-		}
-	}
-	return nil, false
-}
-
-// stepFrom solves Trans(cur, ·) with the current state pinned; when guide
-// is non-nil the successor is constrained to lie within slack of it.
-func (ch *checker) stepFrom(cur ts.State, guide ts.State, slack float64) (ts.State, bool) {
-	if ch.sim == nil {
-		ch.sim = ts.NewSimulator(ch.sys, math.Min(ch.opts.Solver.Eps, 1e-9))
-	}
-	return ch.sim.Step(cur, guide, slack)
 }
 
 // generalize shrinks/widens a blocked cube per the configured mode.
@@ -1010,7 +961,7 @@ func (ch *checker) generalize(c, coreCube icpCube, frame int) icpCube {
 		g = c
 	}
 	// the generalized cube must stay disjoint from Init
-	if intersects, _ := ch.initIntersects(g); intersects {
+	if ch.initIntersects(g) {
 		g = ch.restoreInitSeparation(c, g)
 	}
 	ch.stats["coreDropped"] += int64(len(c) - len(g))
@@ -1259,7 +1210,7 @@ func (ch *checker) tryDrop(g icpCube, i, frame int) (icpCube, bool) {
 // witness-guided bisection jump in widenLit).
 func (ch *checker) blockedAndSeparate(cand icpCube, frame int) bool {
 	ch.lastWitness, ch.lastNext = nil, nil
-	if intersects, _ := ch.initIntersects(cand); intersects {
+	if ch.initIntersects(cand) {
 		return false
 	}
 	r, _ := ch.blockQuery(cand, frame)
@@ -1279,7 +1230,7 @@ func (ch *checker) blockCTG(w icpCube, frame int) bool {
 		return false
 	}
 	ch.ctgBudget--
-	if intersects, _ := ch.initIntersects(w); intersects {
+	if ch.initIntersects(w) {
 		return false
 	}
 	r, coreCube := ch.blockQuery(w, frame)
@@ -1305,7 +1256,7 @@ func (ch *checker) restoreInitSeparation(c, g icpCube) icpCube {
 			continue
 		}
 		out = append(out, l)
-		if intersects, _ := ch.initIntersects(out); !intersects {
+		if !ch.initIntersects(out) {
 			return out
 		}
 	}

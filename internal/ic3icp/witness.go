@@ -3,7 +3,6 @@ package ic3icp
 import (
 	"icpic3/internal/expr"
 	"icpic3/internal/interval"
-	"icpic3/internal/tnf"
 )
 
 // The exact-witness exit of the F_∞ probes.
@@ -75,7 +74,7 @@ func (ch *checker) steppedInto(c icpCube, lo, hi []float64) bool {
 		}
 	}
 	for _, l := range c {
-		if !litHoldsOn(l, succ[l.Var]) {
+		if !l.HoldsOn(succ[l.Var]) {
 			return false
 		}
 	}
@@ -97,18 +96,9 @@ func (ch *checker) steppedInto(c icpCube, lo, hi []float64) bool {
 // clause ¬c.
 func (ch *checker) outside(c icpCube, s []interval.Interval) bool {
 	for _, l := range c {
-		if !litHoldsOn(l, s[l.Var]) {
+		if !l.HoldsOn(s[l.Var]) {
 			return true
 		}
 	}
 	return false
-}
-
-// litHoldsOn reports whether every point of v satisfies l, strictness
-// respected.
-func litHoldsOn(l tnf.Lit, v interval.Interval) bool {
-	if l.Dir == tnf.DirLe {
-		return v.Hi < l.B || (!l.Strict && v.Hi == l.B)
-	}
-	return v.Lo > l.B || (!l.Strict && v.Lo == l.B)
 }

@@ -84,18 +84,6 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		return finish(engine.Result{Verdict: engine.Unknown, Note: err.Error()})
 	}
 
-	// askBase asks the base case's robust or plain violation query; an
-	// exit is a proven counterexample trace
-	askBase := func(robust bool) (bmc.Answer, error) {
-		budget.Tick()
-		a, err := base.Ask(robust)
-		stats["baseSolves"]++
-		if a.Exit {
-			stats["traceExits"]++
-		}
-		return a, err
-	}
-
 	// spuriousAt is the first depth whose base case ended on a candidate
 	// that failed validation: that depth was never shown free of
 	// counterexamples, so no deeper step case may conclude Safe.
@@ -104,21 +92,19 @@ func Check(sys *ts.System, opts Options) engine.Result {
 		if budget.Expired() {
 			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: "timeout", Stats: stats})
 		}
-		// base case: Init ∧ Trans^k ∧ !Prop@k (robust violation first:
-		// boundary-hugging candidates cannot validate; plain violations
-		// are still checked for discrete properties)
-		rb, err := askBase(true)
-		if err == nil && rb.Status == icp.StatusUnsat {
-			rb, err = askBase(false)
+		// base case: Init ∧ Trans^k ∧ !Prop@k (bmc.Unrolling.BaseCase)
+		rb, err := base.BaseCase(budget)
+		stats["baseSolves"] += rb.Solves
+		if rb.Exits > 0 { // a proven counterexample trace
+			stats["traceExits"] += rb.Exits
 		}
 		if err != nil {
 			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: err.Error(), Stats: stats})
 		}
-		switch rb.Status {
-		case icp.StatusSat:
-			if verr := sys.ValidateTrace(rb.Trace, tol); verr == nil {
-				return finish(engine.Result{Verdict: engine.Unsafe, Trace: rb.Trace, Depth: k, Stats: stats})
-			}
+		switch {
+		case rb.Trace != nil:
+			return finish(engine.Result{Verdict: engine.Unsafe, Trace: rb.Trace, Depth: k, Stats: stats})
+		case rb.Status == icp.StatusSat:
 			// Spurious base-case candidate (boundary artifact): deeper
 			// base cases may surface a real counterexample, so keep going,
 			// but depth k is unproven from here on.
@@ -126,7 +112,7 @@ func Check(sys *ts.System, opts Options) engine.Result {
 			if spuriousAt < 0 {
 				spuriousAt = k
 			}
-		case icp.StatusUnknown:
+		case rb.Status == icp.StatusUnknown:
 			return finish(engine.Result{Verdict: engine.Unknown, Depth: k, Note: budget.StopNote("base"), Stats: stats})
 		}
 

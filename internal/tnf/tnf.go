@@ -66,6 +66,15 @@ func MkLt(v VarID, b float64) Lit { return Lit{Var: v, Dir: DirLe, B: b, Strict:
 // MkGt returns the literal v > b.
 func MkGt(v VarID, b float64) Lit { return Lit{Var: v, Dir: DirGe, B: b, Strict: true} }
 
+// HoldsOn reports whether every point of v satisfies l, strictness
+// respected.
+func (l Lit) HoldsOn(v interval.Interval) bool {
+	if l.Dir == DirLe {
+		return v.Hi < l.B || (!l.Strict && v.Hi == l.B)
+	}
+	return v.Lo > l.B || (!l.Strict && v.Lo == l.B)
+}
+
 func (l Lit) String() string {
 	op := "<="
 	if l.Dir == DirLe {
